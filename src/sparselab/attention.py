@@ -2,14 +2,14 @@
 and single-row decode.
 
 Everything runs in float64 with the numerically stable softmax (row-max
-subtraction).  Masks are explicit per-row index sets rather than bitmaps so
-that coverage accounting elsewhere stays exact integer counting.
+subtraction).  A mask is one boolean cell matrix per query head, so its cell
+count is an exact integer and the kernel applies it without any expansion.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -112,61 +112,53 @@ class AttentionOutput:
 
 
 class CellMask:
-    """Per query-head, per query-row sets of permitted key indices.
+    """Permitted cells of every query head: ``cells[h, i, j]`` lets query
+    row i of head h read key j.
 
-    Rows are stored as sorted unique int64 arrays.  Every row must keep at
-    least one key and may never look ahead of its own position.
+    ``cells`` is a boolean [num_heads, seq_len, seq_len] array.  Every row
+    must keep at least one key and may never look ahead of its own position.
     """
 
-    __slots__ = ("rows", "seq_len")
+    __slots__ = ("cells",)
 
-    def __init__(self, rows: Sequence[Sequence[np.ndarray]], seq_len: int):
-        checked: list[tuple[np.ndarray, ...]] = []
-        for head_rows in rows:
-            if len(head_rows) != seq_len:
-                raise ValueError("mask must define one index set per query row")
-            head_checked = []
-            for i, idx in enumerate(head_rows):
-                arr = np.unique(np.asarray(idx, dtype=np.int64))
-                if arr.size == 0:
-                    raise ValueError(f"row {i} has an empty key set")
-                if arr[0] < 0 or arr[-1] > i:
-                    raise ValueError(f"row {i} permits non-causal or negative key {arr}")
-                head_checked.append(arr)
-            checked.append(tuple(head_checked))
-        self.rows: tuple[tuple[np.ndarray, ...], ...] = tuple(checked)
-        self.seq_len = seq_len
+    def __init__(self, cells: np.ndarray):
+        if not isinstance(cells, np.ndarray) or cells.dtype != bool:
+            raise ValueError("mask must be a boolean ndarray")
+        if cells.ndim != 3 or cells.shape[1] != cells.shape[2]:
+            raise ValueError(f"mask must be [heads, seq, seq], got shape {cells.shape}")
+        if np.triu(cells, k=1).any():
+            raise ValueError("mask permits cells above the diagonal (non-causal keys)")
+        empty = np.argwhere(~cells.any(axis=2))
+        if empty.size:
+            raise ValueError(f"head {empty[0, 0]} row {empty[0, 1]} has an empty key set")
+        self.cells = cells
 
     @classmethod
     def full_causal(cls, num_heads: int, seq_len: int) -> "CellMask":
-        rows = [[np.arange(i + 1) for i in range(seq_len)] for _ in range(num_heads)]
-        return cls(rows, seq_len)
+        return cls(np.tril(np.ones((num_heads, seq_len, seq_len), dtype=bool)))
 
     @property
     def num_heads(self) -> int:
-        return len(self.rows)
+        return self.cells.shape[0]
+
+    @property
+    def seq_len(self) -> int:
+        return self.cells.shape[1]
 
     def row(self, head: int, i: int) -> np.ndarray:
-        return self.rows[head][i]
+        return np.flatnonzero(self.cells[head, i])
 
     def num_cells(self) -> int:
-        return int(sum(idx.size for head in self.rows for idx in head))
+        return int(np.count_nonzero(self.cells))
 
     def dense(self, head: int) -> np.ndarray:
         """Boolean [seq_len, seq_len] view of one head's mask."""
-        out = np.zeros((self.seq_len, self.seq_len), dtype=bool)
-        for i, idx in enumerate(self.rows[head]):
-            out[i, idx] = True
-        return out
+        return self.cells[head]
 
     def is_superset_of(self, other: "CellMask") -> bool:
-        if self.seq_len != other.seq_len or self.num_heads != other.num_heads:
+        if self.cells.shape != other.cells.shape:
             return False
-        for h in range(self.num_heads):
-            for i in range(self.seq_len):
-                if np.setdiff1d(other.rows[h][i], self.rows[h][i]).size:
-                    return False
-        return True
+        return not (other.cells & ~self.cells).any()
 
 
 def _stable_softmax(logits: np.ndarray, axis: int = -1) -> np.ndarray:

@@ -3,7 +3,7 @@
 from .adapters import MockAdapter, RemoteAdapter, make_adapter
 from .analysis import analyze, curve_for, error_rows, load_run, pareto_rows, summary_rows
 from .config import ExperimentConfig, load_config
-from .demo import build_method_plan, plan_demo
+from .demo import plan_demo
 from .runner import RunResult, record_key, run_suite, sample_seed
 
 __all__ = [
@@ -12,7 +12,6 @@ __all__ = [
     "RemoteAdapter",
     "RunResult",
     "analyze",
-    "build_method_plan",
     "curve_for",
     "error_rows",
     "load_config",

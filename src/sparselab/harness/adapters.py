@@ -20,8 +20,6 @@ class MockAdapter:
     both modes.
     """
 
-    supports_plans = True
-
     def __init__(self, mode: str = "echo", responder=None) -> None:
         if mode not in ("echo", "empty"):
             raise ValueError(f"unknown mock mode {mode!r}")
@@ -51,8 +49,6 @@ class RemoteAdapter:
     ``{"text": ...}`` response or the common ``{"choices": [{"text": ...}]}``
     shape. No vendor-specific fields, no sparse-plan injection.
     """
-
-    supports_plans = False
 
     def __init__(self, url: str | None = None, token: str | None = None,
                  model: str | None = None, timeout: float = 120.0) -> None:

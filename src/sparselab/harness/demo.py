@@ -6,56 +6,19 @@ import numpy as np
 
 from ..attention import dense_prefill, decode_step, masked_attention
 from ..patterns import (
-    FlexPrefillConfig,
     PagePlan,
     ORACLE_LIMIT,
     attention_recall,
-    ada_snapkv_compress,
-    build_block_sparse,
-    build_flexprefill,
-    build_vertical_slash,
-    calibration_entries,
+    build_plan,
     lookup,
     page_plan_rows,
     plan_sparsity,
-    quest_plan,
-    snapkv_compress,
     to_cell_mask,
 )
+from ..patterns.calibration import METHODS
 from ..synthetic import GENERATOR_NAMES, make_inputs
 
-__all__ = ["build_method_plan", "plan_demo"]
-
-
-def build_method_plan(method: str, inputs, params: dict):
-    """Direct plan construction from explicit parameters."""
-    if method == "vertical_slash":
-        return build_vertical_slash(
-            inputs,
-            num_verticals=params["num_verticals"],
-            num_slashes=params["num_slashes"],
-            approx_window=params.get("approx_window", 256),
-        )
-    if method == "flexprefill":
-        config = FlexPrefillConfig(
-            alpha=params["alpha"],
-            min_budget=params.get("min_budget", 512),
-            approx_window=params.get("approx_window", 256),
-        )
-        return build_flexprefill(inputs, config)
-    if method == "block_sparse":
-        return build_block_sparse(inputs, top_k_blocks=params["top_k_blocks"])
-    if method == "snapkv":
-        return snapkv_compress(inputs, token_capacity=params["token_capacity"])
-    if method == "ada_snapkv":
-        return ada_snapkv_compress(
-            inputs,
-            token_capacity=params["token_capacity"],
-            min_head_fraction=params.get("min_head_fraction", 0.2),
-        )
-    if method == "quest":
-        return quest_plan(inputs, token_budget=params["token_budget"])
-    raise ValueError(f"unknown method {method!r}")
+__all__ = ["plan_demo"]
 
 
 def plan_demo(
@@ -88,11 +51,9 @@ def plan_demo(
         seed=seed,
     )
     if params:
-        plan = build_method_plan(method, inputs, params)
+        plan = METHODS[method].build(inputs, params)
     elif target_sparsity is not None:
         entry = lookup(method, seq_len, target_sparsity)
-        from ..patterns.calibration import build_plan
-
         plan = build_plan(entry, inputs)
         target_sparsity = entry.target_sparsity
     else:
@@ -119,7 +80,3 @@ def plan_demo(
             error = np.abs(approx.output - dense.output).max()
         result["max_output_error"] = float(error)
     return result
-
-
-def calibration_levels(method: str, seq_len: int) -> list[float]:
-    return [entry.target_sparsity for entry in calibration_entries(method, seq_len)]

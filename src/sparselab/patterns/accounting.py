@@ -8,6 +8,8 @@ decode step.
 
 from __future__ import annotations
 
+from typing import Callable, NamedTuple
+
 import numpy as np
 
 from ..attention import AttentionInputs, CellMask, _stable_softmax, dense_weights_head
@@ -21,6 +23,7 @@ from .plans import (
 )
 
 __all__ = [
+    "CalibrationSearch",
     "plan_sparsity",
     "attention_recall",
     "to_cell_mask",
@@ -112,43 +115,32 @@ def plan_sparsity(
     )
 
 
-def _vs_mask_matrix(verticals: np.ndarray, slashes: np.ndarray, n: int) -> np.ndarray:
-    m = np.zeros((n, n), dtype=bool)
-    for j in verticals.tolist():
-        m[j:, j] = True
-    for o in slashes.tolist():
-        idx = np.arange(o, n)
-        m[idx, idx - o] = True
-    return m
-
-
-def _block_mask_matrix(head_sel: tuple[np.ndarray, ...], bs: int, n: int) -> np.ndarray:
-    m = np.zeros((n, n), dtype=bool)
-    for b, blocks in enumerate(head_sel):
-        r0, r1 = b * bs, min((b + 1) * bs, n)
-        for c in blocks.tolist():
-            c0, c1 = c * bs, min((c + 1) * bs, n)
-            m[r0:r1, c0:c1] = True
-    return m & np.tril(np.ones((n, n), dtype=bool))
-
-
 def _plan_mask_matrix(plan: SparsePlan, head: int, group_map: tuple[int, ...]) -> np.ndarray:
     """Boolean cell matrix of one query head's plan (prefill-style plans)."""
+    if not isinstance(plan, (VerticalSlashPlan, BlockPlan, EvictionPlan)):
+        raise TypeError(f"no full-mask view for {type(plan).__name__}")
+    n = plan.seq_len
+    m = np.zeros((n, n), dtype=bool)
     if isinstance(plan, VerticalSlashPlan):
-        return _vs_mask_matrix(plan.verticals[head], plan.slashes[head], plan.seq_len)
+        # causal by construction: columns start and diagonals end on the diagonal
+        for j in plan.verticals[head].tolist():
+            m[j:, j] = True
+        for o in plan.slashes[head].tolist():
+            idx = np.arange(o, n)
+            m[idx, idx - o] = True
+        return m
     if isinstance(plan, BlockPlan):
-        return _block_mask_matrix(plan.selections[head], plan.block_size, plan.seq_len)
-    if isinstance(plan, EvictionPlan):
-        kept = plan.kept[group_map[head]]
-        n = plan.seq_len
-        m = np.zeros((n, n), dtype=bool)
-        m[:, kept] = True
-        return m & np.tril(np.ones((n, n), dtype=bool))
-    raise TypeError(f"no full-mask view for {type(plan).__name__}")
+        bs = plan.block_size
+        for b, blocks in enumerate(plan.selections[head]):
+            for c in blocks.tolist():
+                m[b * bs : (b + 1) * bs, c * bs : (c + 1) * bs] = True
+    else:
+        m[:, plan.kept[group_map[head]]] = True
+    return np.tril(m)
 
 
 def to_cell_mask(plan: SparsePlan, group_map: tuple[int, ...] | None = None) -> CellMask:
-    """Expand a plan into an explicit per-row mask.
+    """Stack each query head's cell matrix into one bitmap mask.
 
     Vertical-slash and block plans are per query head already; eviction plans
     are per kv head and need a group_map to fan out to query heads.  Page
@@ -157,21 +149,10 @@ def to_cell_mask(plan: SparsePlan, group_map: tuple[int, ...] | None = None) -> 
     """
     if isinstance(plan, PagePlan):
         raise TypeError("page plans constrain one decode row; use page_plan_rows")
-    if isinstance(plan, EvictionPlan):
-        if group_map is None:
-            group_map = tuple(range(plan.num_heads))
-        heads = len(group_map)
-    else:
-        heads = plan.num_heads
-        group_map = group_map or tuple(range(heads))
-    n = plan.seq_len
-    rows = []
-    for h in range(heads):
-        m = _plan_mask_matrix(plan, h, group_map)
-        head_rows = [np.flatnonzero(m[i]) for i in range(n)]
-        # row 0 of an eviction mask always holds key 0 (forced prefix)
-        rows.append(head_rows)
-    return CellMask(rows, n)
+    if group_map is None:
+        group_map = tuple(range(plan.num_heads))
+    heads = len(group_map) if isinstance(plan, EvictionPlan) else plan.num_heads
+    return CellMask(np.stack([_plan_mask_matrix(plan, h, group_map) for h in range(heads)]))
 
 
 def page_plan_rows(plan: PagePlan, group_map: tuple[int, ...]) -> list[np.ndarray]:
@@ -213,3 +194,28 @@ def attention_recall(
         m = _plan_mask_matrix(plan, h, inputs.group_map)
         total += float(w[m].sum()) / n
     return total / heads
+
+
+class CalibrationSearch(NamedTuple):
+    count: int
+    target_reachable: bool
+
+
+def _smallest_budget(
+    lo: int, hi: int, sparsity_of_k: Callable[[int], float], target: float
+) -> CalibrationSearch:
+    """Smallest k in [lo, hi] whose achieved sparsity is at or below the
+    target, by binary search over a sparsity non-increasing in k.  When even
+    k = lo sits below the target, the target is unreachable and lo is
+    returned flagged."""
+    if not 0.0 <= target < 1.0:
+        raise ValueError("target_sparsity must lie in [0, 1)")
+    if sparsity_of_k(lo) < target:
+        return CalibrationSearch(lo, False)
+    while lo < hi:
+        mid = (lo + hi) // 2
+        if sparsity_of_k(mid) <= target:
+            hi = mid
+        else:
+            lo = mid + 1
+    return CalibrationSearch(lo, True)

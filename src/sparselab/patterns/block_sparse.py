@@ -6,9 +6,8 @@ from __future__ import annotations
 import numpy as np
 
 from ..attention import AttentionInputs
-from .accounting import plan_sparsity
+from .accounting import CalibrationSearch, _smallest_budget, plan_sparsity
 from .plans import BlockPlan
-from .vertical_slash import CalibrationSearch
 
 __all__ = ["build_block_sparse", "calibrate_block_topk", "pooled_block_logits"]
 
@@ -87,21 +86,9 @@ def calibrate_block_topk(
     even the forced-only selection (k = 2) sits below the target, the target
     is unreachable and the minimal k is returned flagged.
     """
-    if not 0.0 <= target_sparsity < 1.0:
-        raise ValueError("target_sparsity must lie in [0, 1)")
-    n = inputs.seq_len
-    nb = -(-n // block_size)
+    nb = -(-inputs.seq_len // block_size)
 
     def sparsity(k: int) -> float:
         return plan_sparsity(build_block_sparse(inputs, k, block_size)).achieved_sparsity
 
-    lo, hi = 2, nb
-    if sparsity(lo) < target_sparsity:
-        return CalibrationSearch(lo, False)
-    while lo < hi:
-        mid = (lo + hi) // 2
-        if sparsity(mid) <= target_sparsity:
-            hi = mid
-        else:
-            lo = mid + 1
-    return CalibrationSearch(lo, True)
+    return _smallest_budget(2, nb, sparsity, target_sparsity)

@@ -14,7 +14,7 @@ import json
 from dataclasses import dataclass
 from functools import lru_cache
 from importlib import resources
-from typing import Any
+from typing import Any, Callable, NamedTuple
 
 import numpy as np
 
@@ -23,7 +23,7 @@ from .accounting import block_budget_cells, plan_sparsity, vertical_slash_cells
 from .block_sparse import build_block_sparse
 from .eviction import ada_snapkv_compress, snapkv_compress
 from .plans import SparsePlan, SparsityReport
-from .quest import quest_plan
+from .quest import PAGE_SIZE, quest_plan
 from .vertical_slash import (
     FlexPrefillConfig,
     build_flexprefill,
@@ -32,7 +32,9 @@ from .vertical_slash import (
 )
 
 __all__ = [
+    "METHODS",
     "METHOD_NAMES",
+    "Method",
     "CalibrationEntry",
     "calibration_entries",
     "lookup",
@@ -42,14 +44,76 @@ __all__ = [
     "sparsity_check",
 ]
 
-METHOD_NAMES = (
-    "vertical_slash",
-    "flexprefill",
-    "block_sparse",
-    "snapkv",
-    "ada_snapkv",
-    "quest",
-)
+
+class Method(NamedTuple):
+    """How the lab drives one selection method.
+
+    build: plan from the inputs and explicit builder keyword arguments.
+    calibrated: a calibration.json value turned into those keyword arguments.
+    cells: (computed, causal) cells at length n from the keyword arguments
+        alone, or None where the count depends on the inputs.
+    """
+
+    build: Callable[[AttentionInputs, dict], SparsePlan]
+    calibrated: Callable[[Any], dict]
+    cells: Callable[[int, dict], tuple[int, int] | None]
+
+
+def _uniform_vs_cells(n: int, num_verticals: int, num_slashes: int) -> tuple[int, int]:
+    """Densest-packing cells of a vertical-slash budget: the geometric
+    maximum coverage, hence the minimum sparsity."""
+    cells = vertical_slash_cells(np.arange(num_verticals), np.arange(num_slashes), n)
+    return cells, n * (n + 1) // 2
+
+
+def _flexprefill_cells(n: int, kw: dict) -> tuple[int, int] | None:
+    """alpha = 0 reverts to the uniform builder at fallback_counts; coverage-
+    driven points (alpha > 0) depend on the inputs."""
+    config = FlexPrefillConfig(**kw)
+    return None if config.alpha > 0 else _uniform_vs_cells(n, *config.fallback_counts)
+
+
+def _flexprefill_calibrated(value: Any) -> dict:
+    # every alpha = 0 row is calibrated with both fallback counts at min_budget
+    alpha, min_budget = float(value[0]), int(value[1])
+    return {"alpha": alpha, "min_budget": min_budget, "fallback_counts": (min_budget, min_budget)}
+
+
+# Builders are looked up by name at call time so that wrapping a module
+# attribute (profiling, tracing) also sees calls made through the table.
+METHODS: dict[str, Method] = {
+    "vertical_slash": Method(
+        build=lambda inputs, kw: build_vertical_slash(inputs, **kw),
+        calibrated=lambda v: {"num_verticals": int(v), "num_slashes": int(v)},
+        cells=lambda n, kw: _uniform_vs_cells(n, kw["num_verticals"], kw["num_slashes"]),
+    ),
+    "flexprefill": Method(
+        build=lambda inputs, kw: build_flexprefill(inputs, FlexPrefillConfig(**kw)),
+        calibrated=_flexprefill_calibrated,
+        cells=_flexprefill_cells,
+    ),
+    "block_sparse": Method(
+        build=lambda inputs, kw: build_block_sparse(inputs, **kw),
+        calibrated=lambda v: {"top_k_blocks": int(v)},
+        cells=lambda n, kw: (block_budget_cells(n, kw["top_k_blocks"]), n * (n + 1) // 2),
+    ),
+    "snapkv": Method(
+        build=lambda inputs, kw: snapkv_compress(inputs, **kw),
+        calibrated=lambda v: {"token_capacity": int(v)},
+        cells=lambda n, kw: (kw["token_capacity"], n),
+    ),
+    "ada_snapkv": Method(
+        build=lambda inputs, kw: ada_snapkv_compress(inputs, **kw),
+        calibrated=lambda v: {"token_capacity": int(v)},
+        cells=lambda n, kw: (kw["token_capacity"], n),
+    ),
+    "quest": Method(
+        build=lambda inputs, kw: quest_plan(inputs, **kw),
+        calibrated=lambda v: {"token_budget": int(v)},
+        cells=lambda n, kw: (min(kw["token_budget"] // PAGE_SIZE * PAGE_SIZE, n), n),
+    ),
+}
+METHOD_NAMES = tuple(METHODS)
 
 
 @dataclass(frozen=True)
@@ -59,10 +123,10 @@ class CalibrationEntry:
     method: str
     seq_len: int
     target_sparsity: float
-    params: tuple[tuple[str, float], ...]
+    params: tuple[tuple[str, Any], ...]
     alignment_verified: bool = True
 
-    def param(self, name: str) -> float:
+    def param(self, name: str) -> Any:
         for key, value in self.params:
             if key == name:
                 return value
@@ -73,21 +137,6 @@ class CalibrationEntry:
 def _raw_table() -> dict[str, Any]:
     path = resources.files("sparselab") / "data" / "calibration.json"
     return json.loads(path.read_text())
-
-
-def _entry_params(method: str, value: Any) -> tuple[tuple[str, float], ...]:
-    if method == "vertical_slash":
-        return (("num_verticals", float(value)), ("num_slashes", float(value)))
-    if method == "flexprefill":
-        alpha, min_budget = value
-        return (("alpha", float(alpha)), ("min_budget", float(min_budget)))
-    if method == "block_sparse":
-        return (("top_k_blocks", float(value)),)
-    if method in ("snapkv", "ada_snapkv"):
-        return (("token_capacity", float(value)),)
-    if method == "quest":
-        return (("token_budget", float(value)),)
-    raise KeyError(f"unknown method {method!r}")
 
 
 @lru_cache(maxsize=1)
@@ -105,7 +154,7 @@ def _all_entries() -> tuple[CalibrationEntry, ...]:
                         method=method,
                         seq_len=int(length),
                         target_sparsity=float(level),
-                        params=_entry_params(method, value),
+                        params=tuple(METHODS[method].calibrated(value).items()),
                         alignment_verified=verified,
                     )
                 )
@@ -147,29 +196,10 @@ def predicted_sparsity(entry: CalibrationEntry) -> SparsityReport | None:
     maximum coverage, hence minimum sparsity).  Coverage-driven flexprefill
     points (alpha > 0) are input-dependent and return None.
     """
-    n = entry.seq_len
-    triangle = n * (n + 1) // 2
-    if entry.method in ("vertical_slash", "flexprefill"):
-        if entry.method == "flexprefill":
-            if entry.param("alpha") > 0:
-                return None
-            k = int(entry.param("min_budget"))
-        else:
-            k = int(entry.param("num_verticals"))
-        computed = vertical_slash_cells(np.arange(k), np.arange(k), n)
-        causal = triangle
-    elif entry.method == "block_sparse":
-        computed = block_budget_cells(n, int(entry.param("top_k_blocks")))
-        causal = triangle
-    elif entry.method in ("snapkv", "ada_snapkv"):
-        computed = int(entry.param("token_capacity"))
-        causal = n
-    elif entry.method == "quest":
-        pages = int(entry.param("token_budget")) // 16
-        computed = min(pages * 16, n)
-        causal = n
-    else:
-        raise KeyError(f"unknown method {entry.method!r}")
+    counts = METHODS[entry.method].cells(entry.seq_len, dict(entry.params))
+    if counts is None:
+        return None
+    computed, causal = counts
     return SparsityReport(
         achieved_sparsity=1.0 - computed / causal,
         computed_cells=computed,
@@ -180,39 +210,14 @@ def predicted_sparsity(entry: CalibrationEntry) -> SparsityReport | None:
 
 def build_plan(entry: CalibrationEntry, inputs: AttentionInputs) -> SparsePlan:
     """Run the method's builder at this operating point."""
-    if entry.method == "vertical_slash":
-        return build_vertical_slash(
-            inputs, int(entry.param("num_verticals")), int(entry.param("num_slashes"))
-        )
-    if entry.method == "flexprefill":
-        mb = int(entry.param("min_budget"))
-        cfg = FlexPrefillConfig(
-            alpha=float(entry.param("alpha")),
-            min_budget=mb,
-            fallback_counts=(mb, mb),
-        )
-        return build_flexprefill(inputs, cfg)
-    if entry.method == "block_sparse":
-        return build_block_sparse(inputs, int(entry.param("top_k_blocks")))
-    if entry.method == "snapkv":
-        return snapkv_compress(inputs, int(entry.param("token_capacity")))
-    if entry.method == "ada_snapkv":
-        return ada_snapkv_compress(inputs, int(entry.param("token_capacity")))
-    if entry.method == "quest":
-        return quest_plan(inputs, int(entry.param("token_budget")))
-    raise KeyError(f"unknown method {entry.method!r}")
+    return METHODS[entry.method].build(inputs, dict(entry.params))
 
 
 def densest_plan(entry: CalibrationEntry, num_heads: int = 1) -> SparsePlan:
     """The maximum-coverage plan for a vertical-slash operating point."""
     if entry.method != "vertical_slash":
         raise TypeError("densest_plan applies to vertical_slash entries only")
-    return densest_vertical_slash_plan(
-        num_heads,
-        entry.seq_len,
-        int(entry.param("num_verticals")),
-        int(entry.param("num_slashes")),
-    )
+    return densest_vertical_slash_plan(num_heads, entry.seq_len, **dict(entry.params))
 
 
 def sparsity_check(entry: CalibrationEntry) -> SparsityReport | None:

@@ -11,12 +11,11 @@ are always selected and count toward the configured budgets.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import NamedTuple
 
 import numpy as np
 
 from ..attention import AttentionInputs, window_weights_head
-from .accounting import plan_sparsity
+from .accounting import CalibrationSearch, _smallest_budget, plan_sparsity
 from .plans import VerticalSlashPlan
 
 __all__ = [
@@ -27,7 +26,6 @@ __all__ = [
     "build_flexprefill",
     "densest_vertical_slash_plan",
     "calibrate_vertical_slash",
-    "CalibrationSearch",
 ]
 
 FORCED_PREFIX = 4
@@ -215,11 +213,6 @@ def densest_vertical_slash_plan(
     )
 
 
-class CalibrationSearch(NamedTuple):
-    count: int
-    target_reachable: bool
-
-
 def calibrate_vertical_slash(
     inputs: AttentionInputs,
     target_sparsity: float,
@@ -228,22 +221,11 @@ def calibrate_vertical_slash(
     """Smallest equal budget k = k_v = k_s whose built plan achieves sparsity
     at or below the target (binary search; achieved sparsity is non-increasing
     in k because selections are nested)."""
-    if not 0.0 <= target_sparsity < 1.0:
-        raise ValueError("target_sparsity must lie in [0, 1)")
-    n = inputs.seq_len
-    lo = max(FORCED_PREFIX, FORCED_LOCAL)
-    hi = n
 
     def sparsity(k: int) -> float:
         plan = build_vertical_slash(inputs, k, k, approx_window)
         return plan_sparsity(plan).achieved_sparsity
 
-    if sparsity(lo) < target_sparsity:
-        return CalibrationSearch(lo, False)
-    while lo < hi:
-        mid = (lo + hi) // 2
-        if sparsity(mid) <= target_sparsity:
-            hi = mid
-        else:
-            lo = mid + 1
-    return CalibrationSearch(lo, True)
+    return _smallest_budget(
+        max(FORCED_PREFIX, FORCED_LOCAL), inputs.seq_len, sparsity, target_sparsity
+    )

@@ -1,10 +1,16 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from sparselab.patterns import (
+    BLOCK_SIZE,
+    FORCED_FIRST,
+    FORCED_LOCAL,
+    FORCED_PREFIX,
+    FORCED_RECENT,
     ORACLE_LIMIT,
+    ada_snapkv_compress,
     attention_recall,
     build_block_sparse,
     build_vertical_slash,
@@ -48,15 +54,37 @@ def test_vertical_slash_cells_vs_enumeration(seed, n):
     assert vertical_slash_cells(v, s, n) == brute_force_vs_cells(v.tolist(), s.tolist(), n)
 
 
-def test_plan_sparsity_matches_mask_cell_count(rng):
-    inputs = random_inputs(rng, 200)
-    vs = build_vertical_slash(inputs, 16, 64, approx_window=128)
-    block = build_block_sparse(inputs, 3)
-    for plan in (vs, block):
+@settings(deadline=None, max_examples=30)
+@given(seed=st.integers(0, 10_000), n=st.integers(1, 200), kv=st.sampled_from([1, 2]))
+@example(seed=0, n=1, kv=1)
+@example(seed=1, n=FORCED_LOCAL, kv=2)
+@example(seed=2, n=FORCED_RECENT - BLOCK_SIZE // 2, kv=1)
+@example(seed=3, n=200, kv=2)
+def test_plan_sparsity_matches_mask_cell_count(seed, n, kv):
+    """Closed-form cell counts against the stacked bitmap, at sizes below
+    the forced windows and with a partial last block."""
+    rng = np.random.default_rng(seed)
+    inputs = random_inputs(rng, n, num_q_heads=2 * kv, num_kv_heads=kv)
+    prefill = [build_block_sparse(inputs, int(rng.integers(2, 8)))]
+    if n >= FORCED_LOCAL:
+        prefill.append(
+            build_vertical_slash(
+                inputs,
+                int(rng.integers(FORCED_PREFIX, n + 1)),
+                int(rng.integers(FORCED_LOCAL, n + 1)),
+                approx_window=min(n, 128),
+            )
+        )
+    for plan in prefill:
         report = plan_sparsity(plan)
-        mask = to_cell_mask(plan)
-        assert report.computed_cells == mask.num_cells()
-        assert report.causal_cells == plan.num_heads * 200 * 201 // 2
+        assert report.computed_cells == to_cell_mask(plan).num_cells()
+        assert report.causal_cells == plan.num_heads * n * (n + 1) // 2
+    capacity = int(rng.integers(FORCED_FIRST + FORCED_RECENT, 220))
+    for plan in (snapkv_compress(inputs, capacity), ada_snapkv_compress(inputs, capacity)):
+        mask = to_cell_mask(plan, group_map=inputs.group_map)
+        last_row = sum(mask.row(h, n - 1).size for h in range(mask.num_heads))
+        # each kv head's kept set is read by the two query heads of its group
+        assert last_row == 2 * plan_sparsity(plan).computed_cells
 
 
 def test_eviction_mask_expansion(rng):

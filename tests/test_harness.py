@@ -1,6 +1,8 @@
 import csv
+import dataclasses
 import json
 
+import numpy as np
 import pytest
 from click.testing import CliRunner
 
@@ -21,7 +23,17 @@ from sparselab.harness import (
     summary_rows,
 )
 from sparselab.harness.cli import main as cli
-from sparselab.patterns.calibration import METHOD_NAMES
+from sparselab.patterns import (
+    FlexPrefillConfig,
+    ada_snapkv_compress,
+    build_block_sparse,
+    build_flexprefill,
+    build_vertical_slash,
+    quest_plan,
+    snapkv_compress,
+)
+from sparselab.patterns.calibration import METHOD_NAMES, METHODS
+from sparselab.synthetic import make_inputs
 
 
 def small_config(**overrides) -> ExperimentConfig:
@@ -243,6 +255,28 @@ def test_plan_demo_every_method(method):
     assert report.computed_cells <= report.causal_cells
     if result["recall"] is not None:
         assert 0.0 < result["recall"] <= 1.0
+
+
+DIRECT_BUILDERS = {
+    "vertical_slash": lambda x, p: build_vertical_slash(x, p["num_verticals"], p["num_slashes"]),
+    "flexprefill": lambda x, p: build_flexprefill(
+        x, FlexPrefillConfig(p["alpha"], p["min_budget"])
+    ),
+    "block_sparse": lambda x, p: build_block_sparse(x, p["top_k_blocks"]),
+    "snapkv": lambda x, p: snapkv_compress(x, p["token_capacity"]),
+    "ada_snapkv": lambda x, p: ada_snapkv_compress(x, p["token_capacity"]),
+    "quest": lambda x, p: quest_plan(x, p["token_budget"]),
+}
+
+
+@pytest.mark.parametrize("method", METHOD_NAMES)
+def test_registry_build_matches_direct_builder(method):
+    inputs = make_inputs("clustered", 512, seed=1)
+    params = DEMO_PARAMS[method]
+    got = METHODS[method].build(inputs, params)
+    want = DIRECT_BUILDERS[method](inputs, params)
+    assert type(got) is type(want)
+    np.testing.assert_equal(dataclasses.asdict(got), dataclasses.asdict(want))
 
 
 def test_cli_gen_plan_cost(tmp_path):
