@@ -66,10 +66,22 @@ def _uniform_vs_cells(n: int, num_verticals: int, num_slashes: int) -> tuple[int
     return cells, n * (n + 1) // 2
 
 
+def _given(kw: dict, *names: str) -> dict:
+    """The optional arguments among ``names`` that ``kw`` sets; others are ignored."""
+    return {name: kw[name] for name in names if name in kw}
+
+
+def _flexprefill_config(kw: dict) -> FlexPrefillConfig:
+    """Only calibrated entries carry fallback_counts; explicit builds keep the default."""
+    return FlexPrefillConfig(
+        kw["alpha"], **_given(kw, "min_budget", "approx_window", "fallback_counts")
+    )
+
+
 def _flexprefill_cells(n: int, kw: dict) -> tuple[int, int] | None:
     """alpha = 0 reverts to the uniform builder at fallback_counts; coverage-
     driven points (alpha > 0) depend on the inputs."""
-    config = FlexPrefillConfig(**kw)
+    config = _flexprefill_config(kw)
     return None if config.alpha > 0 else _uniform_vs_cells(n, *config.fallback_counts)
 
 
@@ -79,36 +91,41 @@ def _flexprefill_calibrated(value: Any) -> dict:
     return {"alpha": alpha, "min_budget": min_budget, "fallback_counts": (min_budget, min_budget)}
 
 
-# Builders are looked up by name at call time so that wrapping a module
-# attribute (profiling, tracing) also sees calls made through the table.
+# Each build reads a fixed set of keys and ignores the rest.  Builders are looked
+# up by name at call time so that wrapping a module attribute (profiling,
+# tracing) also sees calls made through the table.
 METHODS: dict[str, Method] = {
     "vertical_slash": Method(
-        build=lambda inputs, kw: build_vertical_slash(inputs, **kw),
+        build=lambda inputs, kw: build_vertical_slash(
+            inputs, kw["num_verticals"], kw["num_slashes"], **_given(kw, "approx_window")
+        ),
         calibrated=lambda v: {"num_verticals": int(v), "num_slashes": int(v)},
         cells=lambda n, kw: _uniform_vs_cells(n, kw["num_verticals"], kw["num_slashes"]),
     ),
     "flexprefill": Method(
-        build=lambda inputs, kw: build_flexprefill(inputs, FlexPrefillConfig(**kw)),
+        build=lambda inputs, kw: build_flexprefill(inputs, _flexprefill_config(kw)),
         calibrated=_flexprefill_calibrated,
         cells=_flexprefill_cells,
     ),
     "block_sparse": Method(
-        build=lambda inputs, kw: build_block_sparse(inputs, **kw),
+        build=lambda inputs, kw: build_block_sparse(inputs, kw["top_k_blocks"]),
         calibrated=lambda v: {"top_k_blocks": int(v)},
         cells=lambda n, kw: (block_budget_cells(n, kw["top_k_blocks"]), n * (n + 1) // 2),
     ),
     "snapkv": Method(
-        build=lambda inputs, kw: snapkv_compress(inputs, **kw),
+        build=lambda inputs, kw: snapkv_compress(inputs, kw["token_capacity"]),
         calibrated=lambda v: {"token_capacity": int(v)},
         cells=lambda n, kw: (kw["token_capacity"], n),
     ),
     "ada_snapkv": Method(
-        build=lambda inputs, kw: ada_snapkv_compress(inputs, **kw),
+        build=lambda inputs, kw: ada_snapkv_compress(
+            inputs, kw["token_capacity"], **_given(kw, "min_head_fraction")
+        ),
         calibrated=lambda v: {"token_capacity": int(v)},
         cells=lambda n, kw: (kw["token_capacity"], n),
     ),
     "quest": Method(
-        build=lambda inputs, kw: quest_plan(inputs, **kw),
+        build=lambda inputs, kw: quest_plan(inputs, kw["token_budget"]),
         calibrated=lambda v: {"token_budget": int(v)},
         cells=lambda n, kw: (min(kw["token_budget"] // PAGE_SIZE * PAGE_SIZE, n), n),
     ),

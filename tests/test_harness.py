@@ -273,7 +273,8 @@ DIRECT_BUILDERS = {
 def test_registry_build_matches_direct_builder(method):
     inputs = make_inputs("clustered", 512, seed=1)
     params = DEMO_PARAMS[method]
-    got = METHODS[method].build(inputs, params)
+    # builder options that explicit builds never took are ignored
+    got = METHODS[method].build(inputs, params | {"block_size": 8, "page_size": 4, "kernel_size": 3})
     want = DIRECT_BUILDERS[method](inputs, params)
     assert type(got) is type(want)
     np.testing.assert_equal(dataclasses.asdict(got), dataclasses.asdict(want))
