@@ -3,25 +3,42 @@ and single-row decode.
 
 Everything runs in float64 with the numerically stable softmax (row-max
 subtraction).  A mask is one boolean cell matrix per query head, so its cell
-count is an exact integer and the kernel applies it without any expansion.
+count is an exact integer.
+
+Prefill walks the sequence in tiles of ``TILE_ROWS`` query rows.  Each tile
+gathers the key columns that any of its rows may read (the causal prefix for
+dense prefill, the union of the tile's mask rows otherwise), computes logits
+over those columns only, sets the mask's holes to -inf and runs the softmax
+and the value product on the gathered columns.  Kernel time therefore grows
+with the columns the tiles read, not with n².  The same loop gives each
+row's log-sum-exp, which ``AttentionInputs.causal_lse`` caches for the
+dense causal logits, so the dense probability mass on any cell set is
+``exp(masked_lse - causal_lse)`` without holding n x n weights.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Sequence
 
 import numpy as np
 
 __all__ = [
+    "TILE_ROWS",
     "AttentionInputs",
     "AttentionOutput",
     "CellMask",
     "default_group_map",
     "dense_prefill",
     "masked_attention",
+    "row_logsumexp",
     "decode_step",
 ]
+
+# Query rows per prefill tile.  Equal to the block-sparse BLOCK_SIZE and the
+# Quest PAGE_SIZE, so a block plan's tile reads exactly its chosen key blocks.
+TILE_ROWS = 16
 
 
 def default_group_map(num_q_heads: int, num_kv_heads: int) -> tuple[int, ...]:
@@ -42,6 +59,9 @@ class AttentionInputs:
     keys:    [num_kv_heads, seq_len, head_dim]
     values:  [num_kv_heads, seq_len, head_dim]
     group_map: query head -> kv head, partitioning query heads into equal groups.
+
+    The three arrays are stored as read-only views (the caller's arrays stay
+    writeable), so ``causal_lse``, computed once and cached, cannot go stale.
     """
 
     queries: np.ndarray
@@ -69,6 +89,10 @@ class AttentionInputs:
         counts = np.bincount(np.asarray(self.group_map), minlength=k.shape[0])
         if len(set(counts.tolist())) != 1:
             raise ValueError("group_map must partition query heads into equal groups")
+        for name, arr in (("queries", q), ("keys", k), ("values", v)):
+            view = arr.view()
+            view.flags.writeable = False
+            object.__setattr__(self, name, view)
 
     @classmethod
     def from_arrays(
@@ -101,6 +125,11 @@ class AttentionInputs:
     def head_dim(self) -> int:
         return self.queries.shape[2]
 
+    @cached_property
+    def causal_lse(self) -> np.ndarray:
+        """[num_q_heads, seq_len] log-sum-exp of each row's causal logits."""
+        return np.stack([row_logsumexp(self, head) for head in range(self.num_q_heads)])
+
 
 @dataclass(frozen=True)
 class AttentionOutput:
@@ -126,7 +155,7 @@ class CellMask:
             raise ValueError("mask must be a boolean ndarray")
         if cells.ndim != 3 or cells.shape[1] != cells.shape[2]:
             raise ValueError(f"mask must be [heads, seq, seq], got shape {cells.shape}")
-        if np.triu(cells, k=1).any():
+        if (cells & ~np.tri(cells.shape[1], dtype=bool)).any():
             raise ValueError("mask permits cells above the diagonal (non-causal keys)")
         empty = np.argwhere(~cells.any(axis=2))
         if empty.size:
@@ -167,24 +196,10 @@ def _stable_softmax(logits: np.ndarray, axis: int = -1) -> np.ndarray:
     return ex / np.sum(ex, axis=axis, keepdims=True)
 
 
-def _head_logits(inputs: AttentionInputs, head: int) -> np.ndarray:
-    g = inputs.group_map[head]
-    scale = 1.0 / np.sqrt(inputs.head_dim)
-    return (inputs.queries[head] @ inputs.keys[g].T) * scale
-
-
-def dense_weights_head(inputs: AttentionInputs, head: int) -> np.ndarray:
-    """Causal softmax weights [seq_len, seq_len] for one query head."""
-    n = inputs.seq_len
-    logits = _head_logits(inputs, head)
-    logits[np.triu_indices(n, k=1)] = -np.inf
-    return _stable_softmax(logits)
-
-
 def window_weights_head(inputs: AttentionInputs, head: int, window: int) -> np.ndarray:
     """Causal softmax weights of the last ``window`` query rows, [window, n].
 
-    Equivalent to the corresponding rows of dense_weights_head but without
+    The corresponding rows of the dense causal softmax, without
     materializing the full n x n matrix.
     """
     n = inputs.seq_len
@@ -198,17 +213,58 @@ def window_weights_head(inputs: AttentionInputs, head: int, window: int) -> np.n
     return _stable_softmax(logits)
 
 
-def dense_prefill(inputs: AttentionInputs, with_weights: bool = False) -> AttentionOutput:
-    """Exact causal attention over the full lower triangle."""
+def _tiles(inputs: AttentionInputs, head: int, cells: np.ndarray | None = None):
+    """Yield ``(rows, cols, peak, ex)`` for each TILE_ROWS-row query tile of
+    one head.  ``cols`` are the key columns that any row of the tile may read;
+    ``ex`` is exp(logits - peak) over those columns, zero outside the mask,
+    and ``peak`` [rows, 1] is each row's largest permitted logit.
+
+    ``cells`` is the head's boolean [n, n] mask; None means full causal, whose
+    columns are the tile's causal prefix.  An empty row has peak 0 and an
+    all-zero ``ex`` row.
+    """
+    n = inputs.seq_len
+    keys = inputs.keys[inputs.group_map[head]]
+    queries = inputs.queries[head] * (1.0 / np.sqrt(inputs.head_dim))
+    ahead = np.triu(np.ones((TILE_ROWS, TILE_ROWS), dtype=bool), k=1)
+    for start in range(0, n, TILE_ROWS):
+        rows = slice(start, min(start + TILE_ROWS, n))
+        if cells is None:
+            cols = slice(0, rows.stop)
+            logits = queries[rows] @ keys[cols].T
+            # in a causal tile only the diagonal block holds cells ahead of their row
+            size = rows.stop - start
+            logits[:, start:][ahead[:size, :size]] = -np.inf
+        else:
+            cols = np.flatnonzero(cells[rows].any(axis=0))
+            logits = np.where(cells[rows, cols], queries[rows] @ keys[cols].T, -np.inf)
+        peak = logits.max(axis=1, keepdims=True, initial=-np.inf)
+        peak[np.isneginf(peak)] = 0.0
+        logits -= peak
+        yield rows, cols, peak, np.exp(logits, out=logits)
+
+
+def _prefill(
+    inputs: AttentionInputs, mask: CellMask | None, with_weights: bool
+) -> AttentionOutput:
     h, n, d = inputs.num_q_heads, inputs.seq_len, inputs.head_dim
     out = np.empty((h, n, d))
-    weights = np.empty((h, n, n)) if with_weights else None
+    weights = np.zeros((h, n, n)) if with_weights else None
     for head in range(h):
-        w = dense_weights_head(inputs, head)
-        out[head] = w @ inputs.values[inputs.group_map[head]]
-        if weights is not None:
-            weights[head] = w
+        values = inputs.values[inputs.group_map[head]]
+        cells = None if mask is None else mask.dense(head)
+        for rows, cols, _, w in _tiles(inputs, head, cells):
+            # CellMask rows are never empty, so no row sum is zero
+            w /= w.sum(axis=1, keepdims=True)
+            out[head, rows] = w @ values[cols]
+            if weights is not None:
+                weights[head][rows, cols] = w
     return AttentionOutput(out, weights)
+
+
+def dense_prefill(inputs: AttentionInputs, with_weights: bool = False) -> AttentionOutput:
+    """Exact causal attention over the full lower triangle."""
+    return _prefill(inputs, None, with_weights)
 
 
 def masked_attention(
@@ -216,24 +272,25 @@ def masked_attention(
 ) -> AttentionOutput:
     """Attention restricted to the mask's cells; softmax renormalizes per row
     over the permitted keys only."""
-    h, n, d = inputs.num_q_heads, inputs.seq_len, inputs.head_dim
+    h, n = inputs.num_q_heads, inputs.seq_len
     if mask.num_heads != h or mask.seq_len != n:
         raise ValueError(
             f"mask shape ({mask.num_heads} heads, {mask.seq_len}) does not match "
             f"inputs ({h} heads, {n})"
         )
-    out = np.empty((h, n, d))
-    weights = np.zeros((h, n, n)) if with_weights else None
-    for head in range(h):
-        logits = _head_logits(inputs, head)
-        allowed = mask.dense(head)
-        logits[~allowed] = -np.inf
-        w = _stable_softmax(logits)
-        # -inf rows would softmax to nan; the mask guarantees non-empty rows
-        out[head] = w @ inputs.values[inputs.group_map[head]]
-        if weights is not None:
-            weights[head] = np.where(allowed, w, 0.0)
-    return AttentionOutput(out, weights)
+    return _prefill(inputs, mask, with_weights)
+
+
+def row_logsumexp(
+    inputs: AttentionInputs, head: int, cells: np.ndarray | None = None
+) -> np.ndarray:
+    """[seq_len] log-sum-exp of one head's logits over each row's cells
+    (boolean [n, n]; None means full causal).  An empty row gives -inf."""
+    lse = np.empty(inputs.seq_len)
+    with np.errstate(divide="ignore"):
+        for rows, _, peak, ex in _tiles(inputs, head, cells):
+            lse[rows] = peak[:, 0] + np.log(ex.sum(axis=1))
+    return lse
 
 
 def decode_step(

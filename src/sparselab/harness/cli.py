@@ -45,11 +45,16 @@ def _parse_params(pairs) -> dict:
     for pair in pairs:
         name, _, raw = pair.partition("=")
         if not raw:
-            raise click.BadParameter(f"expected name=value, got {pair!r}")
+            raise click.BadParameter(f"expected name=value, got {pair!r}", param_hint="--param")
         try:
             params[name] = int(raw)
         except ValueError:
-            params[name] = float(raw)
+            try:
+                params[name] = float(raw)
+            except ValueError:
+                raise click.BadParameter(
+                    f"{name} must be a number, got {raw!r}", param_hint="--param"
+                ) from None
     return params
 
 
@@ -65,14 +70,17 @@ def _parse_params(pairs) -> dict:
 @click.option("--seed", default=0, show_default=True)
 def plan(method, seq_len, level, params, generator, seed) -> None:
     """Build one sparse plan on synthetic inputs and report its quality."""
-    result = plan_demo(
-        method,
-        seq_len,
-        params=_parse_params(params) or None,
-        target_sparsity=level,
-        generator=generator,
-        seed=seed,
-    )
+    try:
+        result = plan_demo(
+            method,
+            seq_len,
+            params=_parse_params(params) or None,
+            target_sparsity=level,
+            generator=generator,
+            seed=seed,
+        )
+    except ValueError as exc:  # misspelt --param keys, out-of-range values
+        raise click.UsageError(str(exc)) from None
     report = result["report"]
     click.echo(f"method={method} generator={generator} n={seq_len}")
     click.echo(

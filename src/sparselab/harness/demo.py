@@ -15,7 +15,7 @@ from ..patterns import (
     plan_sparsity,
     to_cell_mask,
 )
-from ..patterns.calibration import METHODS
+from ..patterns.calibration import METHODS, check_params
 from ..synthetic import GENERATOR_NAMES, make_inputs
 
 __all__ = ["plan_demo"]
@@ -38,7 +38,8 @@ def plan_demo(
     dense oracle.
 
     Either explicit ``params`` or a calibrated ``target_sparsity`` level must
-    be given; the latter resolves parameters from the bundled table.
+    be given; the latter resolves parameters from the bundled table.  Explicit
+    ``params`` must hold exactly the keys ``check_params`` accepts.
     """
     if generator not in GENERATOR_NAMES:
         raise ValueError(f"unknown generator {generator!r}")
@@ -51,6 +52,7 @@ def plan_demo(
         seed=seed,
     )
     if params:
+        check_params(method, params)
         plan = METHODS[method].build(inputs, params)
     elif target_sparsity is not None:
         entry = lookup(method, seq_len, target_sparsity)

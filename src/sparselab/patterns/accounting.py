@@ -12,7 +12,7 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from ..attention import AttentionInputs, CellMask, _stable_softmax, dense_weights_head
+from ..attention import AttentionInputs, CellMask, _stable_softmax, row_logsumexp
 from .plans import (
     BlockPlan,
     EvictionPlan,
@@ -120,23 +120,28 @@ def _plan_mask_matrix(plan: SparsePlan, head: int, group_map: tuple[int, ...]) -
     if not isinstance(plan, (VerticalSlashPlan, BlockPlan, EvictionPlan)):
         raise TypeError(f"no full-mask view for {type(plan).__name__}")
     n = plan.seq_len
-    m = np.zeros((n, n), dtype=bool)
-    if isinstance(plan, VerticalSlashPlan):
-        # causal by construction: columns start and diagonals end on the diagonal
-        for j in plan.verticals[head].tolist():
-            m[j:, j] = True
-        for o in plan.slashes[head].tolist():
-            idx = np.arange(o, n)
-            m[idx, idx - o] = True
-        return m
     if isinstance(plan, BlockPlan):
-        bs = plan.block_size
+        bs, nb = plan.block_size, plan.num_query_blocks
+        chosen = np.zeros((nb, nb), dtype=bool)
         for b, blocks in enumerate(plan.selections[head]):
-            for c in blocks.tolist():
-                m[b * bs : (b + 1) * bs, c * bs : (c + 1) * bs] = True
+            chosen[b, blocks] = True
+        full = chosen.repeat(bs, axis=0).repeat(bs, axis=1)[:n, :n]
     else:
-        m[:, plan.kept[group_map[head]]] = True
-    return np.tril(m)
+        # vertical lines and kept tokens are whole key columns
+        if isinstance(plan, VerticalSlashPlan):
+            columns = plan.verticals[head]
+        else:
+            columns = plan.kept[group_map[head]]
+        full = np.zeros((1, n), dtype=bool)
+        full[0, columns] = True
+    # the lower triangle, as np.tril(full) but without its full-size where()
+    m = full & np.tri(n, dtype=bool)
+    if isinstance(plan, VerticalSlashPlan):
+        flat = m.reshape(-1)
+        for o in plan.slashes[head].tolist():
+            # cells (o, 0), (o + 1, 1), ... lie n + 1 apart in the flat array
+            flat[o * n :: n + 1] = True
+    return m
 
 
 def to_cell_mask(plan: SparsePlan, group_map: tuple[int, ...] | None = None) -> CellMask:
@@ -171,7 +176,11 @@ def attention_recall(
     plan: SparsePlan, inputs: AttentionInputs, oracle_limit: int = ORACLE_LIMIT
 ) -> float:
     """Fraction of dense attention probability mass covered by the plan's
-    cells, averaged over the rows the plan constrains and over heads."""
+    cells, averaged over the rows the plan constrains and over heads.
+
+    For prefill-style plans a row's covered mass is exp(masked_lse -
+    causal_lse): the log-sum-exp of its logits over the plan's cells against
+    the cached one over the whole causal row."""
     n = inputs.seq_len
     if n > oracle_limit:
         raise ValueError(f"recall oracle limited to n <= {oracle_limit}, got {n}")
@@ -188,12 +197,13 @@ def attention_recall(
             total += float(w[rows[h]].sum())
         return total / heads
 
-    total = 0.0
-    for h in range(heads):
-        w = dense_weights_head(inputs, h)
-        m = _plan_mask_matrix(plan, h, inputs.group_map)
-        total += float(w[m].sum()) / n
-    return total / heads
+    masked = np.stack(
+        [
+            row_logsumexp(inputs, h, _plan_mask_matrix(plan, h, inputs.group_map))
+            for h in range(heads)
+        ]
+    )
+    return float(np.exp(masked - inputs.causal_lse).mean())
 
 
 class CalibrationSearch(NamedTuple):

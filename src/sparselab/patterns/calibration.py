@@ -40,6 +40,7 @@ __all__ = [
     "lookup",
     "predicted_sparsity",
     "build_plan",
+    "check_params",
     "densest_plan",
     "sparsity_check",
 ]
@@ -52,11 +53,16 @@ class Method(NamedTuple):
     calibrated: a calibration.json value turned into those keyword arguments.
     cells: (computed, causal) cells at length n from the keyword arguments
         alone, or None where the count depends on the inputs.
+    required, optional: the explicit keys ``check_params`` accepts.  ``build``
+        reads these (flexprefill also reads a calibrated ``fallback_counts``)
+        and ignores any other key.
     """
 
     build: Callable[[AttentionInputs, dict], SparsePlan]
     calibrated: Callable[[Any], dict]
     cells: Callable[[int, dict], tuple[int, int] | None]
+    required: tuple[str, ...]
+    optional: tuple[str, ...] = ()
 
 
 def _uniform_vs_cells(n: int, num_verticals: int, num_slashes: int) -> tuple[int, int]:
@@ -101,21 +107,27 @@ METHODS: dict[str, Method] = {
         ),
         calibrated=lambda v: {"num_verticals": int(v), "num_slashes": int(v)},
         cells=lambda n, kw: _uniform_vs_cells(n, kw["num_verticals"], kw["num_slashes"]),
+        required=("num_verticals", "num_slashes"),
+        optional=("approx_window",),
     ),
     "flexprefill": Method(
         build=lambda inputs, kw: build_flexprefill(inputs, _flexprefill_config(kw)),
         calibrated=_flexprefill_calibrated,
         cells=_flexprefill_cells,
+        required=("alpha",),
+        optional=("min_budget", "approx_window"),
     ),
     "block_sparse": Method(
         build=lambda inputs, kw: build_block_sparse(inputs, kw["top_k_blocks"]),
         calibrated=lambda v: {"top_k_blocks": int(v)},
         cells=lambda n, kw: (block_budget_cells(n, kw["top_k_blocks"]), n * (n + 1) // 2),
+        required=("top_k_blocks",),
     ),
     "snapkv": Method(
         build=lambda inputs, kw: snapkv_compress(inputs, kw["token_capacity"]),
         calibrated=lambda v: {"token_capacity": int(v)},
         cells=lambda n, kw: (kw["token_capacity"], n),
+        required=("token_capacity",),
     ),
     "ada_snapkv": Method(
         build=lambda inputs, kw: ada_snapkv_compress(
@@ -123,11 +135,14 @@ METHODS: dict[str, Method] = {
         ),
         calibrated=lambda v: {"token_capacity": int(v)},
         cells=lambda n, kw: (kw["token_capacity"], n),
+        required=("token_capacity",),
+        optional=("min_head_fraction",),
     ),
     "quest": Method(
         build=lambda inputs, kw: quest_plan(inputs, kw["token_budget"]),
         calibrated=lambda v: {"token_budget": int(v)},
         cells=lambda n, kw: (min(kw["token_budget"] // PAGE_SIZE * PAGE_SIZE, n), n),
+        required=("token_budget",),
     ),
 }
 METHOD_NAMES = tuple(METHODS)
@@ -223,6 +238,23 @@ def predicted_sparsity(entry: CalibrationEntry) -> SparsityReport | None:
         causal_cells=causal,
         target_sparsity=entry.target_sparsity,
     )
+
+
+def check_params(method: str, params: dict) -> None:
+    """Raise ValueError, naming the accepted keys, when explicit builder
+    ``params`` for ``method`` miss a required key or set one its build never
+    reads."""
+    spec = METHODS[method]
+    unknown = sorted(set(params) - {*spec.required, *spec.optional})
+    missing = [name for name in spec.required if name not in params]
+    problems = [
+        f"{label} {', '.join(names)}"
+        for label, names in (("unknown", unknown), ("missing", missing))
+        if names
+    ]
+    if problems:
+        accepted = ", ".join([*spec.required, *(f"{name} (optional)" for name in spec.optional)])
+        raise ValueError(f"{method} takes {accepted}; {'; '.join(problems)}")
 
 
 def build_plan(entry: CalibrationEntry, inputs: AttentionInputs) -> SparsePlan:

@@ -24,6 +24,7 @@ from sparselab.patterns import (
     to_cell_mask,
     vertical_slash_cells,
 )
+from sparselab import attention
 from sparselab.synthetic import make_inputs
 
 from conftest import random_inputs
@@ -113,6 +114,57 @@ def test_recall_is_bounded_and_exact_for_full_plan(rng):
     assert 0.0 < r < 1.0
     full = build_vertical_slash(inputs, 160, 160, approx_window=128)
     assert attention_recall(full, inputs) == pytest.approx(1.0, abs=1e-12)
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda x: build_vertical_slash(x, 24, 72, approx_window=64),
+        lambda x: build_block_sparse(x, 4),
+        lambda x: snapkv_compress(x, 140),
+    ],
+    ids=["vertical_slash", "block_sparse", "snapkv"],
+)
+def test_recall_matches_dense_weight_sum(rng, build):
+    """The log-sum-exp recall against the dense causal softmax summed over
+    the mask's cells, at n = 250 (a partial last tile)."""
+    inputs = random_inputs(rng, 250)
+    plan = build(inputs)
+    cells = to_cell_mask(plan, inputs.group_map).cells
+    n = inputs.seq_len
+    total = 0.0
+    for h in range(inputs.num_q_heads):
+        g = inputs.group_map[h]
+        logits = inputs.queries[h] @ inputs.keys[g].T / np.sqrt(inputs.head_dim)
+        logits[~np.tri(n, dtype=bool)] = -np.inf
+        w = np.exp(logits - logits.max(axis=1, keepdims=True))
+        total += (w / w.sum(axis=1, keepdims=True))[cells[h]].sum()
+    assert attention_recall(plan, inputs) == pytest.approx(total / (inputs.num_q_heads * n), abs=1e-12)
+
+
+def test_inputs_are_read_only_and_causal_lse_is_computed_once(rng, monkeypatch):
+    keys = rng.normal(size=(2, 48, 8))
+    inputs = attention.AttentionInputs.from_arrays(
+        rng.normal(size=(4, 48, 8)), keys, rng.normal(size=(2, 48, 8))
+    )
+    with pytest.raises(ValueError):
+        inputs.keys[0, 0, 0] = 1.0
+    assert keys.flags.writeable
+    # the cached property calls attention.row_logsumexp; recall's masked
+    # log-sum-exps go through accounting's own import and are not counted
+    calls = []
+    real = attention.row_logsumexp
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(attention, "row_logsumexp", counted)
+    plan = build_block_sparse(inputs, 2)
+    first = attention_recall(plan, inputs)
+    assert len(calls) == inputs.num_q_heads
+    assert attention_recall(plan, inputs) == first
+    assert len(calls) == inputs.num_q_heads
 
 
 def test_recall_oracle_limit(rng):

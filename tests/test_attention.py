@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from sparselab.attention import (
@@ -144,6 +144,50 @@ def test_dense_weight_rows_sum_to_one(seed, n, kv, mult):
     tri = np.triu_indices(n, k=1)
     for h in range(inputs.num_q_heads):
         assert np.all(out.weights[h][tri] == 0.0)
+
+
+def full_matrix_reference(inputs, cells):
+    """Float64 masked softmax over the full [n, n] logits of every head:
+    (output, weights)."""
+    h, n = inputs.num_q_heads, inputs.seq_len
+    out = np.empty(inputs.queries.shape)
+    weights = np.empty((h, n, n))
+    for head in range(h):
+        g = inputs.group_map[head]
+        logits = inputs.queries[head] @ inputs.keys[g].T / np.sqrt(inputs.head_dim)
+        logits[~cells[head]] = -np.inf
+        w = np.exp(logits - logits.max(axis=1, keepdims=True))
+        weights[head] = w / w.sum(axis=1, keepdims=True)
+        out[head] = weights[head] @ inputs.values[g]
+    return out, weights
+
+
+@settings(deadline=None, max_examples=40)
+@given(seed=st.integers(0, 10_000), n=st.integers(1, 70), kv=st.sampled_from([1, 2]))
+@example(seed=0, n=1, kv=1)
+@example(seed=1, n=15, kv=2)
+@example(seed=2, n=32, kv=1)
+@example(seed=3, n=70, kv=2)
+def test_tiled_kernels_match_full_matrix_reference(seed, n, kv):
+    """dense_prefill and masked_attention, output and weights, against the
+    full-matrix softmax: below one tile, at whole tiles and with a partial
+    last tile."""
+    rng = np.random.default_rng(seed)
+    inputs = random_inputs(rng, n, num_q_heads=2 * kv, num_kv_heads=kv)
+    h = inputs.num_q_heads
+    cells = np.tril(rng.random((h, n, n)) < rng.random((h, n, 1)))
+    # one random causal key per row keeps every row non-empty
+    rows = np.arange(n)
+    picks = (rng.random((h, n)) * (rows + 1)).astype(int)
+    cells[np.arange(h)[:, None], rows, picks] = True
+    causal = np.broadcast_to(np.tri(n, dtype=bool), (h, n, n))
+    for got, support in (
+        (dense_prefill(inputs, with_weights=True), causal),
+        (masked_attention(inputs, CellMask(cells), with_weights=True), cells),
+    ):
+        want_out, want_weights = full_matrix_reference(inputs, support)
+        assert np.abs(got.output - want_out).max() <= 1e-12
+        assert np.abs(got.weights - want_weights).max() <= 1e-12
 
 
 def test_inputs_validation():

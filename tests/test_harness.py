@@ -319,6 +319,19 @@ def test_cli_gen_plan_cost(tmp_path):
     assert kept == {1.0, 3.0}
 
 
+@pytest.mark.parametrize(
+    "pairs, wrong",
+    [(["token_budgt=64"], "token_budgt"), (["token_budget=64", "page_sise=8"], "page_sise")],
+    ids=["misspelt_required", "misspelt_optional"],
+)
+def test_cli_plan_rejects_unknown_param_names(pairs, wrong):
+    params = [arg for pair in pairs for arg in ("--param", pair)]
+    result = CliRunner().invoke(cli, ["plan", "--method", "quest", "--length", "256", *params])
+    assert result.exit_code == 2, result.output
+    assert "quest takes token_budget" in result.output
+    assert f"unknown {wrong}" in result.output
+
+
 def test_cli_run_and_analyze(tmp_path):
     config_path = tmp_path / "config.json"
     config_path.write_text(json.dumps(small_config().to_json()))
