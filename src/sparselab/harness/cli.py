@@ -81,6 +81,8 @@ def plan(method, seq_len, level, params, generator, seed) -> None:
         )
     except ValueError as exc:  # misspelt --param keys, out-of-range values
         raise click.UsageError(str(exc)) from None
+    except KeyError as exc:  # a --level or --length the calibration table lacks
+        raise click.UsageError(exc.args[0]) from None
     report = result["report"]
     click.echo(f"method={method} generator={generator} n={seq_len}")
     click.echo(

@@ -31,6 +31,7 @@ __all__ = [
     "vertical_slash_cells",
     "block_plan_cells",
     "block_budget_cells",
+    "ranked_keep",
 ]
 
 ORACLE_LIMIT = 2048
@@ -78,26 +79,22 @@ def block_budget_cells(seq_len: int, top_k_blocks: int, block_size: int = 16) ->
     return total
 
 
-def plan_sparsity(
-    plan: SparsePlan, n: int | None = None, target_sparsity: float | None = None
-) -> SparsityReport:
+def plan_sparsity(plan: SparsePlan, target_sparsity: float | None = None) -> SparsityReport:
     if isinstance(plan, VerticalSlashPlan):
-        n = plan.seq_len if n is None else n
+        n = plan.seq_len
         computed = sum(
             vertical_slash_cells(v, s, n) for v, s in zip(plan.verticals, plan.slashes)
         )
         causal = plan.num_heads * n * (n + 1) // 2
     elif isinstance(plan, BlockPlan):
-        n = plan.seq_len if n is None else n
+        n = plan.seq_len
         computed = block_plan_cells(plan)
         causal = plan.num_heads * n * (n + 1) // 2
     elif isinstance(plan, EvictionPlan):
-        n = plan.seq_len if n is None else n
         computed = sum(plan.kept_counts)
-        causal = plan.num_heads * n
+        causal = plan.num_heads * plan.seq_len
     elif isinstance(plan, PagePlan):
         cached = plan.position + 1
-        n = cached if n is None else n
         computed = 0
         for pages in plan.selected:
             for p in pages.tolist():
@@ -204,6 +201,31 @@ def attention_recall(
         ]
     )
     return float(np.exp(masked - inputs.causal_lse).mean())
+
+
+def ranked_keep(scores: np.ndarray, k: int | np.ndarray, forced: np.ndarray) -> np.ndarray:
+    """Boolean keep-mask of the first ``k`` ranked members of each row.
+
+    This is the one selection rule every builder uses.  Along the last axis
+    of ``scores``, members marked in ``forced`` rank first, then the rest by
+    descending score; ties, forced members included, go to the lower index.
+    Forced members count toward ``k``, which is a scalar or one count per row
+    (shape ``scores.shape[:-1]``).  Scores must be finite or -inf; -inf
+    members rank last.
+    """
+    scores = np.asarray(scores, dtype=np.float64)
+    m = scores.shape[-1]
+    k = np.broadcast_to(np.asarray(k, dtype=np.int64), scores.shape[:-1])
+    forced = np.broadcast_to(forced, scores.shape)
+    if (k > m).any():
+        raise ValueError(f"budget {int(k.max())} exceeds the {m} available candidates")
+    if (k < forced.sum(axis=-1)).any():
+        raise ValueError("budget cannot cover the forced members")
+    # a stable sort keeps equal keys in index order
+    order = np.argsort(np.where(forced, -np.inf, -scores), axis=-1, kind="stable")
+    keep = np.empty(scores.shape, dtype=bool)
+    np.put_along_axis(keep, order, np.arange(m) < k[..., None], axis=-1)
+    return keep
 
 
 class CalibrationSearch(NamedTuple):

@@ -1,12 +1,13 @@
 """Block-sparse prefill: mean-pooled query/key blocks, top-k key blocks per
-query block, with the first key block and the diagonal block always kept."""
+query block, with the first key block and the diagonal block always kept.
+Blocks are ranked by ``accounting.ranked_keep``."""
 
 from __future__ import annotations
 
 import numpy as np
 
 from ..attention import AttentionInputs
-from .accounting import CalibrationSearch, _smallest_budget, plan_sparsity
+from .accounting import CalibrationSearch, _smallest_budget, plan_sparsity, ranked_keep
 from .plans import BlockPlan
 
 __all__ = ["build_block_sparse", "calibrate_block_topk", "pooled_block_logits"]
@@ -47,25 +48,16 @@ def build_block_sparse(
     n = inputs.seq_len
     nb = -(-n // block_size)
     clamped = top_k_blocks > nb
+    ids = np.arange(nb)
+    non_causal = ids[None, :] > ids[:, None]
+    forced = (ids[None, :] == 0) | (ids[None, :] == ids[:, None])
+    k = np.minimum(top_k_blocks, ids + 1)
     selections = []
     for head in range(inputs.num_q_heads):
         logits = pooled_block_logits(inputs, head, block_size)
-        head_sel = []
-        for b in range(nb):
-            avail = b + 1
-            k_eff = min(top_k_blocks, avail)
-            forced = {0, b}
-            row = logits[b, :avail]
-            order = np.lexsort((np.arange(avail), -row))
-            picked = sorted(forced)
-            for c in order:
-                if len(picked) >= k_eff:
-                    break
-                if int(c) not in forced:
-                    picked.append(int(c))
-                    forced.add(int(c))
-            head_sel.append(np.array(sorted(picked), dtype=np.int64))
-        selections.append(tuple(head_sel))
+        logits[non_causal] = -np.inf
+        keep = ranked_keep(logits, k, forced)
+        selections.append(tuple(np.flatnonzero(row) for row in keep))
     return BlockPlan(
         selections=tuple(selections),
         block_size=block_size,

@@ -210,7 +210,10 @@ def lookup(method: str, seq_len: int, target_sparsity: float) -> CalibrationEntr
     """The entry tuned for a sparsity level, matched within 5e-3."""
     candidates = calibration_entries(method, seq_len)
     if not candidates:
-        raise KeyError(f"no calibration rows for {method} at length {seq_len}")
+        lengths = sorted({e.seq_len for e in calibration_entries(method)})
+        raise KeyError(
+            f"no calibration rows for {method} at length {seq_len}; available lengths: {lengths}"
+        )
     best = min(candidates, key=lambda e: abs(e.target_sparsity - target_sparsity))
     if abs(best.target_sparsity - target_sparsity) > 5e-3:
         have = sorted({e.target_sparsity for e in candidates}, reverse=True)

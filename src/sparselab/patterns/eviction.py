@@ -5,7 +5,8 @@ Both score tokens with exact attention from the last ``approx_window`` query
 rows, reduce over the query heads of each kv group (mean for the uniform
 variant, max for the adaptive one), then smooth the per-token scores with a
 zero-padded 1-d average pool.  The first 4 and most recent 128 tokens are
-always kept and count toward the capacity.
+always kept and count toward the capacity; tokens are ranked by
+``accounting.ranked_keep``.
 """
 
 from __future__ import annotations
@@ -13,6 +14,7 @@ from __future__ import annotations
 import numpy as np
 
 from ..attention import AttentionInputs, window_weights_head
+from .accounting import ranked_keep
 from .plans import EvictionPlan
 
 __all__ = [
@@ -65,10 +67,9 @@ def smoothed_scores(
     return _avg_pool_1d(raw, kernel_size)
 
 
-def _forced_indices(n: int) -> np.ndarray:
-    first = np.arange(min(FORCED_FIRST, n))
-    recent = np.arange(max(0, n - FORCED_RECENT), n)
-    return np.union1d(first, recent)
+def _forced_mask(n: int) -> np.ndarray:
+    ids = np.arange(n)
+    return (ids < FORCED_FIRST) | (ids >= n - FORCED_RECENT)
 
 
 def _validate_capacity(token_capacity: int, n: int) -> bool:
@@ -87,25 +88,21 @@ def snapkv_compress(
     kernel_size: int = 21,
 ) -> EvictionPlan:
     """Uniform eviction: each kv head keeps its own top ``token_capacity``
-    tokens by smoothed mean window attention (ties to the lower index)."""
+    tokens by smoothed mean window attention."""
     n = inputs.seq_len
     noop = _validate_capacity(token_capacity, n)
-    kept = []
-    for kv in range(inputs.num_kv_heads):
-        if noop:
-            kept.append(np.arange(n, dtype=np.int64))
-            continue
-        scores = smoothed_scores(inputs, kv, approx_window, kernel_size, "mean")
-        forced = _forced_indices(n)
-        order = np.lexsort((np.arange(n), -scores))
-        picked = set(forced.tolist())
-        for idx in order:
-            if len(picked) >= token_capacity:
-                break
-            picked.add(int(idx))
-        kept.append(np.array(sorted(picked), dtype=np.int64))
+    if noop:
+        keep = np.ones((inputs.num_kv_heads, n), dtype=bool)
+    else:
+        scores = np.stack(
+            [
+                smoothed_scores(inputs, kv, approx_window, kernel_size, "mean")
+                for kv in range(inputs.num_kv_heads)
+            ]
+        )
+        keep = ranked_keep(scores, token_capacity, _forced_mask(n))
     return EvictionPlan(
-        kept=tuple(kept),
+        kept=tuple(np.flatnonzero(k) for k in keep),
         token_capacity=token_capacity,
         seq_len=n,
         approx_window=approx_window,
@@ -123,67 +120,37 @@ def ada_snapkv_compress(
 ) -> EvictionPlan:
     """Adaptive eviction: one pooled budget of num_kv_heads * token_capacity
     slots filled by globally ranked smoothed max window attention, subject to
-    a per-head floor of ceil(min_head_fraction * token_capacity) tokens."""
+    a per-head floor of ceil(min_head_fraction * token_capacity) tokens.
+
+    Each head first keeps its floor by its own ranking; the pool then ranks
+    all heads' tokens together, head-major, so equal scores go to the lower
+    kv head and then the lower token."""
     if not 0.0 <= min_head_fraction <= 1.0:
         raise ValueError("min_head_fraction must lie in [0, 1]")
     n = inputs.seq_len
     noop = _validate_capacity(token_capacity, n)
     num_kv = inputs.num_kv_heads
     if noop:
-        kept = tuple(np.arange(n, dtype=np.int64) for _ in range(num_kv))
-        return EvictionPlan(
-            kept=kept,
-            token_capacity=token_capacity,
-            seq_len=n,
-            approx_window=approx_window,
-            kernel_size=kernel_size,
-            min_head_fraction=min_head_fraction,
-            noop=True,
+        keep = np.ones((num_kv, n), dtype=bool)
+    else:
+        forced = _forced_mask(n)
+        floor = max(int(np.ceil(min_head_fraction * token_capacity)), int(forced.sum()))
+        scores = np.stack(
+            [
+                smoothed_scores(inputs, kv, approx_window, kernel_size, "max")
+                for kv in range(num_kv)
+            ]
         )
-
-    forced = _forced_indices(n)
-    floor = max(int(np.ceil(min_head_fraction * token_capacity)), forced.size)
-    floor = min(floor, n)
-    scores = [
-        smoothed_scores(inputs, kv, approx_window, kernel_size, "max")
-        for kv in range(num_kv)
-    ]
-
-    picked: list[set[int]] = []
-    pool_scores: list[np.ndarray] = []
-    pool_heads: list[np.ndarray] = []
-    pool_ids: list[np.ndarray] = []
-    for kv in range(num_kv):
-        head_set = set(forced.tolist())
-        order = np.lexsort((np.arange(n), -scores[kv]))
-        # satisfy the per-head floor with the head's own best tokens first
-        for idx in order:
-            if len(head_set) >= floor:
-                break
-            head_set.add(int(idx))
-        picked.append(head_set)
-        rest = np.array([i for i in order.tolist() if i not in head_set], dtype=np.int64)
-        pool_scores.append(scores[kv][rest])
-        pool_heads.append(np.full(rest.size, kv, dtype=np.int64))
-        pool_ids.append(rest)
-
-    total_budget = num_kv * token_capacity
-    remaining = total_budget - sum(len(s) for s in picked)
-    if remaining > 0:
-        flat_scores = np.concatenate(pool_scores)
-        flat_heads = np.concatenate(pool_heads)
-        flat_ids = np.concatenate(pool_ids)
-        order = np.lexsort((flat_ids, flat_heads, -flat_scores))
-        for u in order[:remaining]:
-            picked[int(flat_heads[u])].add(int(flat_ids[u]))
-
-    kept = tuple(np.array(sorted(s), dtype=np.int64) for s in picked)
+        floors = ranked_keep(scores, floor, forced)
+        keep = ranked_keep(
+            scores.reshape(-1), num_kv * token_capacity, floors.reshape(-1)
+        ).reshape(num_kv, n)
     return EvictionPlan(
-        kept=kept,
+        kept=tuple(np.flatnonzero(k) for k in keep),
         token_capacity=token_capacity,
         seq_len=n,
         approx_window=approx_window,
         kernel_size=kernel_size,
         min_head_fraction=min_head_fraction,
-        noop=False,
+        noop=noop,
     )

@@ -36,8 +36,6 @@ class VerticalSlashPlan:
     slashes: tuple[np.ndarray, ...]
     seq_len: int
     approx_window: int
-    forced_prefix: int = 4
-    forced_local: int = 64
 
     def __post_init__(self) -> None:
         if len(self.verticals) != len(self.slashes):

@@ -4,6 +4,7 @@ The cache is split into fixed 16-token pages; each page is summarized by the
 elementwise min and max of its key vectors.  A decode query scores a page with
 an upper bound on any dot product against its keys, and only the highest
 scoring pages are read, the page holding the current token always among them.
+Pages are ranked by ``accounting.ranked_keep``.
 """
 
 from __future__ import annotations
@@ -11,6 +12,7 @@ from __future__ import annotations
 import numpy as np
 
 from ..attention import AttentionInputs, default_group_map
+from .accounting import ranked_keep
 from .plans import PageIndex, PagePlan
 
 __all__ = ["PAGE_SIZE", "quest_index", "quest_select", "quest_plan"]
@@ -65,8 +67,7 @@ def quest_select(
     query head.  Page scores are max-aggregated over each kv head's query
     group.  floor(token_budget / page_size) pages are kept per kv head, the
     current token's page forced; a budget covering every cached token keeps
-    all pages even when the final page is partial.  Ties break toward the
-    lower page index.
+    all pages even when the final page is partial.
     """
     p = index.page_size
     if token_budget < p:
@@ -89,27 +90,17 @@ def quest_select(
     if token_budget >= position + 1:
         num_pick = valid
 
-    selected = []
-    for g in range(index.num_heads):
-        scores = np.full(valid, -np.inf)
-        for h, head_group in enumerate(group_map):
-            if head_group != g:
-                continue
-            bounds = page_upper_bounds(
-                np.asarray(query_rows[h], dtype=np.float64),
-                index.mins[g][:valid],
-                index.maxs[g][:valid],
-            )
-            scores = np.maximum(scores, bounds)
-        order = np.lexsort((np.arange(valid), -scores))
-        picked = [current]
-        for page in order:
-            if len(picked) >= num_pick:
-                break
-            if page != current:
-                picked.append(int(page))
-        selected.append(np.array(sorted(picked), dtype=np.int64))
-    return PagePlan(index=index, selected=tuple(selected), token_budget=token_budget, position=position)
+    scores = np.full((index.num_heads, valid), -np.inf)
+    for h, g in enumerate(group_map):
+        bounds = page_upper_bounds(
+            np.asarray(query_rows[h], dtype=np.float64),
+            index.mins[g][:valid],
+            index.maxs[g][:valid],
+        )
+        scores[g] = np.maximum(scores[g], bounds)
+    keep = ranked_keep(scores, num_pick, np.arange(valid) == current)
+    selected = tuple(np.flatnonzero(k) for k in keep)
+    return PagePlan(index=index, selected=selected, token_budget=token_budget, position=position)
 
 
 def quest_plan(

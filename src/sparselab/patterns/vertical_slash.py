@@ -4,8 +4,9 @@ coverage-driven adaptive variant.
 Both score candidates with exact attention from the last ``approx_window``
 query rows onto all keys.  A "vertical" keeps one key column for every later
 query; a "slash" keeps one causal diagonal (offset o covers cells (i, i-o)).
-The first ``forced_prefix`` columns and the ``forced_local`` smallest offsets
-are always selected and count toward the configured budgets.
+The first ``FORCED_PREFIX`` columns and the ``FORCED_LOCAL`` smallest offsets
+are always selected and count toward the configured budgets; candidates are
+ranked by ``accounting.ranked_keep``.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..attention import AttentionInputs, window_weights_head
-from .accounting import CalibrationSearch, _smallest_budget, plan_sparsity
+from .accounting import CalibrationSearch, _smallest_budget, plan_sparsity, ranked_keep
 from .plans import VerticalSlashPlan
 
 __all__ = [
@@ -54,29 +55,6 @@ def _column_and_diagonal_mass(
     return column_mass, slash_mass, slash_cells
 
 
-def _top_k_with_forced(
-    scores: np.ndarray, k: int, forced: np.ndarray
-) -> np.ndarray:
-    """Top-k indices by score with forced members included in the count.
-
-    Ties break toward the lower index.
-    """
-    n = scores.shape[0]
-    if k > n:
-        raise ValueError(f"budget {k} exceeds the {n} available candidates")
-    if k < forced.size:
-        raise ValueError(f"budget {k} cannot cover the {forced.size} forced members")
-    order = np.lexsort((np.arange(n), -scores))
-    picked = list(forced)
-    forced_set = set(forced.tolist())
-    for idx in order:
-        if len(picked) >= k:
-            break
-        if int(idx) not in forced_set:
-            picked.append(int(idx))
-    return np.array(sorted(picked), dtype=np.int64)
-
-
 def build_vertical_slash(
     inputs: AttentionInputs,
     num_verticals: int,
@@ -96,19 +74,18 @@ def build_vertical_slash(
     if num_verticals > n or num_slashes > n:
         raise ValueError("budgets cannot exceed seq_len")
 
-    forced_cols = np.arange(min(FORCED_PREFIX, n), dtype=np.int64)
-    forced_offs = np.arange(min(FORCED_LOCAL, n), dtype=np.int64)
-    verticals = []
-    slashes = []
+    col_mass, slash_score = [], []
     for head in range(inputs.num_q_heads):
         w = window_weights_head(inputs, head, approx_window)
-        col_mass, slash_mass, slash_cells = _column_and_diagonal_mass(w, n)
-        slash_score = slash_mass / slash_cells
-        verticals.append(_top_k_with_forced(col_mass, num_verticals, forced_cols))
-        slashes.append(_top_k_with_forced(slash_score, num_slashes, forced_offs))
+        cols, slash_mass, slash_cells = _column_and_diagonal_mass(w, n)
+        col_mass.append(cols)
+        slash_score.append(slash_mass / slash_cells)
+    ids = np.arange(n)
+    verticals = ranked_keep(np.stack(col_mass), num_verticals, ids < FORCED_PREFIX)
+    slashes = ranked_keep(np.stack(slash_score), num_slashes, ids < FORCED_LOCAL)
     return VerticalSlashPlan(
-        verticals=tuple(verticals),
-        slashes=tuple(slashes),
+        verticals=tuple(np.flatnonzero(v) for v in verticals),
+        slashes=tuple(np.flatnonzero(s) for s in slashes),
         seq_len=n,
         approx_window=approx_window,
     )
@@ -144,45 +121,29 @@ def build_flexprefill(
         kv, ks = config.fallback_counts
         return build_vertical_slash(inputs, kv, ks, config.approx_window)
 
-    forced_cols = np.arange(min(FORCED_PREFIX, n), dtype=np.int64)
-    forced_offs = np.arange(min(FORCED_LOCAL, n), dtype=np.int64)
-    verticals = []
-    slashes = []
+    ids = np.arange(n)
+    forced = np.concatenate([ids < FORCED_PREFIX, ids < FORCED_LOCAL])
+    masses, counts = [], []
     for head in range(inputs.num_q_heads):
         w = window_weights_head(inputs, head, config.approx_window)
         col_mass, slash_mass, _ = _column_and_diagonal_mass(w, n)
-        total = float(w.sum())
-
-        sel_cols = set(forced_cols.tolist())
-        sel_offs = set(forced_offs.tolist())
+        # one ranking over [columns, offsets]: on equal mass a vertical goes first
+        mass = np.concatenate([col_mass, slash_mass])
+        masses.append(mass)
         if config.alpha >= 1.0:
-            sel_cols = set(range(n))
-            sel_offs = set(range(n))
-        else:
-            # candidate units ranked by raw window mass; verticals win ties,
-            # then the lower index
-            kinds = np.concatenate([np.zeros(n, dtype=np.int64), np.ones(n, dtype=np.int64)])
-            ids = np.concatenate([np.arange(n), np.arange(n)])
-            mass = np.concatenate([col_mass, slash_mass])
-            order = np.lexsort((ids, kinds, -mass))
-            covered = float(col_mass[forced_cols].sum() + slash_mass[forced_offs].sum())
-            target = config.alpha * total
-            count = len(sel_cols) + len(sel_offs)
-            for u in order:
-                kind, idx = int(kinds[u]), int(ids[u])
-                chosen = sel_cols if kind == 0 else sel_offs
-                if idx in chosen:
-                    continue
-                if covered >= target and count >= config.min_budget:
-                    break
-                chosen.add(idx)
-                covered += float(mass[u])
-                count += 1
-        verticals.append(np.array(sorted(sel_cols), dtype=np.int64))
-        slashes.append(np.array(sorted(sel_offs), dtype=np.int64))
+            counts.append(2 * n)
+            continue
+        # the greedy walk adds the other units to the forced mass one at a
+        # time in rank order, so its running sum is a cumsum in that order
+        forced_mass = col_mass[:FORCED_PREFIX].sum() + slash_mass[:FORCED_LOCAL].sum()
+        covered = np.cumsum(np.concatenate([[forced_mass], np.sort(mass[~forced])[::-1]]))
+        count = np.count_nonzero(forced) + np.arange(covered.size)
+        done = (covered >= config.alpha * float(w.sum())) & (count >= config.min_budget)
+        counts.append(int(count[done.argmax()] if done.any() else count[-1]))
+    keep = ranked_keep(np.stack(masses), np.array(counts), forced)
     return VerticalSlashPlan(
-        verticals=tuple(verticals),
-        slashes=tuple(slashes),
+        verticals=tuple(np.flatnonzero(k[:n]) for k in keep),
+        slashes=tuple(np.flatnonzero(k[n:]) for k in keep),
         seq_len=n,
         approx_window=config.approx_window,
     )

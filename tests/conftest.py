@@ -58,3 +58,21 @@ def random_inputs(
 @pytest.fixture
 def rng() -> np.random.Generator:
     return np.random.default_rng(1234)
+
+
+def tied_inputs(
+    rng: np.random.Generator,
+    seq_len: int,
+    num_q_heads: int = 4,
+    num_kv_heads: int = 2,
+    head_dim: int = 8,
+) -> AttentionInputs:
+    """Random queries against one key vector at every position: every key
+    (and every block or page of keys) scores the same for a query, so a
+    selection rests on its tie-breaking."""
+    key = rng.normal(size=head_dim)
+    return AttentionInputs.from_arrays(
+        rng.normal(size=(num_q_heads, seq_len, head_dim)),
+        np.broadcast_to(key, (num_kv_heads, seq_len, head_dim)).copy(),
+        rng.normal(size=(num_kv_heads, seq_len, head_dim)),
+    )

@@ -25,6 +25,7 @@ from sparselab.patterns import (
     vertical_slash_cells,
 )
 from sparselab import attention
+from sparselab.patterns.accounting import ranked_keep
 from sparselab.synthetic import make_inputs
 
 from conftest import random_inputs
@@ -86,6 +87,55 @@ def test_plan_sparsity_matches_mask_cell_count(seed, n, kv):
         last_row = sum(mask.row(h, n - 1).size for h in range(mask.num_heads))
         # each kv head's kept set is read by the two query heads of its group
         assert last_row == 2 * plan_sparsity(plan).computed_cells
+
+
+def brute_force_keep(scores, k, forced):
+    """Forced members, then the others by (-score, index), up to k."""
+    picked = {i for i, f in enumerate(forced) if f}
+    for i in sorted(range(len(scores)), key=lambda i: (-scores[i], i)):
+        if len(picked) >= k:
+            break
+        picked.add(i)
+    return [i in picked for i in range(len(scores))]
+
+
+# few distinct values, so that ties are common, plus -inf members
+SCORES = st.one_of(st.sampled_from([-np.inf, 0.0, 0.5, 1.0]), st.floats(-10, 10))
+
+
+@st.composite
+def ranked_row(draw, m):
+    scores = draw(st.lists(SCORES, min_size=m, max_size=m))
+    forced = draw(st.lists(st.booleans(), min_size=m, max_size=m))
+    return scores, draw(st.integers(sum(forced), m)), forced
+
+
+@settings(deadline=None, max_examples=200)
+@given(data=st.data(), m=st.integers(1, 64))
+def test_ranked_keep_matches_brute_force(data, m):
+    scores, k, forced = data.draw(ranked_row(m))
+    keep = ranked_keep(np.array(scores), k, np.array(forced))
+    assert keep.tolist() == brute_force_keep(scores, k, forced)
+
+
+@settings(deadline=None, max_examples=100)
+@given(data=st.data(), rows=st.integers(1, 5), m=st.integers(1, 32))
+def test_ranked_keep_takes_a_budget_per_row(data, rows, m):
+    drawn = [data.draw(ranked_row(m)) for _ in range(rows)]
+    scores, k, forced = (np.array(column) for column in zip(*drawn))
+    keep = ranked_keep(scores, k, forced)
+    assert keep.tolist() == [brute_force_keep(*row) for row in drawn]
+
+
+@settings(deadline=None, max_examples=50)
+@given(data=st.data(), m=st.integers(1, 64))
+def test_ranked_keep_rejects_budgets_below_forced_or_above_row(data, m):
+    forced = data.draw(st.lists(st.booleans(), min_size=m, max_size=m).filter(any))
+    scores = np.zeros(m)
+    with pytest.raises(ValueError, match="forced"):
+        ranked_keep(scores, sum(forced) - 1, np.array(forced))
+    with pytest.raises(ValueError, match="exceeds"):
+        ranked_keep(scores, m + 1, np.zeros(m, dtype=bool))
 
 
 def test_eviction_mask_expansion(rng):

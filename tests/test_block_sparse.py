@@ -12,7 +12,7 @@ from sparselab.patterns import (
 from sparselab.patterns.block_sparse import pooled_block_logits
 from sparselab.synthetic import make_inputs
 
-from conftest import random_inputs
+from conftest import random_inputs, tied_inputs
 
 
 def pooled_oracle_selection(inputs, head, top_k, block_size=16):
@@ -40,8 +40,9 @@ def pooled_oracle_selection(inputs, head, top_k, block_size=16):
     return sel
 
 
-def test_selection_matches_pooled_oracle(rng):
-    inputs = random_inputs(rng, 200)
+@pytest.mark.parametrize("make", [random_inputs, tied_inputs], ids=["random", "ties"])
+def test_selection_matches_pooled_oracle(rng, make):
+    inputs = make(rng, 200)
     plan = build_block_sparse(inputs, top_k_blocks=4)
     for head in range(inputs.num_q_heads):
         want = pooled_oracle_selection(inputs, head, 4)

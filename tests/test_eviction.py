@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -10,9 +12,10 @@ from sparselab.patterns import (
     plan_sparsity,
     snapkv_compress,
 )
+from sparselab.patterns.eviction import smoothed_scores
 from sparselab.synthetic import make_inputs
 
-from conftest import random_inputs
+from conftest import random_inputs, tied_inputs
 
 
 def snapkv_oracle_kept(inputs, kv_head, capacity, window=256, kernel=21):
@@ -42,11 +45,54 @@ def snapkv_oracle_kept(inputs, kv_head, capacity, window=256, kernel=21):
     return sorted(kept)
 
 
-def test_snapkv_matches_scoring_oracle(rng):
-    inputs = random_inputs(rng, 400)
+@pytest.mark.parametrize("make", [random_inputs, tied_inputs], ids=["random", "ties"])
+def test_snapkv_matches_scoring_oracle(rng, make):
+    inputs = make(rng, 400)
     plan = snapkv_compress(inputs, token_capacity=170)
     for kv in range(inputs.num_kv_heads):
         assert plan.kept[kv].tolist() == snapkv_oracle_kept(inputs, kv, 170)
+
+
+def ada_snapkv_oracle_kept(inputs, capacity, min_head_fraction, window=256, kernel=21):
+    """Per kv head, the forced tokens and then the head's best tokens up to
+    the floor; then one pool over every head's remaining tokens ranked by
+    (-score, kv head, token) fills the rest of num_kv * capacity."""
+    n, num_kv = inputs.seq_len, inputs.num_kv_heads
+    scores = [
+        smoothed_scores(inputs, kv, window, kernel, "max").tolist() for kv in range(num_kv)
+    ]
+    forced = set(range(min(FORCED_FIRST, n))) | set(range(max(0, n - FORCED_RECENT), n))
+    floor = max(math.ceil(min_head_fraction * capacity), len(forced))
+    kept = []
+    for kv in range(num_kv):
+        head = set(forced)
+        for i in sorted(range(n), key=lambda i: (-scores[kv][i], i)):
+            if len(head) >= floor:
+                break
+            head.add(i)
+        kept.append(head)
+    pool = sorted(
+        (-scores[kv][i], kv, i) for kv in range(num_kv) for i in range(n) if i not in kept[kv]
+    )
+    for _, kv, i in pool[: num_kv * capacity - sum(len(head) for head in kept)]:
+        kept[kv].add(i)
+    return [sorted(head) for head in kept]
+
+
+@pytest.mark.parametrize("fraction", [0.0, 0.2, 1.0])
+@pytest.mark.parametrize(
+    "make",
+    [
+        random_inputs,
+        tied_inputs,
+        lambda rng, n: make_inputs("planted", n, seed=2, needle_positions=(150,)),
+    ],
+    ids=["random", "ties", "planted"],
+)
+def test_ada_snapkv_matches_pooled_oracle(rng, make, fraction):
+    inputs = make(rng, 400)
+    plan = ada_snapkv_compress(inputs, 170, min_head_fraction=fraction)
+    assert [k.tolist() for k in plan.kept] == ada_snapkv_oracle_kept(inputs, 170, fraction)
 
 
 def test_forced_tokens_always_kept():

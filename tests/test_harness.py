@@ -332,6 +332,23 @@ def test_cli_plan_rejects_unknown_param_names(pairs, wrong):
     assert f"unknown {wrong}" in result.output
 
 
+@pytest.mark.parametrize(
+    "method, length, level, message",
+    [
+        ("snapkv", "16384", "0.55", "available levels: [0.95,"),
+        ("quest", "3000", "0.9", "available lengths: [16384,"),
+    ],
+    ids=["missing_level", "missing_length"],
+)
+def test_cli_plan_rejects_uncalibrated_level(method, length, level, message):
+    result = CliRunner().invoke(
+        cli, ["plan", "--method", method, "--length", length, "--level", level]
+    )
+    assert result.exit_code == 2, result.output
+    assert message in result.output
+    assert "Traceback" not in result.output
+
+
 def test_cli_run_and_analyze(tmp_path):
     config_path = tmp_path / "config.json"
     config_path.write_text(json.dumps(small_config().to_json()))

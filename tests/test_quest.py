@@ -14,7 +14,7 @@ from sparselab.patterns import (
 from sparselab.patterns.quest import page_upper_bounds
 from sparselab.synthetic import make_inputs
 
-from conftest import random_inputs
+from conftest import random_inputs, tied_inputs
 
 
 def test_index_matches_naive_min_max(rng):
@@ -43,8 +43,9 @@ def test_page_score_upper_bounds_every_dot_product(rng):
             assert bounds[p] >= exact - 1e-12
 
 
-def test_selection_matches_score_oracle(rng):
-    inputs = random_inputs(rng, 320)
+@pytest.mark.parametrize("make", [random_inputs, tied_inputs], ids=["random", "ties"])
+def test_selection_matches_score_oracle(rng, make):
+    inputs = make(rng, 320)
     budget = 96
     plan = quest_plan(inputs, budget)
     index = plan.index

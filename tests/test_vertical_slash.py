@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from sparselab.attention import AttentionInputs
+from sparselab.attention import AttentionInputs, window_weights_head
 from sparselab.patterns import (
     FORCED_LOCAL,
     FORCED_PREFIX,
@@ -14,9 +14,10 @@ from sparselab.patterns import (
     plan_sparsity,
     vertical_slash_cells,
 )
+from sparselab.patterns.vertical_slash import _column_and_diagonal_mass
 from sparselab.synthetic import make_inputs
 
-from conftest import random_inputs
+from conftest import random_inputs, tied_inputs
 
 
 def test_forced_members_always_selected(rng):
@@ -135,6 +136,62 @@ def test_flexprefill_min_budget_is_met():
     plan = build_flexprefill(inputs, FlexPrefillConfig(alpha=0.05, min_budget=floor + 40))
     for v, s in zip(plan.verticals, plan.slashes):
         assert v.size + s.size >= floor + 40
+
+
+def flexprefill_oracle(inputs, alpha, min_budget, window):
+    """The greedy coverage walk: start from the forced units, then take units
+    (a column or an offset) by (-window mass, vertical before slash, index)
+    until the covered mass reaches alpha of the total and the count reaches
+    min_budget."""
+    n = inputs.seq_len
+    verticals, slashes = [], []
+    for head in range(inputs.num_q_heads):
+        w = window_weights_head(inputs, head, window)
+        col_mass, slash_mass, _ = _column_and_diagonal_mass(w, n)
+        chosen = (set(range(min(FORCED_PREFIX, n))), set(range(min(FORCED_LOCAL, n))))
+        if alpha >= 1.0:
+            chosen = (set(range(n)), set(range(n)))
+        units = sorted(
+            [(-float(m), 0, j) for j, m in enumerate(col_mass)]
+            + [(-float(m), 1, o) for o, m in enumerate(slash_mass)]
+        )
+        covered = float(col_mass[:FORCED_PREFIX].sum() + slash_mass[:FORCED_LOCAL].sum())
+        count = len(chosen[0]) + len(chosen[1])
+        target = alpha * float(w.sum())
+        for neg_mass, kind, idx in units:
+            if idx in chosen[kind]:
+                continue
+            if covered >= target and count >= min_budget:
+                break
+            chosen[kind].add(idx)
+            covered += -neg_mass
+            count += 1
+        verticals.append(sorted(chosen[0]))
+        slashes.append(sorted(chosen[1]))
+    return verticals, slashes
+
+
+@pytest.mark.parametrize(
+    "alpha, min_budget",
+    [(0.3, 1), (0.9, 1), (0.999, 1), (1.0, 1), (0.3, FORCED_PREFIX + FORCED_LOCAL + 40)],
+)
+@pytest.mark.parametrize(
+    "make",
+    [
+        random_inputs,
+        tied_inputs,
+        lambda rng, n: make_inputs("planted", n, seed=4, needle_positions=(100,)),
+    ],
+    ids=["random", "ties", "planted"],
+)
+def test_flexprefill_matches_coverage_oracle(rng, make, alpha, min_budget):
+    inputs = make(rng, 300)
+    plan = build_flexprefill(
+        inputs, FlexPrefillConfig(alpha=alpha, min_budget=min_budget, approx_window=64)
+    )
+    verticals, slashes = flexprefill_oracle(inputs, alpha, min_budget, 64)
+    assert [v.tolist() for v in plan.verticals] == verticals
+    assert [s.tolist() for s in plan.slashes] == slashes
 
 
 def test_flexprefill_config_validation():
