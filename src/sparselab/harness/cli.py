@@ -11,7 +11,7 @@ import click
 from ..costs import ParetoPoint, model_presets, pareto_frontier, sweep_rows, write_csv
 from ..patterns.calibration import METHOD_NAMES
 from ..synthetic import GENERATOR_NAMES
-from ..tasks import TASK_KINDS, generate, write_samples
+from ..tasks import TASK_KINDS, GenerationError, generate, write_samples
 from .analysis import analyze as analyze_run
 from .config import load_config
 from .demo import plan_demo
@@ -31,11 +31,14 @@ def main() -> None:
 @click.option("--out", type=click.Path(dir_okay=False), required=True)
 def gen(kind, seed, samples, target_tokens, out) -> None:
     """Emit task samples as line-delimited JSON."""
-    batch = [
-        generate(kind, seed=sample_seed(seed, kind, target_tokens, i),
-                 target_tokens=target_tokens)
-        for i in range(samples)
-    ]
+    try:
+        batch = [
+            generate(kind, seed=sample_seed(seed, kind, target_tokens, i),
+                     target_tokens=target_tokens)
+            for i in range(samples)
+        ]
+    except GenerationError as exc:  # a target the generator cannot meet
+        raise click.ClickException(str(exc)) from None
     write_samples(batch, out)
     click.echo(f"wrote {len(batch)} {kind} sample(s) to {out}")
 

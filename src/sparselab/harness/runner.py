@@ -4,6 +4,8 @@ from __future__ import annotations
 
 import hashlib
 import json
+import logging
+import os
 import time
 from dataclasses import dataclass
 from pathlib import Path
@@ -14,6 +16,8 @@ from .adapters import MockAdapter, make_adapter
 from .config import ExperimentConfig
 
 __all__ = ["RunResult", "record_key", "run_suite", "sample_seed"]
+
+logger = logging.getLogger("sparselab")
 
 
 def sample_seed(root_seed: int, kind: str, seq_len: int, index: int) -> int:
@@ -40,16 +44,36 @@ class RunResult:
     adapter_calls: int
 
 
+def _is_torn(line: bytes) -> bool:
+    """Whether a last line was cut short by a crash: every record is written
+    as one JSON object and a newline, so a torn one lacks either."""
+    if not line.endswith(b"\n"):
+        return True
+    try:
+        json.loads(line)
+    except ValueError:
+        return True
+    return False
+
+
 def _load_existing(path: Path) -> dict[tuple, dict]:
-    existing: dict[tuple, dict] = {}
-    if path.exists():
-        with open(path, encoding="utf-8") as handle:
-            for line in handle:
-                line = line.strip()
-                if line:
-                    record = json.loads(line)
-                    existing[record_key(record)] = record
-    return existing
+    """Records already in ``path``, by key. A torn last line is cut from the
+    file, so appends start after the last complete record, and its record
+    is redone. A bad line anywhere else raises."""
+    if not path.exists():
+        return {}
+    data = path.read_bytes()
+    lines = data.splitlines(keepends=True)
+    if lines and _is_torn(lines[-1]):
+        tail = lines.pop()
+        logger.warning(
+            "%s: dropping a torn last line (%d bytes); its record is redone",
+            path, len(tail),
+        )
+        with open(path, "r+b") as handle:
+            handle.truncate(len(data) - len(tail))
+    records = (json.loads(line) for line in lines if line.strip())
+    return {record_key(record): record for record in records}
 
 
 def run_suite(
@@ -66,10 +90,13 @@ def run_suite(
     run_dir.mkdir(parents=True, exist_ok=True)
     config_path = run_dir / "config.json"
     if not config_path.exists():
-        config_path.write_text(
+        # write, then rename into place, so a crash never leaves a partial file
+        staged = run_dir / f".config.json.{os.getpid()}.tmp"
+        staged.write_text(
             json.dumps(config.to_json(), indent=2, sort_keys=True) + "\n",
             encoding="utf-8",
         )
+        os.replace(staged, config_path)
     records_path = run_dir / "records.jsonl"
     existing = _load_existing(records_path)
 

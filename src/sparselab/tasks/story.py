@@ -10,6 +10,8 @@ scanner can recover every fact from the rendered text alone.
 
 from __future__ import annotations
 
+import functools
+import itertools
 import re
 from dataclasses import dataclass
 
@@ -177,12 +179,13 @@ class StoryWorld:
 
 
 def _item_stream(rng: np.random.Generator):
-    total = len(ITEM_ADJECTIVES) * len(ITEM_MATERIALS) * len(ITEM_OBJECTS)
-    for flat in rng.permutation(total):
-        flat = int(flat)
-        a, rest = divmod(flat, len(ITEM_MATERIALS) * len(ITEM_OBJECTS))
-        m, o = divmod(rest, len(ITEM_OBJECTS))
-        yield f"{ITEM_ADJECTIVES[a]} {ITEM_MATERIALS[m]} {ITEM_OBJECTS[o]}"
+    """Every item name once, in an order drawn from ``rng`` up front."""
+    shape = (len(ITEM_ADJECTIVES), len(ITEM_MATERIALS), len(ITEM_OBJECTS))
+    order = np.unravel_index(rng.permutation(np.prod(shape)), shape)
+    return (
+        f"{ITEM_ADJECTIVES[a]} {ITEM_MATERIALS[m]} {ITEM_OBJECTS[o]}"
+        for a, m, o in zip(*order)
+    )
 
 
 def _pick(rng: np.random.Generator, pool, avoid=None):
@@ -192,18 +195,17 @@ def _pick(rng: np.random.Generator, pool, avoid=None):
             return choice
 
 
-def build_world(
+def _chapter_stream(
     rng: np.random.Generator,
-    num_chapters: int,
     no_purchase: frozenset[int] = frozenset(),
     relinquish_rate: float = 0.25,
-) -> StoryWorld:
-    protagonist = _pick(rng, PROTAGONISTS)
+):
+    """Chapters 1, 2, ... of one world, each drawn from ``rng`` after the
+    ones before it, so the first k chapters do not depend on how many follow."""
     items = _item_stream(rng)
-    chapters: list[Chapter] = []
     owned: list[str] = []
     prev_loc = prev_char = None
-    for index in range(1, num_chapters + 1):
+    for index in itertools.count(1):
         location = _pick(rng, LOCATIONS, avoid=prev_loc)
         character = _pick(rng, CHARACTERS, avoid=prev_char)
         event = _pick(rng, EVENTS)
@@ -213,15 +215,26 @@ def build_world(
             relinquished = owned.pop(int(rng.integers(0, len(owned))))
         if acquired is not None:
             owned.append(acquired)
-        chapters.append(
-            Chapter(index, location, character, event, acquired, relinquished)
-        )
+        yield Chapter(index, location, character, event, acquired, relinquished)
         prev_loc, prev_char = location, character
-    return StoryWorld(protagonist, tuple(chapters))
 
 
-def _render_chapter(rng: np.random.Generator, world: StoryWorld, ch: Chapter) -> str:
-    p = world.protagonist
+def build_world(
+    rng: np.random.Generator,
+    num_chapters: int,
+    no_purchase: frozenset[int] = frozenset(),
+    relinquish_rate: float = 0.25,
+) -> StoryWorld:
+    protagonist = _pick(rng, PROTAGONISTS)
+    chapters = _chapter_stream(rng, no_purchase, relinquish_rate)
+    return StoryWorld(protagonist, tuple(itertools.islice(chapters, num_chapters)))
+
+
+def _render_chapter(seed: int, protagonist: str, ch: Chapter) -> str:
+    """Wording comes from the chapter's own generator, so a chapter reads the
+    same whatever the chapter count."""
+    rng = np.random.default_rng([seed, 2, ch.index])
+    p = protagonist
     parts = [
         _pick(rng, _ARRIVAL).format(p=p, loc=ch.location),
         _pick(rng, _PURPOSE).format(p=p),
@@ -246,8 +259,19 @@ def _render_chapter(rng: np.random.Generator, world: StoryWorld, ch: Chapter) ->
     return f"Chapter {ch.index}:\n" + " ".join(parts)
 
 
-def render_world(rng: np.random.Generator, world: StoryWorld) -> str:
-    return "\n\n".join(_render_chapter(rng, world, ch) for ch in world.chapters)
+def render_world(seed: int, world: StoryWorld) -> str:
+    return "\n\n".join(
+        _render_chapter(seed, world.protagonist, ch) for ch in world.chapters
+    )
+
+
+def _chapter_texts(seed: int):
+    """Rendered chapters 1, 2, ... of the world for ``seed``, without
+    no-purchase beats."""
+    rng = np.random.default_rng([seed, 1])
+    protagonist = _pick(rng, PROTAGONISTS)
+    for ch in _chapter_stream(rng):
+        yield _render_chapter(seed, protagonist, ch)
 
 
 def scan_world(context: str) -> list[dict]:
@@ -298,13 +322,16 @@ def gen_story(
         "story_multihop": 2,
     }[kind]
 
+    @functools.cache
     def build(count: int) -> TaskSample:
         return _build_sample(
             seed, kind, count, target_tokens, num_questions, num_no_purchase
         )
 
     if num_chapters is None:
-        num_chapters = _fit_chapter_count(build, minimum, target_tokens, tokenizer)
+        num_chapters = _fit_chapter_count(
+            build, _chapter_texts(seed), minimum, target_tokens, tokenizer
+        )
     if num_chapters < minimum:
         raise GenerationError(
             f"{kind} needs at least {minimum} chapters, got {num_chapters}"
@@ -315,16 +342,18 @@ def gen_story(
 def _build_sample(
     seed, kind, num_chapters, target_tokens, num_questions, num_no_purchase
 ) -> TaskSample:
-    rng = np.random.default_rng([seed, 1])
     if num_no_purchase:
         skip = frozenset(
             int(i) + 1
-            for i in rng.choice(num_chapters, size=num_no_purchase, replace=False)
+            for i in np.random.default_rng([seed, 3]).choice(
+                num_chapters, size=num_no_purchase, replace=False
+            )
         )
     else:
         skip = frozenset()
+    rng = np.random.default_rng([seed, 1])
     world = build_world(rng, num_chapters, no_purchase=skip)
-    context = render_world(rng, world)
+    context = render_world(seed, world)
     questions, gold, extras = _pose_questions(rng, world, kind, num_questions)
     return TaskSample(
         id=f"{kind}-s{seed}-t{target_tokens}",
@@ -388,29 +417,37 @@ def _pose_questions(rng, world: StoryWorld, kind: str, num_questions: int):
     )
 
 
-def _fit_chapter_count(build, minimum: int, target_tokens: int, tokenizer) -> int:
+def _fit_chapter_count(
+    build, chapter_texts, minimum: int, target_tokens: int, tokenizer
+) -> int:
     """Largest chapter count whose rendered prompt fits the token target.
 
-    Builds are deterministic in the count, and total length is monotone in
-    it (each chapter adds far more than question wording can vary), so a
-    bisection over full builds measures exactly what will be emitted.
+    Story text is prefix-stable, so each chapter after ``minimum`` adds
+    about its own token count to the prompt. One pass adds those counts to
+    the measured prompt of the ``minimum``-chapter sample and stops before
+    the target. Exact counts of full prompts then confirm the estimate:
+    step down while it overshoots, step up while one more chapter fits.
+    The confirmation makes the result exact for any tokenizer, additive or
+    not, and for no-purchase beats that ``chapter_texts`` does not carry.
+    ``build`` should cache by count; the confirmed sample is built once.
     """
 
     def total(count: int) -> int:
         return count_tokens(render_prompt(build(count)), tokenizer)
 
-    if total(minimum) > target_tokens:
+    used = total(minimum)
+    if used > target_tokens:
         raise GenerationError(
             f"target_tokens={target_tokens} cannot hold {minimum} chapters"
         )
-    lo = minimum
-    hi = max(minimum + 1, target_tokens // 120)
-    while total(hi) <= target_tokens:
-        lo, hi = hi, hi * 2
-    while hi - lo > 1:
-        mid = (lo + hi) // 2
-        if total(mid) <= target_tokens:
-            lo = mid
-        else:
-            hi = mid
-    return lo
+    count = minimum
+    for text in itertools.islice(chapter_texts, minimum, None):
+        used += count_tokens(text, tokenizer)
+        if used > target_tokens:
+            break
+        count += 1
+    while total(count) > target_tokens:
+        count -= 1
+    while total(count + 1) <= target_tokens:
+        count += 1
+    return count

@@ -1,6 +1,7 @@
 import csv
 import dataclasses
 import json
+import logging
 
 import numpy as np
 import pytest
@@ -122,6 +123,34 @@ def test_failed_records_are_retried(tmp_path):
     healed = run_suite(config, tmp_path)
     assert healed.new_records == 8
     assert all(r["status"] == "ok" for r in healed.records)
+
+
+def test_resume_after_torn_last_record(tmp_path, caplog):
+    config = small_config()
+    first = run_suite(config, tmp_path)
+    path = first.run_dir / "records.jsonl"
+    lines = path.read_text().splitlines(keepends=True)
+    path.write_text("".join(lines[:-1]) + lines[-1][: len(lines[-1]) // 2])
+    with caplog.at_level(logging.WARNING, logger="sparselab"):
+        again = run_suite(config, tmp_path)
+    assert "torn last line" in caplog.text
+    assert again.new_records == again.adapter_calls == 1
+    assert record_key(again.records[-1]) == record_key(first.records[-1])
+    redone = [json.loads(line) for line in path.read_text().splitlines()]
+    assert len(redone) == len(lines)
+    assert {record_key(r) for r in redone} == {record_key(r) for r in first.records}
+    assert not list(first.run_dir.glob("*.tmp"))
+
+
+def test_resume_rejects_bad_line_before_the_last(tmp_path):
+    config = small_config()
+    first = run_suite(config, tmp_path)
+    path = first.run_dir / "records.jsonl"
+    lines = path.read_text().splitlines(keepends=True)
+    lines[2] = lines[2][:10] + "\n"
+    path.write_text("".join(lines))
+    with pytest.raises(json.JSONDecodeError):
+        run_suite(config, tmp_path)
 
 
 def test_record_fields_and_sample_reuse(tmp_path):
@@ -347,6 +376,15 @@ def test_cli_plan_rejects_uncalibrated_level(method, length, level, message):
     assert result.exit_code == 2, result.output
     assert message in result.output
     assert "Traceback" not in result.output
+
+
+def test_cli_gen_reports_infeasible_target(tmp_path):
+    out = tmp_path / "qa.jsonl"
+    result = CliRunner().invoke(cli, ["gen", "--kind", "qa", "--out", str(out)])
+    assert result.exit_code == 1, result.output
+    assert "Error: insufficient distractor documents" in result.output
+    assert "Traceback" not in result.output
+    assert not out.exists()
 
 
 def test_cli_run_and_analyze(tmp_path):
