@@ -15,6 +15,8 @@ from collections import Counter
 from dataclasses import dataclass
 from typing import Sequence
 
+from .tasks.kinds import TABLE
+
 __all__ = [
     "ParsedResponse",
     "ScoreSummary",
@@ -35,7 +37,6 @@ _ANSWER_BLOCK = re.compile(r"<answer>(.*?)</answer>", re.DOTALL)
 _EXPLANATION_BLOCK = re.compile(r"<explanation>(.*?)</explanation>", re.DOTALL)
 _ARTICLES = frozenset({"a", "an", "the"})
 _PUNCT = re.compile(r"[^\w\s]")
-_NUMBERED = re.compile(r"^\s*(\d+)[.)]\s*(.*?)\s*$")
 
 
 @dataclass(frozen=True)
@@ -174,54 +175,21 @@ def absolute_error(dense_mean: float, sparse_mean: float) -> float:
     return dense_mean - sparse_mean
 
 
-def _numbered_items(text: str) -> list[str]:
-    """Answers listed one per line; numbering is honored when present."""
-    numbered: list[tuple[int, str]] = []
-    plain: list[str] = []
-    for line in text.splitlines():
-        line = line.strip()
-        if not line:
-            continue
-        match = _NUMBERED.match(line)
-        if match:
-            numbered.append((int(match.group(1)), match.group(2)))
-        else:
-            plain.append(line)
-    if numbered:
-        return [item for _, item in sorted(numbered, key=lambda kv: kv[0])]
-    return plain
-
-
-def _extract_value(item: str) -> str:
-    # "The answer for <key> is <value>." keeps only the value.
-    if " is " in item:
-        item = item.rsplit(" is ", 1)[1]
-    return item.rstrip(".")
+# Each metric compares the answer list a kind's reader returns with the gold
+# tuple; token F1 scores the one free-text answer.
+_METRICS = {
+    "exact_match": exact_match,
+    "iou": iou,
+    "f1": lambda answers, gold: f1(answers[0], gold[0]),
+}
 
 
 def score_response(sample, response: str) -> float:
-    """Scores a raw model response against a sample's gold answers using the
-    sample's metric. Accepts any object with kind/metric/gold attributes."""
+    """Scores a raw model response against a sample's gold answers: the
+    answer block is read by the kind's reader and compared with the metric
+    the sample names. Accepts any object with kind/metric/gold attributes."""
     parsed = parse_answer(response)
     if not parsed.parse_ok:
         return 0.0
-    text = parsed.answer_block
-    kind, gold = sample.kind, list(sample.gold)
-    if kind == "niah":
-        values = [_extract_value(item) for item in _numbered_items(text)]
-        return exact_match(values, gold)
-    if kind == "story_retrieval":
-        return exact_match(_numbered_items(text), gold)
-    if kind == "cwe":
-        return iou(_numbered_items(text), gold)
-    if kind == "vt":
-        return iou(text.split(), gold)
-    if kind == "story_filtering":
-        return iou([part for part in text.split(",")], gold)
-    if kind == "story_multihop":
-        return exact_match(text, gold[0])
-    if kind == "qa":
-        if sample.metric == "exact_match":
-            return exact_match(text, gold[0])
-        return f1(text, gold[0])
-    raise ValueError(f"unknown task kind {kind!r}")
+    answers = TABLE[sample.kind].read(parsed.answer_block)
+    return _METRICS[sample.metric](answers, sample.gold)

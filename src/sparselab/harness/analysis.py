@@ -58,10 +58,10 @@ def _group(records, key_fields: tuple[str, ...]) -> dict[tuple, list[float]]:
 
 def summary_rows(records, by_task: bool = False) -> list[dict]:
     fields = ("task",) * by_task + ("method", "sparsity", "seq_len")
+    groups = _group(records, fields)
     rows = []
-    for key in sorted(_group(records, fields)):
-        scores = _group(records, fields)[key]
-        summary = aggregate(scores)
+    for key in sorted(groups):
+        summary = aggregate(groups[key])
         row = dict(zip(fields, key))
         row.update(mean=summary.mean, std_error=summary.std_error, n=summary.n)
         rows.append(row)

@@ -1,4 +1,4 @@
-"""Command-line entry points: gen, plan, cost, run, analyze."""
+"""Command-line entry points: gen, plan, cost, calibration, run, analyze."""
 
 from __future__ import annotations
 
@@ -9,8 +9,14 @@ from pathlib import Path
 import click
 
 from ..costs import ParetoPoint, model_presets, pareto_frontier, sweep_rows, write_csv
-from ..patterns.calibration import METHOD_NAMES
-from ..synthetic import GENERATOR_NAMES
+from ..patterns import (
+    METHOD_NAMES,
+    build_plan,
+    calibration_entries,
+    plan_sparsity,
+    predicted_sparsity,
+)
+from ..synthetic import GENERATOR_NAMES, make_inputs
 from ..tasks import TASK_KINDS, GenerationError, generate, write_samples
 from .analysis import analyze as analyze_run
 from .config import load_config
@@ -140,6 +146,42 @@ def cost(models, lengths, densities, batch, out, frontier_csv) -> None:
     rows = sweep_rows(models, lengths, densities, batch_size=batch)
     write_csv(rows, out)
     click.echo(f"wrote {len(rows)} sweep rows to {out}")
+
+
+# Input-dependent rows are built and measured up to this length, which
+# keeps the command to a few seconds.
+_MEASURE_LIMIT = 16384
+_TOLERANCE = 0.03
+
+
+@main.command()
+def calibration() -> None:
+    """Target against achieved sparsity for every calibration row.
+
+    Rows with input-free cell counts are checked by arithmetic. Coverage-
+    driven flexprefill rows depend on the input, so they are built on a
+    clustered input and measured, up to 16384 tokens; longer ones are
+    reported as not measured. Rows more than 0.03 off their target are
+    flagged.
+    """
+    click.echo(f"{'method':<16}{'seq_len':>8}{'target':>9}{'achieved':>10}{'error':>9}  source")
+    worst = 0.0
+    for entry in calibration_entries():
+        row = f"{entry.method:<16}{entry.seq_len:>8}{entry.target_sparsity:>9.4f}"
+        report, source = predicted_sparsity(entry), "arithmetic"
+        if report is None:
+            if entry.seq_len > _MEASURE_LIMIT:
+                click.echo(f"{row}{'':>19}  not measured")
+                continue
+            inputs = make_inputs("clustered", entry.seq_len, seed=0)
+            plan = build_plan(entry, inputs)
+            report = plan_sparsity(plan, target_sparsity=entry.target_sparsity)
+            source = "measured"
+        error = abs(report.achieved_sparsity - entry.target_sparsity)
+        worst = max(worst, error)
+        flag = "  <-- off" if error > _TOLERANCE else ""
+        click.echo(f"{row}{report.achieved_sparsity:>10.4f}{error:>9.4f}  {source}{flag}")
+    click.echo(f"worst |achieved - target| = {worst:.4f}")
 
 
 @main.command()

@@ -1,7 +1,8 @@
 """Benchmark task generation: long-context samples with constructed gold."""
 
+from functools import partial
+
 from .base import (
-    METRIC_FOR_KIND,
     TASK_KINDS,
     GenerationError,
     TaskSample,
@@ -9,16 +10,15 @@ from .base import (
     write_samples,
 )
 from .cwe import count_listed_words, gen_cwe
+from .kinds import TABLE, TaskKind
 from .niah import gen_niah, scan_pairs
 from .prompt import (
-    PromptBundle,
-    bundle_for,
     format_reference_response,
     question_block,
     question_block_tokens,
     render_prompt,
 )
-from .qa import assemble_qa, make_demo_documents
+from .qa import assemble_qa, gen_qa, make_demo_documents
 from .story import Chapter, StoryWorld, gen_story, scan_world
 from .tokenization import DEFAULT_TOKENIZER, ApproxTokenizer, count_tokens
 from .vocab import load_words
@@ -29,18 +29,18 @@ __all__ = [
     "Chapter",
     "DEFAULT_TOKENIZER",
     "GenerationError",
-    "METRIC_FOR_KIND",
-    "PromptBundle",
     "StoryWorld",
+    "TABLE",
     "TASK_KINDS",
+    "TaskKind",
     "TaskSample",
     "assemble_qa",
-    "bundle_for",
     "count_listed_words",
     "count_tokens",
     "format_reference_response",
     "gen_cwe",
     "gen_niah",
+    "gen_qa",
     "gen_story",
     "gen_vt",
     "load_words",
@@ -56,25 +56,25 @@ __all__ = [
 ]
 
 
+_GENERATORS = {
+    "niah": gen_niah,
+    "cwe": gen_cwe,
+    "vt": gen_vt,
+    "story_retrieval": partial(gen_story, kind="story_retrieval"),
+    "story_filtering": partial(gen_story, kind="story_filtering"),
+    "story_multihop": partial(gen_story, kind="story_multihop"),
+    "qa": gen_qa,
+}
+
+
 def generate(kind: str, seed: int, target_tokens: int, **kwargs):
-    """Dispatch by task kind with each generator's defaults."""
-    if kind == "niah":
-        return gen_niah(seed, target_tokens=target_tokens, **kwargs)
-    if kind == "cwe":
-        return gen_cwe(seed, target_tokens=target_tokens, **kwargs)
-    if kind == "vt":
-        return gen_vt(seed, target_tokens=target_tokens, **kwargs)
-    if kind in ("story_retrieval", "story_filtering", "story_multihop"):
-        return gen_story(seed, kind=kind, target_tokens=target_tokens, **kwargs)
-    if kind == "qa":
-        docs = kwargs.pop("documents", None) or make_demo_documents(seed=seed)
-        index = kwargs.pop("answer_doc_index", 0)
-        doc = docs[index]
-        return assemble_qa(
-            docs, index, doc["question"], doc["answer"],
-            target_tokens=target_tokens, seed=seed, **kwargs,
-        )
-    raise ValueError(f"unknown task kind {kind!r}")
+    """One sample of ``kind`` from its generator, with that generator's
+    defaults for anything ``kwargs`` leaves out."""
+    try:
+        generator = _GENERATORS[kind]
+    except KeyError:
+        raise ValueError(f"unknown task kind {kind!r}") from None
+    return generator(seed, target_tokens=target_tokens, **kwargs)
 
 
 __all__.append("generate")

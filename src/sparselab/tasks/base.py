@@ -7,37 +7,17 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterable, Iterator
 
+from .kinds import TABLE
+
 __all__ = [
     "GenerationError",
-    "METRIC_FOR_KIND",
     "TASK_KINDS",
     "TaskSample",
     "read_samples",
     "write_samples",
 ]
 
-TASK_KINDS = (
-    "niah",
-    "cwe",
-    "vt",
-    "story_retrieval",
-    "story_filtering",
-    "story_multihop",
-    "qa",
-)
-
-# Needle retrieval and factoid tasks score per-answer equality; set-valued
-# tasks (word selection, variable sets, chapter ids) score set overlap; only
-# open-ended QA uses token F1.
-METRIC_FOR_KIND = {
-    "niah": "exact_match",
-    "cwe": "iou",
-    "vt": "iou",
-    "story_retrieval": "exact_match",
-    "story_filtering": "iou",
-    "story_multihop": "exact_match",
-    "qa": "f1",
-}
+TASK_KINDS = tuple(TABLE)
 
 
 class GenerationError(ValueError):
@@ -64,9 +44,7 @@ class TaskSample:
             raise ValueError("gold answers must be non-empty")
         if not self.questions:
             raise ValueError("questions must be non-empty")
-        expected = METRIC_FOR_KIND[self.kind]
-        allowed = {expected, "exact_match"} if self.kind == "qa" else {expected}
-        if self.metric not in allowed:
+        if self.metric not in TABLE[self.kind].metrics:
             raise ValueError(
                 f"metric {self.metric!r} not valid for kind {self.kind!r}"
             )

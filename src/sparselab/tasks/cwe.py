@@ -8,6 +8,7 @@ from collections import Counter
 import numpy as np
 
 from .base import GenerationError, TaskSample
+from .kinds import TABLE
 from .prompt import render_prompt
 from .tokenization import ApproxTokenizer, count_tokens
 from .vocab import load_words
@@ -71,7 +72,7 @@ def _sample(context, seed, target_tokens, gold, num_common,
         context=context,
         questions=(question,),
         gold=gold,
-        metric="iou",
+        metric=TABLE["cwe"].metric,
         target_tokens=target_tokens,
         seed=seed,
         extras={"num_common": num_common, "common_reps": common_reps,

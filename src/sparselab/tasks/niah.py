@@ -10,6 +10,7 @@ from __future__ import annotations
 import numpy as np
 
 from .base import GenerationError, TaskSample
+from .kinds import TABLE
 from .prompt import render_prompt
 from .tokenization import ApproxTokenizer, count_tokens
 from .vocab import load_words
@@ -86,7 +87,7 @@ def _sample_from(pairs, queried, context: str, seed: int, target_tokens: int) ->
         context=context,
         questions=(question,),
         gold=tuple(v for _, v in queried),
-        metric="exact_match",
+        metric=TABLE["niah"].metric,
         target_tokens=target_tokens,
         seed=seed,
         extras={"keys": keys, "num_pairs": len(pairs)},

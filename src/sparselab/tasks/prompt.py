@@ -3,28 +3,24 @@
 Every task shares one skeleton: a fixed preamble, a task-specific
 introduction, the question stated both before and after the context, a fixed
 instruction block, and task-specific answer-format and extra-instruction
-lines. Tasks that pose several questions at once (key extraction, story
-retrieval) use the plural wording and ``<questions>`` tags; all others use
-the singular form.
+lines. The task-specific parts come from the kind's row in ``kinds.TABLE``:
+kinds that pose several questions at once (key extraction, story retrieval)
+use the plural wording and ``<questions>`` tags; all others use the singular
+form.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .base import TaskSample
+from .kinds import TABLE
 from .tokenization import ApproxTokenizer, count_tokens
 
 __all__ = [
-    "PromptBundle",
-    "bundle_for",
     "format_reference_response",
     "question_block",
     "question_block_tokens",
     "render_prompt",
 ]
-
-PLURAL_KINDS = frozenset({"niah", "story_retrieval"})
 
 _SKELETON = """You are provided with a task introduction, context, and a question.
 
@@ -73,153 +69,28 @@ _PREFACE_PLURAL = (
     "Below are your questions. I will state them both before and after the context."
 )
 
-_STORY_INTRO = (
-    "You are given a narrative composed of multiple chapters. Throughout these "
-    "chapters, the protagonist travels between different locations, meets various "
-    "characters, and engages in trading activities. All items mentioned in the "
-    "narrative are unique, and their ownership can change through trades. Your "
-    "task is to carefully read the narrative and answer the questions based on "
-    "the provided information."
-)
-
-TASK_INTROS = {
-    "niah": (
-        "I will provide you with a document containing multiple key-value pairs.\n"
-        "Your task is to extract specific values associated with given keys."
-    ),
-    "cwe": (
-        "You will be given a numbered list of words. Your task is to identify "
-        "the most frequently occurring words. You should solve this task by "
-        "carefully reading and analyzing the word list. Do not attempt to write "
-        "code or use programming tools to count frequencies. This is a test of "
-        "your ability to track word frequencies directly."
-    ),
-    "vt": (
-        "I will provide you with a text containing variable assignments. "
-        "The text contains two types of assignments:\n"
-        '1. Numeric assignments that set a variable to a number (e.g., "VAR ABC = 12345")\n'
-        '2. Copy assignments that set a variable equal to another variable (e.g., "VAR XYZ = VAR ABC")\n'
-        "Variables are sequences of uppercase letters. The assignments can "
-        "appear in any order in the text."
-    ),
-    "story_retrieval": _STORY_INTRO,
-    "story_filtering": _STORY_INTRO,
-    "story_multihop": _STORY_INTRO,
-    "qa": (
-        "I will provide you with multiple documents and ask you a question "
-        "about one specific document."
-    ),
-}
-
-_ANSWER_FORMATS = {
-    "niah": (
-        "1. The answer for <key1> is <value1>.\n"
-        "2. The answer for <key2> is <value2>.\n"
-        "etc."
-    ),
-    "vt": "VARIABLE_ONE VARIABLE_TWO etc.",
-    "story_retrieval": "1. ANSWER_ONE\n2. ANSWER_TWO\netc.",
-    "story_filtering": "chapter_id_1, chapter_id_2, ...",
-    "story_multihop": "ITEM_NAME",
-    "qa": "Your answer here...",
-}
-
-_EXTRA_INSTRUCTIONS = {
-    "niah": (
-        "- Provide answers in the exact order of the requested keys\n"
-        '- Each answer must follow the format: "<number>. The answer for <key> is <value>."\n'
-        "- Ensure exact key matches - do not modify or paraphrase the keys\n"
-        "- Values must match exactly as they appear in the document"
-    ),
-    "vt": (
-        "- List ONLY the variable names that resolve to the target value.\n"
-        "- Variables can be listed in any order.\n"
-        '- Do not include "VAR" prefix in your answer. Do not include punctuation.'
-    ),
-    "story_retrieval": (
-        "- For answers, use one line per answer with the number prefix\n"
-        "- Do not include articles like 'the' or 'a' in answers\n"
-        "- Answers should be specific names/items/locations mentioned in the text"
-    ),
-    "story_filtering": (
-        "- In the answer section, provide only the chapter IDs separated by commas."
-    ),
-    "story_multihop": (
-        "- Provide only the item name in the answer section.\n"
-        "- Do not include articles like 'the' or 'a' in your answer.\n"
-        "- The item name must be exactly as mentioned in the text."
-    ),
-    "qa": (
-        "- Do not use complete sentences in the answer.\n"
-        "- For dates: Include ONLY the COMPLETE date if specifically asked.\n"
-        "- For locations: Use the shortest unambiguous form (e.g., 'New York' "
-        "not 'New York City').\n"
-        "- For comparisons: State ONLY the answer that matches the criteria"
-    ),
-}
-
-
-@dataclass(frozen=True)
-class PromptBundle:
-    task_intro: str
-    question: str
-    context: str
-    question_repeated: str
-    answer_format: str
-    extra_instructions: str
-
-    def __post_init__(self) -> None:
-        if self.question != self.question_repeated:
-            raise ValueError("question must be stated identically twice")
-
 
 def question_block(sample: TaskSample) -> str:
     """The text placed inside the question tags (numbered for multi-question
     kinds, verbatim otherwise)."""
-    if sample.kind == "story_retrieval":
+    if TABLE[sample.kind].numbered:
         return "\n".join(
             f"{i}. {q}" for i, q in enumerate(sample.questions, start=1)
         )
     return sample.questions[0]
 
 
-def _answer_format(sample: TaskSample) -> str:
-    if sample.kind == "cwe":
-        num = sample.extras.get("num_common", len(sample.gold))
-        return f"1. word_one\n2. word_two\n...\n{num}. word_ten"
-    return _ANSWER_FORMATS[sample.kind]
-
-
-def _extra_instructions(sample: TaskSample) -> str:
-    if sample.kind == "cwe":
-        num = sample.extras.get("num_common", len(sample.gold))
-        return f"- List exactly {num} words, one per line, numbered from 1 to {num}."
-    return _EXTRA_INSTRUCTIONS[sample.kind]
-
-
-def bundle_for(sample: TaskSample) -> PromptBundle:
-    question = question_block(sample)
-    return PromptBundle(
-        task_intro=TASK_INTROS[sample.kind],
-        question=question,
-        context=sample.context,
-        question_repeated=question,
-        answer_format=_answer_format(sample),
-        extra_instructions=_extra_instructions(sample),
-    )
-
-
 def render_prompt(sample: TaskSample) -> str:
-    bundle = bundle_for(sample)
-    plural = sample.kind in PLURAL_KINDS
+    kind = TABLE[sample.kind]
+    count = len(sample.gold)
     return _SKELETON.format(
-        task_intro=bundle.task_intro,
-        preface=_PREFACE_PLURAL if plural else _PREFACE_SINGULAR,
-        tag="questions" if plural else "question",
-        question=bundle.question,
-        context=bundle.context,
-        answer_format=bundle.answer_format,
-        extra_instructions=bundle.extra_instructions,
+        task_intro=kind.intro,
+        preface=_PREFACE_PLURAL if kind.plural else _PREFACE_SINGULAR,
+        tag="questions" if kind.plural else "question",
+        question=question_block(sample),
+        context=sample.context,
+        answer_format=kind.answer_format.format(count=count),
+        extra_instructions=kind.extra_instructions.format(count=count),
     )
 
 
@@ -233,28 +104,11 @@ def question_block_tokens(
 def format_reference_response(sample: TaskSample) -> str:
     """A response that scores 1.0: the gold answers in the requested format,
     wrapped in the explanation/answer structure. Used by the echo adapter."""
-    kind = sample.kind
-    if kind == "niah":
-        keys = sample.extras["keys"]
-        body = "\n".join(
-            f"{i}. The answer for {key} is {value}."
-            for i, (key, value) in enumerate(zip(keys, sample.gold), start=1)
-        )
-    elif kind in ("cwe", "story_retrieval"):
-        body = "\n".join(
-            f"{i}. {answer}" for i, answer in enumerate(sample.gold, start=1)
-        )
-    elif kind == "vt":
-        body = " ".join(sample.gold)
-    elif kind == "story_filtering":
-        body = ", ".join(sample.gold)
-    else:  # story_multihop, qa
-        body = sample.gold[0]
     return (
         "<explanation>\n"
         "Located the relevant lines in the context and read off the answer.\n"
         "</explanation>\n"
         "<answer>\n"
-        f"{body}\n"
+        f"{TABLE[sample.kind].write(sample)}\n"
         "</answer>"
     )

@@ -11,11 +11,12 @@ from __future__ import annotations
 import numpy as np
 
 from .base import GenerationError, TaskSample
+from .kinds import TABLE
 from .prompt import render_prompt
 from .tokenization import ApproxTokenizer, count_tokens
 from .vocab import load_words
 
-__all__ = ["ANSWER_DOC_TOKEN_LIMIT", "assemble_qa", "make_demo_documents"]
+__all__ = ["ANSWER_DOC_TOKEN_LIMIT", "assemble_qa", "gen_qa", "make_demo_documents"]
 
 ANSWER_DOC_TOKEN_LIMIT = 8000
 
@@ -31,7 +32,7 @@ def assemble_qa(
     gold: str,
     target_tokens: int = 16384,
     seed: int = 0,
-    metric: str = "f1",
+    metric: str = TABLE["qa"].metric,
     tokenizer: ApproxTokenizer | None = None,
 ) -> TaskSample:
     """Distractors that happen to contain the gold string are skipped so the
@@ -96,6 +97,27 @@ def _sample(docs, answer_number, question, gold, seed, target_tokens, metric,
         target_tokens=target_tokens,
         seed=seed,
         extras={"answer_document": answer_number, "num_documents": len(docs)},
+    )
+
+
+def gen_qa(
+    seed: int,
+    target_tokens: int = 16384,
+    documents: list[dict] | None = None,
+    answer_doc_index: int = 0,
+    metric: str = TABLE["qa"].metric,
+    tokenizer: ApproxTokenizer | None = None,
+) -> TaskSample:
+    """Asks the answer document's own question. Without ``documents`` the
+    demo corpus is used, one document per 100 target tokens and at least 40;
+    a demo document renders to about 140 tokens, so the corpus holds about
+    1.4 times the distractor text the target needs."""
+    if not documents:
+        documents = make_demo_documents(max(40, target_tokens // 100), seed=seed)
+    doc = documents[answer_doc_index]
+    return assemble_qa(
+        documents, answer_doc_index, doc["question"], doc["answer"],
+        target_tokens=target_tokens, seed=seed, metric=metric, tokenizer=tokenizer,
     )
 
 

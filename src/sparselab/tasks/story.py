@@ -18,6 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .base import GenerationError, TaskSample
+from .kinds import TABLE
 from .prompt import render_prompt
 from .tokenization import ApproxTokenizer, count_tokens
 
@@ -156,6 +157,9 @@ _ITEM_PATTERNS = (
 )
 _RELINQUISH_PATTERN = r"handed over ([a-z][a-z ]+?) to [A-Z]"
 
+# Every acquired item is unique, so a world has at most this many purchases.
+ITEM_LIMIT = len(ITEM_ADJECTIVES) * len(ITEM_MATERIALS) * len(ITEM_OBJECTS)
+
 
 @dataclass(frozen=True)
 class Chapter:
@@ -181,7 +185,7 @@ class StoryWorld:
 def _item_stream(rng: np.random.Generator):
     """Every item name once, in an order drawn from ``rng`` up front."""
     shape = (len(ITEM_ADJECTIVES), len(ITEM_MATERIALS), len(ITEM_OBJECTS))
-    order = np.unravel_index(rng.permutation(np.prod(shape)), shape)
+    order = np.unravel_index(rng.permutation(ITEM_LIMIT), shape)
     return (
         f"{ITEM_ADJECTIVES[a]} {ITEM_MATERIALS[m]} {ITEM_OBJECTS[o]}"
         for a, m, o in zip(*order)
@@ -209,7 +213,12 @@ def _chapter_stream(
         location = _pick(rng, LOCATIONS, avoid=prev_loc)
         character = _pick(rng, CHARACTERS, avoid=prev_char)
         event = _pick(rng, EVENTS)
-        acquired = None if index in no_purchase else next(items)
+        acquired = None if index in no_purchase else next(items, None)
+        if acquired is None and index not in no_purchase:
+            raise GenerationError(
+                f"a story world runs out of items after {ITEM_LIMIT} chapters "
+                "with a purchase"
+            )
         relinquished = None
         if owned and rng.random() < relinquish_rate:
             relinquished = owned.pop(int(rng.integers(0, len(owned))))
@@ -361,7 +370,7 @@ def _build_sample(
         context=context,
         questions=questions,
         gold=gold,
-        metric="exact_match" if kind != "story_filtering" else "iou",
+        metric=TABLE[kind].metric,
         target_tokens=target_tokens,
         seed=seed,
         extras={"num_chapters": num_chapters, **extras},

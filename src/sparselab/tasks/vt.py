@@ -7,6 +7,7 @@ import re
 import numpy as np
 
 from .base import GenerationError, TaskSample
+from .kinds import TABLE
 from .prompt import render_prompt
 from .tokenization import ApproxTokenizer, count_tokens
 
@@ -99,7 +100,7 @@ def _sample(context, seed, target_tokens, value, gold, num_chains, chain_depth) 
         context=context,
         questions=(question,),
         gold=gold,
-        metric="iou",
+        metric=TABLE["vt"].metric,
         target_tokens=target_tokens,
         seed=seed,
         extras={"target_value": value, "num_chains": num_chains,

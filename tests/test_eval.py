@@ -1,5 +1,6 @@
 import math
 import random
+from dataclasses import replace
 
 import pytest
 from hypothesis import given, strategies as st
@@ -184,6 +185,29 @@ def test_reference_response_scores_one(kind):
     assert score_response(sample, format_reference_response(sample)) == 1.0
     assert score_response(sample, "free text with no tags") == 0.0
     assert score_response(sample, "<answer>implausible wrong answer</answer>") < 0.5
+
+
+@pytest.mark.parametrize("kind", TASK_KINDS)
+def test_reference_without_last_item_scores_partial_credit(kind):
+    # exact match and IoU both give (k-1)/k for k gold items with one left
+    # out; a one-answer kind is left with an empty body, which scores 0
+    for seed in range(3):
+        sample = generate(kind, seed=seed, target_tokens=SMALL_TOKENS[kind])
+        k = len(sample.gold)
+        if k == 1:
+            response = "<explanation>\nnone\n</explanation>\n<answer>\n\n</answer>"
+        else:
+            response = format_reference_response(replace(sample, gold=sample.gold[:-1]))
+        assert score_response(sample, response) == pytest.approx((k - 1) / k)
+
+
+@pytest.mark.parametrize("metric, expected", [("f1", 2 / 3), ("exact_match", 0.0)])
+def test_qa_scores_with_the_callers_metric(metric, expected):
+    sample = generate("qa", seed=4, target_tokens=3000, metric=metric)
+    assert sample.metric == metric
+    assert score_response(sample, format_reference_response(sample)) == 1.0
+    padded = f"<answer>{sample.gold[0]} AD</answer>"
+    assert score_response(sample, padded) == pytest.approx(expected)
 
 
 def test_score_response_partial_credit_iou():

@@ -30,6 +30,8 @@ from sparselab.patterns import (
     build_block_sparse,
     build_flexprefill,
     build_vertical_slash,
+    calibration_entries,
+    predicted_sparsity,
     quest_plan,
     snapkv_compress,
 )
@@ -379,12 +381,41 @@ def test_cli_plan_rejects_uncalibrated_level(method, length, level, message):
 
 
 def test_cli_gen_reports_infeasible_target(tmp_path):
-    out = tmp_path / "qa.jsonl"
-    result = CliRunner().invoke(cli, ["gen", "--kind", "qa", "--out", str(out)])
+    out = tmp_path / "story.jsonl"
+    result = CliRunner().invoke(
+        cli,
+        ["gen", "--kind", "story_retrieval", "--target-tokens", "1500", "--out", str(out)],
+    )
     assert result.exit_code == 1, result.output
-    assert "Error: insufficient distractor documents" in result.output
+    assert "Error: target_tokens=1500 cannot hold 16 chapters" in result.output
     assert "Traceback" not in result.output
     assert not out.exists()
+
+
+def test_cli_calibration_reports_every_row():
+    result = CliRunner().invoke(cli, ["calibration"])
+    assert result.exit_code == 0, result.output
+    lines = result.output.splitlines()
+    assert lines[-1].startswith("worst |achieved - target| = ")
+    rows = lines[1:-1]
+    entries = calibration_entries()
+    assert len(rows) == len(entries)
+    for entry, line in zip(entries, rows):
+        fields = line.split()
+        assert fields[:3] == [entry.method, str(entry.seq_len), f"{entry.target_sparsity:.4f}"]
+        predicted = predicted_sparsity(entry)
+        if predicted is None and entry.seq_len > 16384:
+            assert fields[3:] == ["not", "measured"]
+            continue
+        achieved, error = float(fields[3]), float(fields[4])
+        assert error == pytest.approx(abs(achieved - entry.target_sparsity), abs=2e-4)
+        if predicted is not None:
+            assert fields[5] == "arithmetic"
+            assert achieved == pytest.approx(predicted.achieved_sparsity, abs=1e-4)
+        else:
+            assert fields[5] == "measured"
+        assert (fields[6:] == ["<--", "off"]) == (error > 0.03)
+    assert any(line.endswith("measured  <-- off") for line in rows)
 
 
 def test_cli_run_and_analyze(tmp_path):

@@ -8,7 +8,7 @@ from sparselab.tasks import (
     ApproxTokenizer,
     DEFAULT_TOKENIZER,
     GenerationError,
-    METRIC_FOR_KIND,
+    TABLE,
     TASK_KINDS,
     assemble_qa,
     count_listed_words,
@@ -212,6 +212,11 @@ def test_story_fit_exact_for_non_additive_tokenizer(kind):
         _assert_largest_fit(sample, 6000, tokenizer)
 
 
+def test_story_item_limit_raises_generation_error():
+    with pytest.raises(GenerationError, match="4608 chapters"):
+        gen_story(0, "story_multihop", num_chapters=4700, target_tokens=600000)
+
+
 def test_story_too_small_target_raises():
     with pytest.raises(GenerationError):
         gen_story(0, "story_retrieval", target_tokens=1500)
@@ -255,9 +260,7 @@ def test_generation_deterministic(kind):
 
 @pytest.mark.parametrize("kind", TASK_KINDS)
 def test_prompt_length_band(kind):
-    # the bundled qa corpus holds ~6k tokens of distractors
-    targets = (3000, 6000) if kind == "qa" else (4500, 8000)
-    for target in targets:
+    for target in (4500, 8000, 16000):
         sample = generate(kind, seed=2, target_tokens=target)
         tokens = count_tokens(render_prompt(sample))
         assert 0.95 * target <= tokens <= target
@@ -271,7 +274,7 @@ def test_prompt_structure(kind):
     assert "<answer>" in prompt
     for question in sample.questions:
         assert prompt.count(question) == 2
-    assert sample.metric == METRIC_FOR_KIND[kind]
+    assert sample.metric == TABLE[kind].metric
     assert sample.gold
 
 
