@@ -36,8 +36,9 @@ __all__ = [
     "decode_step",
 ]
 
-# Query rows per prefill tile.  Equal to the block-sparse BLOCK_SIZE and the
-# Quest PAGE_SIZE, so a block plan's tile reads exactly its chosen key blocks.
+# Query rows per prefill tile.  The block-sparse BLOCK_SIZE and the Quest
+# PAGE_SIZE are this size, so a block plan's tile reads exactly its chosen
+# key blocks.
 TILE_ROWS = 16
 
 

@@ -14,12 +14,15 @@ import numpy as np
 
 from ..attention import AttentionInputs, CellMask, _stable_softmax, row_logsumexp
 from .plans import (
+    BLOCK_SIZE,
+    PAGE_SIZE,
     BlockPlan,
     EvictionPlan,
     PagePlan,
     SparsePlan,
     SparsityReport,
     VerticalSlashPlan,
+    span_lengths,
 )
 
 __all__ = [
@@ -50,33 +53,26 @@ def vertical_slash_cells(verticals: np.ndarray, slashes: np.ndarray, n: int) -> 
 
 
 def block_plan_cells(plan: BlockPlan) -> int:
-    """Exact cell count; selection-independent except through block ids."""
-    bs, n = plan.block_size, plan.seq_len
-    total = 0
-    for head in plan.selections:
-        for b, blocks in enumerate(head):
-            rows = min(bs, n - b * bs)
-            for c in blocks.tolist():
-                if c == b:
-                    total += rows * (rows + 1) // 2
-                else:
-                    total += rows * min(bs, n - c * bs)
-    return total
+    """Exact cell count.  Only the last block can be short, and it is only
+    ever a diagonal, so every off-diagonal key block is full width: query
+    block b with r_b rows reads r_b * BLOCK_SIZE cells per off-diagonal key
+    block and r_b (r_b + 1) / 2 in its diagonal one."""
+    rows = span_lengths(np.arange(plan.num_query_blocks), plan.seq_len)
+    diag = np.diagonal(plan.selections, axis1=1, axis2=2)
+    off_diag = np.count_nonzero(plan.selections, axis=2) - diag
+    return int((rows * BLOCK_SIZE * off_diag + diag * (rows * (rows + 1) // 2)).sum())
 
 
-def block_budget_cells(seq_len: int, top_k_blocks: int, block_size: int = 16) -> int:
+def block_budget_cells(seq_len: int, top_k_blocks: int) -> int:
     """Cells computed per head at a given block budget, independent of which
     blocks score highest: query block b always selects min(k, b+1) blocks,
     one of them diagonal, and every off-diagonal key block is full width."""
     if top_k_blocks < 2:
         raise ValueError("top_k_blocks must be at least 2")
-    num_blocks = -(-seq_len // block_size)
-    total = 0
-    for b in range(num_blocks):
-        rows = min(block_size, seq_len - b * block_size)
-        k_eff = min(top_k_blocks, b + 1)
-        total += rows * (rows + 1) // 2 + (k_eff - 1) * rows * block_size
-    return total
+    ids = np.arange(-(-seq_len // BLOCK_SIZE))
+    rows = span_lengths(ids, seq_len)
+    off_diag = np.minimum(top_k_blocks, ids + 1) - 1
+    return int((rows * (rows + 1) // 2 + off_diag * rows * BLOCK_SIZE).sum())
 
 
 def plan_sparsity(plan: SparsePlan, target_sparsity: float | None = None) -> SparsityReport:
@@ -94,12 +90,9 @@ def plan_sparsity(plan: SparsePlan, target_sparsity: float | None = None) -> Spa
         computed = sum(plan.kept_counts)
         causal = plan.num_heads * plan.seq_len
     elif isinstance(plan, PagePlan):
+        # selected pages never start past the current token
         cached = plan.position + 1
-        computed = 0
-        for pages in plan.selected:
-            for p in pages.tolist():
-                start, end = plan.index.page_token_range(p, cached)
-                computed += max(0, end - start)
+        computed = sum(int(span_lengths(pages, cached).sum()) for pages in plan.selected)
         causal = plan.num_heads * cached
     else:
         raise TypeError(f"unsupported plan type {type(plan).__name__}")
@@ -118,11 +111,8 @@ def _plan_mask_matrix(plan: SparsePlan, head: int, group_map: tuple[int, ...]) -
         raise TypeError(f"no full-mask view for {type(plan).__name__}")
     n = plan.seq_len
     if isinstance(plan, BlockPlan):
-        bs, nb = plan.block_size, plan.num_query_blocks
-        chosen = np.zeros((nb, nb), dtype=bool)
-        for b, blocks in enumerate(plan.selections[head]):
-            chosen[b, blocks] = True
-        full = chosen.repeat(bs, axis=0).repeat(bs, axis=1)[:n, :n]
+        chosen = plan.selections[head]
+        full = chosen.repeat(BLOCK_SIZE, axis=0).repeat(BLOCK_SIZE, axis=1)[:n, :n]
     else:
         # vertical lines and kept tokens are whole key columns
         if isinstance(plan, VerticalSlashPlan):
@@ -159,13 +149,11 @@ def to_cell_mask(plan: SparsePlan, group_map: tuple[int, ...] | None = None) -> 
 
 def page_plan_rows(plan: PagePlan, group_map: tuple[int, ...]) -> list[np.ndarray]:
     """Per query-head permitted token indices for the plan's decode step."""
-    cached = plan.position + 1
+    offsets = np.arange(PAGE_SIZE)
     per_kv = []
     for pages in plan.selected:
-        spans = [
-            np.arange(*plan.index.page_token_range(p, cached)) for p in pages.tolist()
-        ]
-        per_kv.append(np.concatenate(spans) if spans else np.empty(0, dtype=np.int64))
+        tokens = (pages[:, None] * PAGE_SIZE + offsets).ravel()
+        per_kv.append(tokens[tokens <= plan.position])
     return [per_kv[g] for g in group_map]
 
 

@@ -12,7 +12,11 @@ from typing import Union
 
 import numpy as np
 
+from ..attention import TILE_ROWS
+
 __all__ = [
+    "BLOCK_SIZE",
+    "PAGE_SIZE",
     "VerticalSlashPlan",
     "BlockPlan",
     "EvictionPlan",
@@ -20,7 +24,18 @@ __all__ = [
     "PagePlan",
     "SparsePlan",
     "SparsityReport",
+    "span_lengths",
 ]
+
+# Blocks and pages are one prefill tile long, so the tile loop reads exactly
+# the key blocks a block plan chose.
+BLOCK_SIZE = PAGE_SIZE = TILE_ROWS
+
+
+def span_lengths(ids: np.ndarray, n: int) -> np.ndarray:
+    """Tokens of each block (or page) in ``ids`` within the first n tokens:
+    BLOCK_SIZE for all but a partial last one."""
+    return np.minimum(BLOCK_SIZE, n - BLOCK_SIZE * np.asarray(ids, dtype=np.int64))
 
 
 def _sorted_unique(arr: np.ndarray) -> np.ndarray:
@@ -56,33 +71,47 @@ class VerticalSlashPlan:
 
 @dataclass(frozen=True)
 class BlockPlan:
-    """Per query-head, per query-block selections of key-block indices."""
+    """Key blocks each query block reads: ``selections[h, b, c]`` lets query
+    block b of head h read key block c.
 
-    selections: tuple[tuple[np.ndarray, ...], ...]
-    block_size: int
+    ``selections`` is a boolean [num_heads, nb, nb] array over the nb
+    ``BLOCK_SIZE``-token blocks of the sequence (the last may be short).
+    Every query block reads at least one key block and none after its own.
+    """
+
+    selections: np.ndarray
     seq_len: int
-    requested_top_k: int
     clamped: bool = False
 
     def __post_init__(self) -> None:
-        cleaned = tuple(
-            tuple(_sorted_unique(blocks) for blocks in head) for head in self.selections
-        )
-        object.__setattr__(self, "selections", cleaned)
-        for head in self.selections:
-            if len(head) != self.num_query_blocks:
-                raise ValueError("each head must select for every query block")
-            for b, blocks in enumerate(head):
-                if blocks.size == 0 or blocks[0] < 0 or blocks[-1] > b:
-                    raise ValueError(f"query block {b} selects non-causal key block")
+        sel = self.selections
+        if not isinstance(sel, np.ndarray) or sel.dtype != bool:
+            raise ValueError("block selections must be a boolean ndarray")
+        nb = self.num_query_blocks
+        if sel.ndim != 3 or sel.shape[1:] != (nb, nb):
+            raise ValueError(
+                f"block selections must be [heads, {nb}, {nb}] at seq_len {self.seq_len}, "
+                f"got shape {sel.shape}"
+            )
+        ahead = sel & ~np.tri(nb, dtype=bool)
+        if ahead.any():
+            h, b, c = np.argwhere(ahead)[0]
+            raise ValueError(f"head {h} query block {b} selects non-causal key block {c}")
+        empty = np.argwhere(~sel.any(axis=2))
+        if empty.size:
+            raise ValueError(f"head {empty[0, 0]} query block {empty[0, 1]} selects no key block")
+
+    @property
+    def block_size(self) -> int:
+        return BLOCK_SIZE
 
     @property
     def num_heads(self) -> int:
-        return len(self.selections)
+        return self.selections.shape[0]
 
     @property
     def num_query_blocks(self) -> int:
-        return -(-self.seq_len // self.block_size)
+        return -(-self.seq_len // BLOCK_SIZE)
 
 
 @dataclass(frozen=True)
@@ -114,37 +143,30 @@ class EvictionPlan:
 
 @dataclass(frozen=True)
 class PageIndex:
-    """Per kv-head elementwise min/max key representatives per page."""
+    """Elementwise min/max key representatives of every ``PAGE_SIZE``-token
+    page: ``mins`` and ``maxs`` are [num_kv_heads, num_pages, head_dim]."""
 
-    mins: tuple[np.ndarray, ...]
-    maxs: tuple[np.ndarray, ...]
-    page_size: int
+    mins: np.ndarray
+    maxs: np.ndarray
     seq_len: int
 
     def __post_init__(self) -> None:
-        if len(self.mins) != len(self.maxs):
-            raise ValueError("mins and maxs must cover the same heads")
-        for lo, hi in zip(self.mins, self.maxs):
-            if lo.shape != hi.shape:
-                raise ValueError("page min/max representative shapes must match")
-            if lo.shape[0] != self.num_pages:
-                raise ValueError("one representative pair per page required")
+        if self.mins.ndim != 3 or self.mins.shape != self.maxs.shape:
+            raise ValueError("page mins and maxs must be matching [heads, pages, head_dim] arrays")
+        if self.mins.shape[1] != self.num_pages:
+            raise ValueError("one representative pair per page required")
+
+    @property
+    def page_size(self) -> int:
+        return PAGE_SIZE
 
     @property
     def num_heads(self) -> int:
-        return len(self.mins)
+        return self.mins.shape[0]
 
     @property
     def num_pages(self) -> int:
-        return -(-self.seq_len // self.page_size)
-
-    def page_token_range(self, page: int, limit: int | None = None) -> tuple[int, int]:
-        """[start, end) token span of a page, optionally clipped to limit."""
-        start = page * self.page_size
-        end = min(start + self.page_size, self.seq_len)
-        if limit is not None:
-            end = min(end, limit)
-        return start, end
+        return -(-self.seq_len // PAGE_SIZE)
 
 
 @dataclass(frozen=True)
@@ -160,7 +182,7 @@ class PagePlan:
         object.__setattr__(self, "selected", tuple(_sorted_unique(s) for s in self.selected))
         if len(self.selected) != self.index.num_heads:
             raise ValueError("one page selection per kv head required")
-        current = self.position // self.index.page_size
+        current = self.position // PAGE_SIZE
         for pages in self.selected:
             if pages.size == 0 or pages[0] < 0 or pages[-1] > current:
                 raise ValueError("selected pages must lie in [0, current page]")
@@ -187,4 +209,3 @@ class SparsityReport:
     computed_cells: int
     causal_cells: int
     target_sparsity: float | None = None
-    recall: float | None = None

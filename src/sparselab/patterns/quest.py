@@ -13,33 +13,28 @@ import numpy as np
 
 from ..attention import AttentionInputs, default_group_map
 from .accounting import ranked_keep
-from .plans import PageIndex, PagePlan
+from .plans import PAGE_SIZE, PageIndex, PagePlan
 
 __all__ = ["PAGE_SIZE", "quest_index", "quest_select", "quest_plan"]
 
-PAGE_SIZE = 16
 
-
-def quest_index(keys: np.ndarray, page_size: int = PAGE_SIZE) -> PageIndex:
+def quest_index(keys: np.ndarray) -> PageIndex:
     """Build per-page min/max key representatives for every kv head.
 
     keys: [num_kv_heads, seq_len, head_dim].  The final page may be partial.
     """
     if keys.ndim != 3:
         raise ValueError("keys must be [num_kv_heads, seq_len, head_dim]")
-    if page_size < 1:
-        raise ValueError(f"page_size must be at least 1, got {page_size}")
-    num_kv, n, _ = keys.shape
+    n = keys.shape[1]
     if n < 1:
         raise ValueError("at least one key required")
-    starts = range(0, n, page_size)
-    mins = []
-    maxs = []
-    for g in range(num_kv):
-        head = np.asarray(keys[g], dtype=np.float64)
-        mins.append(np.stack([head[s : s + page_size].min(axis=0) for s in starts]))
-        maxs.append(np.stack([head[s : s + page_size].max(axis=0) for s in starts]))
-    return PageIndex(mins=tuple(mins), maxs=tuple(maxs), page_size=page_size, seq_len=n)
+    keys = np.asarray(keys, dtype=np.float64)
+    starts = np.arange(0, n, PAGE_SIZE)
+    return PageIndex(
+        mins=np.minimum.reduceat(keys, starts, axis=1),
+        maxs=np.maximum.reduceat(keys, starts, axis=1),
+        seq_len=n,
+    )
 
 
 def page_upper_bounds(query_row: np.ndarray, mins: np.ndarray, maxs: np.ndarray) -> np.ndarray:
@@ -65,13 +60,14 @@ def quest_select(
 
     query_rows: [num_q_heads, head_dim], the current step's query for every
     query head.  Page scores are max-aggregated over each kv head's query
-    group.  floor(token_budget / page_size) pages are kept per kv head, the
+    group.  floor(token_budget / PAGE_SIZE) pages are kept per kv head, the
     current token's page forced; a budget covering every cached token keeps
     all pages even when the final page is partial.
     """
-    p = index.page_size
-    if token_budget < p:
-        raise ValueError(f"token_budget must be at least one page ({p}), got {token_budget}")
+    if token_budget < PAGE_SIZE:
+        raise ValueError(
+            f"token_budget must be at least one page ({PAGE_SIZE}), got {token_budget}"
+        )
     if query_rows.ndim != 2:
         raise ValueError("query_rows must be [num_q_heads, head_dim]")
     if position is None:
@@ -84,9 +80,9 @@ def quest_select(
     if len(group_map) != num_q:
         raise ValueError("group_map must assign every query head")
 
-    current = position // p
+    current = position // PAGE_SIZE
     valid = current + 1  # pages whose first token is cached at this step
-    num_pick = min(valid, token_budget // p)
+    num_pick = min(valid, token_budget // PAGE_SIZE)
     if token_budget >= position + 1:
         num_pick = valid
 
@@ -106,13 +102,12 @@ def quest_select(
 def quest_plan(
     inputs: AttentionInputs,
     token_budget: int,
-    page_size: int = PAGE_SIZE,
     position: int | None = None,
 ) -> PagePlan:
     """Index the keys and select pages for the query at ``position``."""
     if position is None:
         position = inputs.seq_len - 1
-    index = quest_index(np.asarray(inputs.keys), page_size=page_size)
+    index = quest_index(np.asarray(inputs.keys))
     rows = np.asarray(inputs.queries)[:, position, :]
     return quest_select(
         index, rows, token_budget, position=position, group_map=inputs.group_map

@@ -10,12 +10,10 @@ import numpy as np
 from .base import GenerationError, TaskSample
 from .kinds import TABLE
 from .prompt import render_prompt
-from .tokenization import ApproxTokenizer, count_tokens
+from .tokenization import ApproxTokenizer, count_tokens, units_within
 from .vocab import load_words
 
 __all__ = ["count_listed_words", "gen_cwe"]
-
-_LINE_TOKENS = 3  # "7", ".", word
 
 
 def gen_cwe(
@@ -33,7 +31,7 @@ def gen_cwe(
 
     probe = _sample("", seed, target_tokens, ("placeholder",) * num_common, num_common)
     overhead = count_tokens(render_prompt(probe), tokenizer)
-    budget_lines = (target_tokens - overhead) // _LINE_TOKENS
+    budget_lines = units_within(target_tokens - overhead, f"1. {words[0]}", tokenizer)
     common_lines = num_common * common_reps
     num_rare = (budget_lines - common_lines) // rare_reps
     if num_rare < 1:

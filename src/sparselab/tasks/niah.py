@@ -12,14 +12,13 @@ import numpy as np
 from .base import GenerationError, TaskSample
 from .kinds import TABLE
 from .prompt import render_prompt
-from .tokenization import ApproxTokenizer, count_tokens
+from .tokenization import ApproxTokenizer, count_tokens, units_within
 from .vocab import load_words
 
 __all__ = ["NUM_QUERIES", "gen_niah", "scan_pairs"]
 
 NUM_QUERIES = 4
 _WORDS_PER_STRING = 3
-_PAIR_TOKENS = 16  # "The value for" + 5 + "is :" + 5 + "."
 
 
 def _hyphenated(rng: np.random.Generator, words: tuple[str, ...], used: set) -> str:
@@ -58,12 +57,12 @@ def gen_niah(
     # so a same-shape probe measures the non-context template exactly.
     probe = _sample_from(pairs, pairs[:NUM_QUERIES], "", seed, target_tokens)
     overhead = count_tokens(render_prompt(probe), tokenizer)
-    budget = target_tokens - overhead
-    if budget < num_pairs * _PAIR_TOKENS:
+    capacity = units_within(target_tokens - overhead, _pair_line(*pairs[0]), tokenizer)
+    if capacity < num_pairs:
         raise GenerationError(
             f"target_tokens={target_tokens} cannot hold {num_pairs} pairs"
         )
-    while (len(pairs) + 1) * _PAIR_TOKENS <= budget:
+    while len(pairs) < capacity:
         pairs.append(
             (_hyphenated(rng, words, used), _hyphenated(rng, words, used))
         )

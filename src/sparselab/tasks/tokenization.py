@@ -13,9 +13,14 @@ import math
 import re
 from dataclasses import dataclass
 
-__all__ = ["ApproxTokenizer", "DEFAULT_TOKENIZER", "count_tokens"]
+__all__ = ["ApproxTokenizer", "DEFAULT_TOKENIZER", "count_tokens", "units_within"]
 
 _UNIT = re.compile(r"\w+|[^\w\s]")
+
+# Copies of a repeated unit priced together, which prices each copy within
+# 1/20 of a token; one copy rounded up alone would price a 2.4-token line at
+# 3 and fill only 80 % of the budget.
+_PRICE_RUN = 20
 
 
 @dataclass(frozen=True)
@@ -43,3 +48,10 @@ DEFAULT_TOKENIZER = ApproxTokenizer()
 
 def count_tokens(text: str, tokenizer: ApproxTokenizer | None = None) -> int:
     return (tokenizer or DEFAULT_TOKENIZER).count(text)
+
+
+def units_within(budget: int, unit: str, tokenizer: ApproxTokenizer | None = None) -> int:
+    """How many newline-joined copies of ``unit`` fit in ``budget`` tokens,
+    pricing each copy at the cost of a run of them."""
+    run = count_tokens("\n".join([unit] * _PRICE_RUN), tokenizer)
+    return budget * _PRICE_RUN // run

@@ -9,7 +9,7 @@ import numpy as np
 from .base import GenerationError, TaskSample
 from .kinds import TABLE
 from .prompt import render_prompt
-from .tokenization import ApproxTokenizer, count_tokens
+from .tokenization import ApproxTokenizer, count_tokens, units_within
 
 __all__ = ["FILLER", "gen_vt", "resolve_variables"]
 
@@ -17,7 +17,6 @@ FILLER = (
     "The grass is green. The sky is blue. The sun is yellow. "
     "Here we go. There and back again."
 )
-_FILLER_TOKENS = 24
 _NAME_LETTERS = "ABCDEFGHIJKLMNOPQRSTUVWXYZ"
 
 _NUMERIC = re.compile(r"^VAR ([A-Z]+) = (\d+)$", re.MULTILINE)
@@ -70,13 +69,13 @@ def gen_vt(
     probe = _sample("", seed, target_tokens, target_value, tuple(sorted(target_members)),
                     num_chains, chain_depth)
     overhead = count_tokens(render_prompt(probe), tokenizer)
-    line_tokens = sum(count_tokens(line) for line in lines)
+    line_tokens = count_tokens("\n".join(lines), tokenizer)
     budget = target_tokens - overhead - line_tokens
     if budget < 0:
         raise GenerationError(
             f"target_tokens={target_tokens} too small for {len(lines)} assignments"
         )
-    chunks = budget // _FILLER_TOKENS
+    chunks = units_within(budget, FILLER, tokenizer)
     gaps = len(lines) + 1
     base, extra = divmod(chunks, gaps)
     parts: list[str] = []

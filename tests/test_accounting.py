@@ -5,6 +5,8 @@ from hypothesis import strategies as st
 
 from sparselab.patterns import (
     BLOCK_SIZE,
+    PAGE_SIZE,
+    BlockPlan,
     FORCED_FIRST,
     FORCED_LOCAL,
     FORCED_PREFIX,
@@ -16,6 +18,7 @@ from sparselab.patterns import (
     build_vertical_slash,
     calibration_entries,
     lookup,
+    page_plan_rows,
     plan_sparsity,
     predicted_sparsity,
     quest_plan,
@@ -56,6 +59,27 @@ def test_vertical_slash_cells_vs_enumeration(seed, n):
     assert vertical_slash_cells(v, s, n) == brute_force_vs_cells(v.tolist(), s.tolist(), n)
 
 
+def brute_force_block_cells(selections, n):
+    """Causal cells of a block bitmap, counted one query row at a time."""
+    total = 0
+    for head in selections:
+        for b, c in zip(*np.nonzero(head)):
+            for i in range(b * BLOCK_SIZE, min((b + 1) * BLOCK_SIZE, n)):
+                total += len(range(c * BLOCK_SIZE, min((c + 1) * BLOCK_SIZE, i + 1)))
+    return total
+
+
+def random_block_bitmap(rng, heads, n, diagonal):
+    """A random causal block bitmap with every diagonal block kept or, where
+    the row has another block, every one dropped."""
+    nb = -(-n // BLOCK_SIZE)
+    ids = np.arange(nb)
+    sel = np.tril(rng.random((heads, nb, nb)) < 0.4)
+    sel[:, ids, ids] = diagonal
+    sel[:, :, 0] |= ~sel.any(axis=2)
+    return sel
+
+
 @settings(deadline=None, max_examples=30)
 @given(seed=st.integers(0, 10_000), n=st.integers(1, 200), kv=st.sampled_from([1, 2]))
 @example(seed=0, n=1, kv=1)
@@ -64,7 +88,9 @@ def test_vertical_slash_cells_vs_enumeration(seed, n):
 @example(seed=3, n=200, kv=2)
 def test_plan_sparsity_matches_mask_cell_count(seed, n, kv):
     """Closed-form cell counts against the stacked bitmap, at sizes below
-    the forced windows and with a partial last block."""
+    the forced windows and with a partial last block.  Hand-built block
+    bitmaps, with and without their diagonal blocks, are also counted by
+    plain enumeration."""
     rng = np.random.default_rng(seed)
     inputs = random_inputs(rng, n, num_q_heads=2 * kv, num_kv_heads=kv)
     prefill = [build_block_sparse(inputs, int(rng.integers(2, 8)))]
@@ -77,6 +103,10 @@ def test_plan_sparsity_matches_mask_cell_count(seed, n, kv):
                 approx_window=min(n, 128),
             )
         )
+    for diagonal in (True, False):
+        plan = BlockPlan(random_block_bitmap(rng, 2 * kv, n, diagonal), seq_len=n)
+        assert plan_sparsity(plan).computed_cells == brute_force_block_cells(plan.selections, n)
+        prefill.append(plan)
     for plan in prefill:
         report = plan_sparsity(plan)
         assert report.computed_cells == to_cell_mask(plan).num_cells()
@@ -87,6 +117,47 @@ def test_plan_sparsity_matches_mask_cell_count(seed, n, kv):
         last_row = sum(mask.row(h, n - 1).size for h in range(mask.num_heads))
         # each kv head's kept set is read by the two query heads of its group
         assert last_row == 2 * plan_sparsity(plan).computed_cells
+
+
+@settings(deadline=None, max_examples=30)
+@given(seed=st.integers(0, 10_000), n=st.integers(1, 200), kv=st.sampled_from([1, 2]))
+@example(seed=0, n=1, kv=1)
+@example(seed=1, n=15, kv=2)
+@example(seed=2, n=16, kv=1)
+@example(seed=3, n=17, kv=2)
+@example(seed=4, n=200, kv=1)
+def test_block_and_page_selections_nest_and_keep_forced_members(seed, n, kv):
+    """A larger top-k or token budget keeps a superset; block 0, the diagonal
+    block and the current token's page are always kept, and a page plan's
+    cells are the cached tokens of its pages."""
+    rng = np.random.default_rng(seed)
+    inputs = random_inputs(rng, n, num_q_heads=2 * kv, num_kv_heads=kv)
+    ids = np.arange(-(-n // BLOCK_SIZE))
+    previous = None
+    for k in range(2, ids.size + 3):
+        sel = build_block_sparse(inputs, k).selections
+        assert sel[:, :, 0].all() and sel[:, ids, ids].all()
+        assert (sel.sum(axis=2) == np.minimum(k, ids + 1)).all()
+        assert previous is None or not (previous & ~sel).any()
+        previous = sel
+
+    position = int(rng.integers(n))
+    current = position // PAGE_SIZE
+    budgets = {*range(PAGE_SIZE, n + 2 * PAGE_SIZE, PAGE_SIZE), max(position + 1, PAGE_SIZE)}
+    previous = None
+    for budget in sorted(budgets):
+        plan = quest_plan(inputs, budget, position=position)
+        picks = min(current + 1, budget // PAGE_SIZE) if budget <= position else current + 1
+        cached = 0
+        for g, pages in enumerate(plan.selected):
+            pages = set(pages.tolist())
+            assert current in pages and len(pages) == picks
+            assert previous is None or previous[g] <= pages
+            for p in pages:
+                cached += len(range(p * PAGE_SIZE, min((p + 1) * PAGE_SIZE, position + 1)))
+        assert plan_sparsity(plan).computed_cells == cached
+        assert sum(r.size for r in page_plan_rows(plan, tuple(range(kv)))) == cached
+        previous = [set(pages.tolist()) for pages in plan.selected]
 
 
 def brute_force_keep(scores, k, forced):

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from sparselab.patterns import (
+    BlockPlan,
     attention_recall,
     block_budget_cells,
     block_plan_cells,
@@ -46,7 +47,7 @@ def test_selection_matches_pooled_oracle(rng, make):
     plan = build_block_sparse(inputs, top_k_blocks=4)
     for head in range(inputs.num_q_heads):
         want = pooled_oracle_selection(inputs, head, 4)
-        got = [blocks.tolist() for blocks in plan.selections[head]]
+        got = [np.flatnonzero(row).tolist() for row in plan.selections[head]]
         assert got == want
 
 
@@ -54,8 +55,8 @@ def test_forced_blocks_and_counts(rng):
     inputs = random_inputs(rng, 256)
     plan = build_block_sparse(inputs, top_k_blocks=5)
     for head in plan.selections:
-        for b, blocks in enumerate(head):
-            ids = blocks.tolist()
+        for b, row in enumerate(head):
+            ids = np.flatnonzero(row).tolist()
             assert 0 in ids
             assert b in ids
             assert len(ids) == min(5, b + 1)
@@ -73,7 +74,7 @@ def test_planted_block_is_selected():
         target_block = needle // 16
         for head in plan.selections:
             for b in range(20, 32):
-                assert target_block in head[b].tolist()
+                assert target_block in np.flatnonzero(head[b]).tolist()
 
 
 def test_clamping_when_budget_exceeds_blocks(rng):
@@ -91,6 +92,27 @@ def test_top_k_validation(rng):
         build_block_sparse(inputs, top_k_blocks=1)
 
 
+def test_block_plan_validation():
+    # 40 tokens make three blocks, the last 8 tokens long
+    causal = np.tril(np.ones((1, 3, 3), dtype=bool))
+    ahead = causal.copy()
+    ahead[0, 1, 2] = True
+    empty = causal.copy()
+    empty[0, 2] = False
+    with pytest.raises(ValueError, match="head 0 query block 1 selects non-causal key block 2"):
+        BlockPlan(ahead, seq_len=40)
+    with pytest.raises(ValueError, match="head 0 query block 2 selects no key block"):
+        BlockPlan(empty, seq_len=40)
+    for bad in (causal.astype(np.int8), causal[:, :, :2], causal[0]):
+        with pytest.raises(ValueError):
+            BlockPlan(bad, seq_len=40)
+    with pytest.raises(ValueError, match="4, 4"):
+        BlockPlan(causal, seq_len=49)
+    plan = BlockPlan(causal.repeat(2, axis=0), seq_len=40)
+    assert (plan.num_heads, plan.num_query_blocks, plan.block_size) == (2, 3, 16)
+    assert block_plan_cells(plan) == 2 * 40 * 41 // 2
+
+
 def test_partial_final_block_accounting(rng):
     # 200 = 12 * 16 + 8 leaves a short final block
     inputs = random_inputs(rng, 200)
@@ -99,8 +121,8 @@ def test_partial_final_block_accounting(rng):
     brute = 0
     for head in range(inputs.num_q_heads):
         m = np.zeros((200, 200), dtype=bool)
-        for b, blocks in enumerate(plan.selections[head]):
-            for c in blocks.tolist():
+        for b, row in enumerate(plan.selections[head]):
+            for c in np.flatnonzero(row).tolist():
                 m[b * 16 : (b + 1) * 16, c * 16 : (c + 1) * 16] = True
         brute += int((m & np.tril(np.ones((200, 200), dtype=bool))).sum())
     assert cells == brute
@@ -127,9 +149,7 @@ def test_recall_monotone_in_top_k():
 def test_determinism(rng):
     a = build_block_sparse(make_inputs("clustered", 256, seed=5), 4)
     b = build_block_sparse(make_inputs("clustered", 256, seed=5), 4)
-    for ha, hb in zip(a.selections, b.selections):
-        for ba, bb in zip(ha, hb):
-            assert np.array_equal(ba, bb)
+    assert np.array_equal(a.selections, b.selections)
 
 
 def test_pooled_logits_shape(rng):

@@ -19,7 +19,7 @@ from conftest import random_inputs, tied_inputs
 
 def test_index_matches_naive_min_max(rng):
     keys = rng.normal(size=(2, 100, 8))
-    index = quest_index(keys, page_size=16)
+    index = quest_index(keys)
     assert index.num_pages == 7
     for g in range(2):
         for p in range(7):

@@ -258,11 +258,20 @@ def test_generation_deterministic(kind):
     assert c.context != a.context
 
 
-@pytest.mark.parametrize("kind", TASK_KINDS)
-def test_prompt_length_band(kind):
+# the default tokenizer keeps the bare kind as its case id
+@pytest.mark.parametrize(
+    "kind, tokenizer",
+    [pytest.param(kind, None, id=kind) for kind in TASK_KINDS]
+    + [
+        pytest.param(kind, ApproxTokenizer(f), id=f"{kind}-{f}")
+        for f in (0.8, 1.3)
+        for kind in TASK_KINDS
+    ],
+)
+def test_prompt_length_band(kind, tokenizer):
     for target in (4500, 8000, 16000):
-        sample = generate(kind, seed=2, target_tokens=target)
-        tokens = count_tokens(render_prompt(sample))
+        sample = generate(kind, seed=2, target_tokens=target, tokenizer=tokenizer)
+        tokens = count_tokens(render_prompt(sample), tokenizer)
         assert 0.95 * target <= tokens <= target
 
 
