@@ -29,6 +29,7 @@ __all__ = [
     "AttentionInputs",
     "AttentionOutput",
     "CellMask",
+    "check_causal_bitmap",
     "default_group_map",
     "dense_prefill",
     "masked_attention",
@@ -141,6 +142,23 @@ class AttentionOutput:
     weights: np.ndarray | None = None
 
 
+def check_causal_bitmap(cells: np.ndarray, name: str, row: str, key: str) -> None:
+    """Raise ValueError unless ``cells`` is a boolean [heads, m, m] array
+    with nothing above the diagonal and a member in every row; messages name
+    the array and its ``row`` and ``key`` units."""
+    if not isinstance(cells, np.ndarray) or cells.dtype != bool:
+        raise ValueError(f"{name} must be a boolean ndarray")
+    if cells.ndim != 3 or cells.shape[1] != cells.shape[2]:
+        raise ValueError(f"{name} must be a square [heads, m, m] array, got shape {cells.shape}")
+    ahead = cells & ~np.tri(cells.shape[1], dtype=bool)
+    if ahead.any():
+        h, i, j = np.argwhere(ahead)[0]
+        raise ValueError(f"head {h} {row} {i} selects non-causal {key} {j}")
+    empty = np.argwhere(~cells.any(axis=2))
+    if empty.size:
+        raise ValueError(f"head {empty[0, 0]} {row} {empty[0, 1]} selects no {key}")
+
+
 class CellMask:
     """Permitted cells of every query head: ``cells[h, i, j]`` lets query
     row i of head h read key j.
@@ -152,15 +170,7 @@ class CellMask:
     __slots__ = ("cells",)
 
     def __init__(self, cells: np.ndarray):
-        if not isinstance(cells, np.ndarray) or cells.dtype != bool:
-            raise ValueError("mask must be a boolean ndarray")
-        if cells.ndim != 3 or cells.shape[1] != cells.shape[2]:
-            raise ValueError(f"mask must be [heads, seq, seq], got shape {cells.shape}")
-        if (cells & ~np.tri(cells.shape[1], dtype=bool)).any():
-            raise ValueError("mask permits cells above the diagonal (non-causal keys)")
-        empty = np.argwhere(~cells.any(axis=2))
-        if empty.size:
-            raise ValueError(f"head {empty[0, 0]} row {empty[0, 1]} has an empty key set")
+        check_causal_bitmap(cells, "mask", "row", "key")
         self.cells = cells
 
     @classmethod

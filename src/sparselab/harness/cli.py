@@ -196,7 +196,6 @@ def calibration() -> None:
 @click.option("--sparsity", multiple=True, type=float)
 def run(config_path, out, adapter, samples, seed, lengths, sparsity) -> None:
     """Execute a suite; reruns resume from persisted records."""
-    config = load_config(config_path)
     overrides = {}
     if adapter:
         overrides["adapter"] = adapter
@@ -208,8 +207,10 @@ def run(config_path, out, adapter, samples, seed, lengths, sparsity) -> None:
         overrides["seq_lengths"] = lengths
     if sparsity:
         overrides["sparsity_levels"] = sparsity
-    if overrides:
-        config = config.override(**overrides)
+    try:
+        config = load_config(config_path).override(**overrides)
+    except ValueError as exc:  # unknown or repeated grid entries, malformed JSON
+        raise click.UsageError(str(exc)) from None
     if config.adapter == "remote":
         click.echo(
             "note: remote runs measure the endpoint's model; accuracy figures "

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import asdict, dataclass, replace
+from dataclasses import MISSING, asdict, dataclass, fields, replace
 from pathlib import Path
 
 from ..costs import model_presets
@@ -38,6 +38,11 @@ class ExperimentConfig:
         object.__setattr__(
             self, "seq_lengths", tuple(int(n) for n in self.seq_lengths)
         )
+        for name in ("tasks", "methods", "sparsity_levels", "seq_lengths"):
+            values = getattr(self, name)
+            repeated = next((v for i, v in enumerate(values) if v in values[:i]), None)
+            if repeated is not None:
+                raise ValueError(f"{name} lists {repeated!r} more than once")
         for kind in self.tasks:
             if kind not in TASK_KINDS:
                 raise ValueError(f"unknown task kind {kind!r}")
@@ -84,6 +89,9 @@ class ExperimentConfig:
         unknown = set(payload) - known
         if unknown:
             raise ValueError(f"unknown config fields: {sorted(unknown)}")
+        missing = [f.name for f in fields(cls) if f.default is MISSING and f.name not in payload]
+        if missing:
+            raise ValueError(f"missing config fields: {missing}")
         return cls(**payload)
 
     def override(self, **kwargs) -> "ExperimentConfig":

@@ -48,9 +48,7 @@ def build_block_sparse(inputs: AttentionInputs, top_k_blocks: int) -> BlockPlan:
     k = np.minimum(top_k_blocks, ids + 1)
     logits = np.stack([pooled_block_logits(inputs, h) for h in range(inputs.num_q_heads)])
     logits[:, non_causal] = -np.inf
-    return BlockPlan(
-        selections=ranked_keep(logits, k, forced), seq_len=n, clamped=top_k_blocks > nb
-    )
+    return BlockPlan(selections=ranked_keep(logits, k, forced), seq_len=n)
 
 
 def calibrate_block_topk(inputs: AttentionInputs, target_sparsity: float) -> CalibrationSearch:

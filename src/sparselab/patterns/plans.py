@@ -12,7 +12,7 @@ from typing import Union
 
 import numpy as np
 
-from ..attention import TILE_ROWS
+from ..attention import TILE_ROWS, check_causal_bitmap
 
 __all__ = [
     "BLOCK_SIZE",
@@ -50,7 +50,6 @@ class VerticalSlashPlan:
     verticals: tuple[np.ndarray, ...]
     slashes: tuple[np.ndarray, ...]
     seq_len: int
-    approx_window: int
 
     def __post_init__(self) -> None:
         if len(self.verticals) != len(self.slashes):
@@ -81,25 +80,16 @@ class BlockPlan:
 
     selections: np.ndarray
     seq_len: int
-    clamped: bool = False
 
     def __post_init__(self) -> None:
         sel = self.selections
-        if not isinstance(sel, np.ndarray) or sel.dtype != bool:
-            raise ValueError("block selections must be a boolean ndarray")
+        check_causal_bitmap(sel, "block selections", "query block", "key block")
         nb = self.num_query_blocks
-        if sel.ndim != 3 or sel.shape[1:] != (nb, nb):
+        if sel.shape[1] != nb:
             raise ValueError(
                 f"block selections must be [heads, {nb}, {nb}] at seq_len {self.seq_len}, "
                 f"got shape {sel.shape}"
             )
-        ahead = sel & ~np.tri(nb, dtype=bool)
-        if ahead.any():
-            h, b, c = np.argwhere(ahead)[0]
-            raise ValueError(f"head {h} query block {b} selects non-causal key block {c}")
-        empty = np.argwhere(~sel.any(axis=2))
-        if empty.size:
-            raise ValueError(f"head {empty[0, 0]} query block {empty[0, 1]} selects no key block")
 
     @property
     def block_size(self) -> int:
@@ -119,12 +109,7 @@ class EvictionPlan:
     """Per kv-head kept token sets after cache compression."""
 
     kept: tuple[np.ndarray, ...]
-    token_capacity: int
     seq_len: int
-    approx_window: int
-    kernel_size: int
-    min_head_fraction: float | None = None
-    noop: bool = False
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "kept", tuple(_sorted_unique(k) for k in self.kept))
@@ -175,7 +160,6 @@ class PagePlan:
 
     index: PageIndex
     selected: tuple[np.ndarray, ...]
-    token_budget: int
     position: int
 
     def __post_init__(self) -> None:

@@ -96,7 +96,7 @@ def quest_select(
         scores[g] = np.maximum(scores[g], bounds)
     keep = ranked_keep(scores, num_pick, np.arange(valid) == current)
     selected = tuple(np.flatnonzero(k) for k in keep)
-    return PagePlan(index=index, selected=selected, token_budget=token_budget, position=position)
+    return PagePlan(index=index, selected=selected, position=position)
 
 
 def quest_plan(

@@ -5,8 +5,8 @@ Both score candidates with exact attention from the last ``approx_window``
 query rows onto all keys.  A "vertical" keeps one key column for every later
 query; a "slash" keeps one causal diagonal (offset o covers cells (i, i-o)).
 The first ``FORCED_PREFIX`` columns and the ``FORCED_LOCAL`` smallest offsets
-are always selected and count toward the configured budgets; candidates are
-ranked by ``accounting.ranked_keep``.
+(all of them in a shorter sequence) are always selected and count toward the
+configured budgets; candidates are ranked by ``accounting.ranked_keep``.
 """
 
 from __future__ import annotations
@@ -67,10 +67,10 @@ def build_vertical_slash(
     n = inputs.seq_len
     if approx_window > n:
         raise ValueError(f"approx_window {approx_window} exceeds seq_len {n}")
-    if num_verticals < FORCED_PREFIX:
-        raise ValueError(f"num_verticals must be >= {FORCED_PREFIX}")
-    if num_slashes < FORCED_LOCAL:
-        raise ValueError(f"num_slashes must be >= {FORCED_LOCAL}")
+    if num_verticals < min(FORCED_PREFIX, n):
+        raise ValueError(f"num_verticals must be >= {min(FORCED_PREFIX, n)} at seq_len {n}")
+    if num_slashes < min(FORCED_LOCAL, n):
+        raise ValueError(f"num_slashes must be >= {min(FORCED_LOCAL, n)} at seq_len {n}")
     if num_verticals > n or num_slashes > n:
         raise ValueError("budgets cannot exceed seq_len")
 
@@ -87,7 +87,6 @@ def build_vertical_slash(
         verticals=tuple(np.flatnonzero(v) for v in verticals),
         slashes=tuple(np.flatnonzero(s) for s in slashes),
         seq_len=n,
-        approx_window=approx_window,
     )
 
 
@@ -145,7 +144,6 @@ def build_flexprefill(
         verticals=tuple(np.flatnonzero(k[:n]) for k in keep),
         slashes=tuple(np.flatnonzero(k[n:]) for k in keep),
         seq_len=n,
-        approx_window=config.approx_window,
     )
 
 
@@ -170,7 +168,6 @@ def densest_vertical_slash_plan(
         verticals=tuple(v.copy() for _ in range(num_heads)),
         slashes=tuple(s.copy() for _ in range(num_heads)),
         seq_len=seq_len,
-        approx_window=0,
     )
 
 
@@ -187,6 +184,5 @@ def calibrate_vertical_slash(
         plan = build_vertical_slash(inputs, k, k, approx_window)
         return plan_sparsity(plan).achieved_sparsity
 
-    return _smallest_budget(
-        max(FORCED_PREFIX, FORCED_LOCAL), inputs.seq_len, sparsity, target_sparsity
-    )
+    n = inputs.seq_len
+    return _smallest_budget(min(max(FORCED_PREFIX, FORCED_LOCAL), n), n, sparsity, target_sparsity)

@@ -7,6 +7,7 @@ from sparselab.patterns import (
     BLOCK_SIZE,
     PAGE_SIZE,
     BlockPlan,
+    FlexPrefillConfig,
     FORCED_FIRST,
     FORCED_LOCAL,
     FORCED_PREFIX,
@@ -15,6 +16,7 @@ from sparselab.patterns import (
     ada_snapkv_compress,
     attention_recall,
     build_block_sparse,
+    build_flexprefill,
     build_vertical_slash,
     calibration_entries,
     lookup,
@@ -158,6 +160,117 @@ def test_block_and_page_selections_nest_and_keep_forced_members(seed, n, kv):
         assert plan_sparsity(plan).computed_cells == cached
         assert sum(r.size for r in page_plan_rows(plan, tuple(range(kv)))) == cached
         previous = [set(pages.tolist()) for pages in plan.selected]
+
+
+EDGE_SIZES = (1, 20, 21, 63, 64, 131, 132, 200)
+
+
+def edge_examples(test):
+    """Pin the sizes around the smoothing kernel (21), the forced offsets
+    (64) and the forced eviction tokens (132), with 1 and 2 kv heads."""
+    for i, n in enumerate(EDGE_SIZES):
+        test = example(seed=i, n=n, kv=1 + i % 2)(test)
+    return test
+
+
+def brute_force_vs_mask(verticals, slashes, n):
+    """[n, n] cells of one head from its column and offset lists."""
+    rows, cols = np.arange(n)[:, None], np.arange(n)[None, :]
+    vertical = np.isin(cols, verticals)
+    slash = np.isin(rows - cols, slashes)
+    return (cols <= rows) & (vertical | slash)
+
+
+def check_vs_plan(plan, n):
+    """Exact cell count, a valid cell mask and the forced members."""
+    brute = [brute_force_vs_mask(v, s, n) for v, s in zip(plan.verticals, plan.slashes)]
+    assert plan_sparsity(plan).computed_cells == sum(int(m.sum()) for m in brute)
+    assert np.array_equal(to_cell_mask(plan).cells, np.stack(brute))
+    for v, s in zip(plan.verticals, plan.slashes):
+        assert set(range(min(FORCED_PREFIX, n))) <= set(v.tolist())
+        assert set(range(min(FORCED_LOCAL, n))) <= set(s.tolist())
+
+
+def assert_nested(plans, field):
+    for small, large in zip(plans, plans[1:]):
+        for a, b in zip(getattr(small, field), getattr(large, field)):
+            assert set(a.tolist()) <= set(b.tolist())
+
+
+@settings(deadline=None, max_examples=25)
+@given(seed=st.integers(0, 10_000), n=st.integers(1, 200), kv=st.sampled_from([1, 2]))
+@edge_examples
+def test_vertical_slash_and_flexprefill_properties(seed, n, kv):
+    """At every size the builders honour their budgets, keep the forced
+    columns and offsets (all of them below FORCED_LOCAL tokens), count cells
+    exactly, and nest in num_verticals / num_slashes and in alpha."""
+    rng = np.random.default_rng(seed)
+    inputs = random_inputs(rng, n, num_q_heads=2 * kv, num_kv_heads=kv)
+    window = int(rng.integers(1, n + 1))
+    verticals = np.sort(rng.integers(min(FORCED_PREFIX, n), n + 1, size=3)).tolist()
+    slashes = np.sort(rng.integers(min(FORCED_LOCAL, n), n + 1, size=3)).tolist()
+    budgets = list(zip(verticals, slashes))
+    uniform = [build_vertical_slash(inputs, v, s, approx_window=window) for v, s in budgets]
+    for plan, (v, s) in zip(uniform, budgets):
+        check_vs_plan(plan, n)
+        assert all(x.size == v for x in plan.verticals)
+        assert all(x.size == s for x in plan.slashes)
+    assert_nested(uniform, "verticals")
+    assert_nested(uniform, "slashes")
+
+    min_budget = int(rng.integers(1, 2 * n + 1))
+    config = dict(min_budget=min_budget, approx_window=window, fallback_counts=budgets[0])
+    fallback = build_flexprefill(inputs, FlexPrefillConfig(alpha=0.0, **config))
+    for a, b in zip(fallback.verticals + fallback.slashes, uniform[0].verticals + uniform[0].slashes):
+        assert np.array_equal(a, b)
+    alphas = sorted({float(rng.uniform(0.01, 1.0)), float(rng.uniform(0.01, 1.0)), 1.0})
+    flex = [build_flexprefill(inputs, FlexPrefillConfig(alpha=a, **config)) for a in alphas]
+    for plan in flex:
+        check_vs_plan(plan, n)
+        for v, s in zip(plan.verticals, plan.slashes):
+            assert v.size + s.size >= min(min_budget, 2 * n)
+    assert all(x.size == n for x in flex[-1].verticals + flex[-1].slashes)
+    assert_nested(flex, "verticals")
+    assert_nested(flex, "slashes")
+
+
+@settings(deadline=None, max_examples=25)
+@given(seed=st.integers(0, 10_000), n=st.integers(1, 200), kv=st.sampled_from([1, 2]))
+@edge_examples
+def test_eviction_properties(seed, n, kv):
+    """At every size, including caches shorter than the forced tokens or the
+    smoothing kernel, eviction keeps its forced tokens and exact counts, the
+    decode row of the expanded mask reads exactly the kept tokens, and the
+    kept sets nest in capacity."""
+    rng = np.random.default_rng(seed)
+    inputs = random_inputs(rng, n, num_q_heads=2 * kv, num_kv_heads=kv)
+    low = FORCED_FIRST + FORCED_RECENT
+    capacities = sorted({low, *rng.integers(low, max(low, n) + 20, size=3).tolist()})
+    forced = set(range(min(FORCED_FIRST, n))) | set(range(max(0, n - FORCED_RECENT), n))
+    fraction = float(rng.choice([0.0, 0.2, float(rng.uniform()), 1.0]))
+    builds = (
+        lambda c: snapkv_compress(inputs, c),
+        lambda c: ada_snapkv_compress(inputs, c, min_head_fraction=fraction),
+    )
+    for build in builds:
+        plans = [build(c) for c in capacities]
+        for plan, capacity in zip(plans, capacities):
+            keep = min(capacity, n)
+            report = plan_sparsity(plan)
+            mask = to_cell_mask(plan, group_map=inputs.group_map)
+            decode_row = 0
+            for h, g in enumerate(inputs.group_map):
+                row = mask.row(h, n - 1)
+                assert row.tolist() == plan.kept[g].tolist()
+                decode_row += row.size
+            assert decode_row == 2 * report.computed_cells
+            assert report.causal_cells == kv * n
+            assert sum(plan.kept_counts) == kv * keep
+            for kept in plan.kept:
+                assert forced <= set(kept.tolist())
+            if build is builds[0]:
+                assert plan.kept_counts == (keep,) * kv
+        assert_nested(plans, "kept")
 
 
 def brute_force_keep(scores, k, forced):

@@ -2,6 +2,7 @@ import csv
 import dataclasses
 import json
 import logging
+import re
 
 import numpy as np
 import pytest
@@ -83,6 +84,45 @@ def test_config_validation():
         small_config(mock_mode="chatty")
     with pytest.raises(ValueError):
         ExperimentConfig.from_json({**small_config().to_json(), "extra_field": 1})
+
+
+@pytest.mark.parametrize(
+    "field, values, repeated",
+    [
+        ("tasks", ("niah", "cwe", "niah"), "'niah'"),
+        ("methods", ("dense", "dense"), "'dense'"),
+        ("sparsity_levels", (0.8, 0.0, 0.80), "0.8"),
+        ("seq_lengths", (2000, 4000, 2000), "2000"),
+    ],
+    ids=["tasks", "methods", "sparsity_levels", "seq_lengths"],
+)
+def test_config_rejects_repeated_grid_entries(field, values, repeated):
+    """A repeated entry would run, and count, every one of its cells twice."""
+    with pytest.raises(ValueError, match=re.escape(f"{field} lists {repeated} more than once")):
+        small_config(**{field: values})
+
+
+@pytest.mark.parametrize(
+    "config, args, message",
+    [
+        ({"tasks": ["niah", "no_such_kind"]}, [], "unknown task kind 'no_such_kind'"),
+        ({"methods": ["dense", "snapkv", "dense"]}, [], "methods lists 'dense' more than once"),
+        ({}, ["--lengths", "2000", "--lengths", "2000"], "seq_lengths lists 2000 more than once"),
+        ({"seq_lengths": None}, [], "missing config fields: ['seq_lengths']"),
+    ],
+    ids=["unknown_kind", "repeated_method", "repeated_length_option", "missing_field"],
+)
+def test_cli_run_reports_config_errors_as_usage_errors(tmp_path, config, args, message):
+    config_path = tmp_path / "config.json"
+    payload = {**small_config().to_json(), **config}
+    config_path.write_text(json.dumps({k: v for k, v in payload.items() if v is not None}))
+    result = CliRunner().invoke(
+        cli, ["run", "--config", str(config_path), "--out", str(tmp_path / "runs"), *args]
+    )
+    assert result.exit_code == 2, result.output
+    assert message in result.output
+    assert "Traceback" not in result.output
+    assert not (tmp_path / "runs").exists()
 
 
 def test_echo_run_scores_one(tmp_path):

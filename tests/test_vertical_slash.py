@@ -72,6 +72,33 @@ def test_budget_validation(rng):
         build_vertical_slash(inputs, 8, 64, approx_window=301)
 
 
+@pytest.mark.parametrize("n", [1, 5, 63])
+def test_builds_below_the_forced_offsets(rng, n):
+    """Below FORCED_LOCAL tokens the forced members are every offset that
+    exists, so the smallest budgets are min(FORCED_PREFIX, n) columns and n
+    offsets; one fewer is still rejected."""
+    inputs = random_inputs(rng, n)
+    v_min, s_min = min(FORCED_PREFIX, n), min(FORCED_LOCAL, n)
+    plan = build_vertical_slash(inputs, v_min, s_min, approx_window=n)
+    for v, s in zip(plan.verticals, plan.slashes):
+        assert v.tolist() == list(range(v_min))
+        assert s.tolist() == list(range(n))
+    assert plan_sparsity(plan).achieved_sparsity == 0.0
+    with pytest.raises(ValueError, match="num_slashes must be >="):
+        build_vertical_slash(inputs, v_min, s_min - 1, approx_window=n)
+    with pytest.raises(ValueError, match="num_verticals must be >="):
+        build_vertical_slash(inputs, v_min - 1, s_min, approx_window=n)
+    with pytest.raises(ValueError, match="approx_window"):
+        build_vertical_slash(inputs, v_min, s_min, approx_window=n + 1)
+    fallback = build_flexprefill(
+        inputs, FlexPrefillConfig(alpha=0.0, approx_window=n, fallback_counts=(v_min, s_min))
+    )
+    assert [v.tolist() for v in fallback.verticals] == [v.tolist() for v in plan.verticals]
+    assert [s.tolist() for s in fallback.slashes] == [s.tolist() for s in plan.slashes]
+    search = calibrate_vertical_slash(inputs, 0.5, approx_window=n)
+    assert search.count == n
+
+
 def test_determinism_bit_for_bit():
     a = build_vertical_slash(make_inputs("clustered", 512, seed=9), 24, 80)
     b = build_vertical_slash(make_inputs("clustered", 512, seed=9), 24, 80)
@@ -229,7 +256,6 @@ def test_uniform_logit_recall_matches_closed_form():
         verticals=tuple(np.array([0]) for _ in range(2)),
         slashes=tuple(np.array([0]) for _ in range(2)),
         seq_len=n,
-        approx_window=n,
     )
     expected = np.mean([min(2, i + 1) / (i + 1) for i in range(n)])
     assert attention_recall(lean, inputs) == pytest.approx(expected, abs=1e-9)
