@@ -25,6 +25,7 @@ from typing import Sequence
 import numpy as np
 
 __all__ = [
+    "APPROX_WINDOW",
     "TILE_ROWS",
     "AttentionInputs",
     "AttentionOutput",
@@ -41,6 +42,11 @@ __all__ = [
 # PAGE_SIZE are this size, so a block plan's tile reads exactly its chosen
 # key blocks.
 TILE_ROWS = 16
+
+# Query rows of the observation window that every window-scored builder
+# (vertical-slash, flexprefill, snapkv, ada_snapkv) reads; a shorter
+# sequence is read whole.
+APPROX_WINDOW = 256
 
 
 def default_group_map(num_q_heads: int, num_kv_heads: int) -> tuple[int, ...]:
@@ -207,15 +213,15 @@ def _stable_softmax(logits: np.ndarray, axis: int = -1) -> np.ndarray:
     return ex / np.sum(ex, axis=axis, keepdims=True)
 
 
-def window_weights_head(inputs: AttentionInputs, head: int, window: int) -> np.ndarray:
-    """Causal softmax weights of the last ``window`` query rows, [window, n].
+def window_weights_head(inputs: AttentionInputs, head: int) -> np.ndarray:
+    """Causal softmax weights of the last ``min(APPROX_WINDOW, n)`` query
+    rows, [window, n].
 
     The corresponding rows of the dense causal softmax, without
     materializing the full n x n matrix.
     """
     n = inputs.seq_len
-    if not 1 <= window <= n:
-        raise ValueError(f"window must lie in [1, {n}], got {window}")
+    window = min(APPROX_WINDOW, n)
     g = inputs.group_map[head]
     scale = 1.0 / np.sqrt(inputs.head_dim)
     logits = (inputs.queries[head][n - window :] @ inputs.keys[g].T) * scale

@@ -234,13 +234,13 @@ def memory_in_bytes(report: CostReport, spec: CostSpec) -> CostReport:
 
 
 def vs_indexing_flops(
-    spec: CostSpec, approx_window: int, num_verticals: int, num_slashes: int
+    spec: CostSpec, window: int, num_verticals: int, num_slashes: int
 ) -> float:
-    """Cost of scoring columns/diagonals from a recent-query window plus the
-    top-k scans that pick the pattern."""
-    if approx_window < 0 or num_verticals < 0 or num_slashes < 0:
+    """Cost of scoring columns/diagonals from a ``window``-query recent
+    window plus the top-k scans that pick the pattern."""
+    if window < 0 or num_verticals < 0 or num_slashes < 0:
         raise ValueError("window and budgets must be non-negative")
-    L, d, q = spec.seq_len, spec.hidden_dim, approx_window
+    L, d, q = spec.seq_len, spec.hidden_dim, window
     inner = (
         2 * d * L * q
         + 3 * L * q

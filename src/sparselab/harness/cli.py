@@ -143,7 +143,12 @@ def cost(models, lengths, densities, batch, out, frontier_csv) -> None:
     )
     lengths = lengths or (16384, 65536, 128000)
     densities = densities or (1.0, 0.2)
-    rows = sweep_rows(models, lengths, densities, batch_size=batch)
+    try:
+        rows = sweep_rows(models, lengths, densities, batch_size=batch)
+    except ValueError as exc:  # a batch, length or density CostSpec rejects
+        raise click.UsageError(str(exc)) from None
+    except KeyError as exc:  # an unknown --model preset
+        raise click.UsageError(exc.args[0]) from None
     write_csv(rows, out)
     click.echo(f"wrote {len(rows)} sweep rows to {out}")
 
@@ -199,7 +204,7 @@ def run(config_path, out, adapter, samples, seed, lengths, sparsity) -> None:
     overrides = {}
     if adapter:
         overrides["adapter"] = adapter
-    if samples:
+    if samples is not None:
         overrides["samples_per_config"] = samples
     if seed is not None:
         overrides["seed"] = seed

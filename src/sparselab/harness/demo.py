@@ -27,30 +27,22 @@ def plan_demo(
     params: dict | None = None,
     target_sparsity: float | None = None,
     generator: str = "uniform",
-    num_q_heads: int = 4,
-    num_kv_heads: int = 2,
-    head_dim: int = 32,
     seed: int = 0,
-    oracle_limit: int = ORACLE_LIMIT,
 ) -> dict:
     """Builds one plan and reports achieved sparsity, plus recall and output
     approximation error when the sequence is small enough to afford the
     dense oracle.
 
-    Either explicit ``params`` or a calibrated ``target_sparsity`` level must
-    be given; the latter resolves parameters from the bundled table.  Explicit
-    ``params`` must hold exactly the keys ``check_params`` accepts.
+    Exactly one of explicit ``params`` or a calibrated ``target_sparsity``
+    level must be given; the latter resolves parameters from the bundled
+    table.  Explicit ``params`` must hold exactly the keys ``check_params``
+    accepts.  The inputs have ``make_inputs``' default heads and head size.
     """
     if generator not in GENERATOR_NAMES:
         raise ValueError(f"unknown generator {generator!r}")
-    inputs = make_inputs(
-        generator,
-        seq_len=seq_len,
-        num_q_heads=num_q_heads,
-        num_kv_heads=num_kv_heads,
-        head_dim=head_dim,
-        seed=seed,
-    )
+    if params and target_sparsity is not None:
+        raise ValueError("give explicit params or a calibrated target_sparsity, not both")
+    inputs = make_inputs(generator, seq_len=seq_len, seed=seed)
     if params:
         check_params(method, params)
         plan = METHODS[method].build(inputs, params)
@@ -70,7 +62,7 @@ def plan_demo(
         "recall": None,
         "max_output_error": None,
     }
-    if seq_len <= oracle_limit:
+    if seq_len <= ORACLE_LIMIT:
         result["recall"] = attention_recall(plan, inputs)
         dense = dense_prefill(inputs)
         if isinstance(plan, PagePlan):

@@ -157,9 +157,7 @@ def page_plan_rows(plan: PagePlan, group_map: tuple[int, ...]) -> list[np.ndarra
     return [per_kv[g] for g in group_map]
 
 
-def attention_recall(
-    plan: SparsePlan, inputs: AttentionInputs, oracle_limit: int = ORACLE_LIMIT
-) -> float:
+def attention_recall(plan: SparsePlan, inputs: AttentionInputs) -> float:
     """Fraction of dense attention probability mass covered by the plan's
     cells, averaged over the rows the plan constrains and over heads.
 
@@ -167,8 +165,8 @@ def attention_recall(
     causal_lse): the log-sum-exp of its logits over the plan's cells against
     the cached one over the whole causal row."""
     n = inputs.seq_len
-    if n > oracle_limit:
-        raise ValueError(f"recall oracle limited to n <= {oracle_limit}, got {n}")
+    if n > ORACLE_LIMIT:
+        raise ValueError(f"recall oracle limited to n <= {ORACLE_LIMIT}, got {n}")
     heads = inputs.num_q_heads
     if isinstance(plan, PagePlan):
         rows = page_plan_rows(plan, inputs.group_map)

@@ -54,8 +54,7 @@ class Method(NamedTuple):
     cells: (computed, causal) cells at length n from the keyword arguments
         alone, or None where the count depends on the inputs.
     required, optional: the explicit keys ``check_params`` accepts.  ``build``
-        reads these (flexprefill also reads a calibrated ``fallback_counts``)
-        and ignores any other key.
+        reads these and ignores any other key.
     """
 
     build: Callable[[AttentionInputs, dict], SparsePlan]
@@ -78,23 +77,14 @@ def _given(kw: dict, *names: str) -> dict:
 
 
 def _flexprefill_config(kw: dict) -> FlexPrefillConfig:
-    """Only calibrated entries carry fallback_counts; explicit builds keep the default."""
-    return FlexPrefillConfig(
-        kw["alpha"], **_given(kw, "min_budget", "approx_window", "fallback_counts")
-    )
+    return FlexPrefillConfig(kw["alpha"], **_given(kw, "min_budget"))
 
 
 def _flexprefill_cells(n: int, kw: dict) -> tuple[int, int] | None:
-    """alpha = 0 reverts to the uniform builder at fallback_counts; coverage-
-    driven points (alpha > 0) depend on the inputs."""
+    """alpha = 0 reverts to the uniform builder at the config's uniform
+    counts; coverage-driven points (alpha > 0) depend on the inputs."""
     config = _flexprefill_config(kw)
-    return None if config.alpha > 0 else _uniform_vs_cells(n, *config.fallback_counts)
-
-
-def _flexprefill_calibrated(value: Any) -> dict:
-    # every alpha = 0 row is calibrated with both fallback counts at min_budget
-    alpha, min_budget = float(value[0]), int(value[1])
-    return {"alpha": alpha, "min_budget": min_budget, "fallback_counts": (min_budget, min_budget)}
+    return None if config.alpha > 0 else _uniform_vs_cells(n, *config.uniform_counts(n))
 
 
 # Each build reads a fixed set of keys and ignores the rest.  Builders are looked
@@ -103,19 +93,18 @@ def _flexprefill_calibrated(value: Any) -> dict:
 METHODS: dict[str, Method] = {
     "vertical_slash": Method(
         build=lambda inputs, kw: build_vertical_slash(
-            inputs, kw["num_verticals"], kw["num_slashes"], **_given(kw, "approx_window")
+            inputs, kw["num_verticals"], kw["num_slashes"]
         ),
         calibrated=lambda v: {"num_verticals": int(v), "num_slashes": int(v)},
         cells=lambda n, kw: _uniform_vs_cells(n, kw["num_verticals"], kw["num_slashes"]),
         required=("num_verticals", "num_slashes"),
-        optional=("approx_window",),
     ),
     "flexprefill": Method(
         build=lambda inputs, kw: build_flexprefill(inputs, _flexprefill_config(kw)),
-        calibrated=_flexprefill_calibrated,
+        calibrated=lambda v: {"alpha": float(v[0]), "min_budget": int(v[1])},
         cells=_flexprefill_cells,
         required=("alpha",),
-        optional=("min_budget", "approx_window"),
+        optional=("min_budget",),
     ),
     "block_sparse": Method(
         build=lambda inputs, kw: build_block_sparse(inputs, kw["top_k_blocks"]),

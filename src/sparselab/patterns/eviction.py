@@ -16,7 +16,7 @@ from typing import Callable
 
 import numpy as np
 
-from ..attention import AttentionInputs, window_weights_head
+from ..attention import APPROX_WINDOW, AttentionInputs, window_weights_head
 from .accounting import ranked_keep
 from .plans import EvictionPlan
 
@@ -32,7 +32,6 @@ __all__ = [
 
 FORCED_FIRST = 4
 FORCED_RECENT = 128
-APPROX_WINDOW = 256
 KERNEL_SIZE = 21
 
 
@@ -50,10 +49,9 @@ def smoothed_scores(
     """Per-token window attention of one kv head's query group, reduced over
     the group's heads and window rows by ``reduce`` (``np.mean`` or
     ``np.max``), then smoothed."""
-    window = min(APPROX_WINDOW, inputs.seq_len)
     group = np.stack(
         [
-            window_weights_head(inputs, h, window)
+            window_weights_head(inputs, h)
             for h, g in enumerate(inputs.group_map)
             if g == kv_head
         ]

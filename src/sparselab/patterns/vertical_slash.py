@@ -1,10 +1,11 @@
 """Vertical-slash pattern builders: fixed-budget selection and the
 coverage-driven adaptive variant.
 
-Both score candidates with exact attention from the last ``approx_window``
-query rows onto all keys.  A "vertical" keeps one key column for every later
-query; a "slash" keeps one causal diagonal (offset o covers cells (i, i-o)).
-The first ``FORCED_PREFIX`` columns and the ``FORCED_LOCAL`` smallest offsets
+Both score candidates with exact attention from the last
+``attention.APPROX_WINDOW`` query rows (all rows of a shorter sequence) onto
+all keys.  A "vertical" keeps one key column for every later query; a
+"slash" keeps one causal diagonal (offset o covers cells (i, i-o)).  The
+first ``FORCED_PREFIX`` columns and the ``FORCED_LOCAL`` smallest offsets
 (all of them in a shorter sequence) are always selected and count toward the
 configured budgets; candidates are ranked by ``accounting.ranked_keep``.
 """
@@ -15,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..attention import AttentionInputs, window_weights_head
+from ..attention import APPROX_WINDOW, AttentionInputs, window_weights_head
 from .accounting import CalibrationSearch, _smallest_budget, plan_sparsity, ranked_keep
 from .plans import VerticalSlashPlan
 
@@ -33,40 +34,32 @@ FORCED_PREFIX = 4
 FORCED_LOCAL = 64
 
 
-def _column_and_diagonal_mass(
-    weights: np.ndarray, n: int
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Sum window attention mass per key column and per diagonal offset.
-
-    Returns (column_mass[n], slash_mass[n], slash_cells[n]) where
-    slash_cells[o] counts the window cells lying on offset o.
-    """
-    window = weights.shape[0]
-    start = n - window
-    column_mass = weights.sum(axis=0)
-    slash_mass = np.zeros(n)
-    for r in range(window):
-        i = start + r
-        row = weights[r, : i + 1]
-        # cell (i, j) sits on offset i - j; reversing the row aligns offsets 0..i
-        slash_mass[: i + 1] += row[::-1]
-    # offset o intersects window rows i >= max(start, o): min(window, n - o) cells
-    slash_cells = np.minimum(window, n - np.arange(n)).astype(np.float64)
-    return column_mass, slash_mass, slash_cells
+def _window_masses(inputs: AttentionInputs) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Window attention mass per head: per key column [heads, n], per
+    diagonal offset [heads, n], and the window's total [heads]."""
+    n, heads = inputs.seq_len, inputs.num_q_heads
+    column_mass = np.empty((heads, n))
+    slash_mass = np.zeros((heads, n))
+    total = np.empty(heads)
+    for head in range(heads):
+        weights = window_weights_head(inputs, head)
+        start = n - weights.shape[0]
+        column_mass[head] = weights.sum(axis=0)
+        for r in range(weights.shape[0]):
+            i = start + r
+            # cell (i, j) sits on offset i - j; reversing the row aligns offsets 0..i
+            slash_mass[head, : i + 1] += weights[r, : i + 1][::-1]
+        total[head] = weights.sum()
+    return column_mass, slash_mass, total
 
 
 def build_vertical_slash(
-    inputs: AttentionInputs,
-    num_verticals: int,
-    num_slashes: int,
-    approx_window: int = 256,
+    inputs: AttentionInputs, num_verticals: int, num_slashes: int
 ) -> VerticalSlashPlan:
     """Uniform-budget selection: per head, the top ``num_verticals`` key
     columns by window mass and top ``num_slashes`` offsets by per-cell mean
     window mass (length-normalized so long diagonals are not favored)."""
     n = inputs.seq_len
-    if approx_window > n:
-        raise ValueError(f"approx_window {approx_window} exceeds seq_len {n}")
     if num_verticals < min(FORCED_PREFIX, n):
         raise ValueError(f"num_verticals must be >= {min(FORCED_PREFIX, n)} at seq_len {n}")
     if num_slashes < min(FORCED_LOCAL, n):
@@ -74,15 +67,12 @@ def build_vertical_slash(
     if num_verticals > n or num_slashes > n:
         raise ValueError("budgets cannot exceed seq_len")
 
-    col_mass, slash_score = [], []
-    for head in range(inputs.num_q_heads):
-        w = window_weights_head(inputs, head, approx_window)
-        cols, slash_mass, slash_cells = _column_and_diagonal_mass(w, n)
-        col_mass.append(cols)
-        slash_score.append(slash_mass / slash_cells)
+    col_mass, slash_mass, _ = _window_masses(inputs)
     ids = np.arange(n)
-    verticals = ranked_keep(np.stack(col_mass), num_verticals, ids < FORCED_PREFIX)
-    slashes = ranked_keep(np.stack(slash_score), num_slashes, ids < FORCED_LOCAL)
+    # offset o intersects window rows i >= max(n - window, o): min(window, n - o) cells
+    slash_cells = np.minimum(min(APPROX_WINDOW, n), n - ids)
+    verticals = ranked_keep(col_mass, num_verticals, ids < FORCED_PREFIX)
+    slashes = ranked_keep(slash_mass / slash_cells, num_slashes, ids < FORCED_LOCAL)
     return VerticalSlashPlan(
         verticals=tuple(np.flatnonzero(v) for v in verticals),
         slashes=tuple(np.flatnonzero(s) for s in slashes),
@@ -96,12 +86,12 @@ class FlexPrefillConfig:
     prefix of candidate units (one vertical or one slash each) whose summed
     window mass reaches ``alpha`` of the total, then pad to ``min_budget``
     units.  ``alpha=0`` reverts to the uniform builder with
-    ``fallback_counts``; ``alpha=1`` selects every candidate unit."""
+    ``fallback_counts`` verticals and slashes (``min_budget`` of each when
+    unset); ``alpha=1`` selects every candidate unit."""
 
     alpha: float
     min_budget: int = 512
-    approx_window: int = 256
-    fallback_counts: tuple[int, int] = (512, 512)
+    fallback_counts: tuple[int, int] | None = None
 
     def __post_init__(self) -> None:
         if not 0.0 <= self.alpha <= 1.0:
@@ -109,37 +99,37 @@ class FlexPrefillConfig:
         if self.min_budget < 1:
             raise ValueError("min_budget must be positive")
 
+    def uniform_counts(self, n: int) -> tuple[int, int]:
+        """(verticals, slashes) of the ``alpha=0`` build at length n."""
+        kv, ks = self.fallback_counts or (self.min_budget, self.min_budget)
+        return min(kv, n), min(ks, n)
+
 
 def build_flexprefill(
     inputs: AttentionInputs, config: FlexPrefillConfig
 ) -> VerticalSlashPlan:
     n = inputs.seq_len
-    if config.approx_window > n:
-        raise ValueError(f"approx_window {config.approx_window} exceeds seq_len {n}")
     if config.alpha == 0.0:
-        kv, ks = config.fallback_counts
-        return build_vertical_slash(inputs, kv, ks, config.approx_window)
+        return build_vertical_slash(inputs, *config.uniform_counts(n))
 
+    col_mass, slash_mass, total = _window_masses(inputs)
     ids = np.arange(n)
     forced = np.concatenate([ids < FORCED_PREFIX, ids < FORCED_LOCAL])
-    masses, counts = [], []
-    for head in range(inputs.num_q_heads):
-        w = window_weights_head(inputs, head, config.approx_window)
-        col_mass, slash_mass, _ = _column_and_diagonal_mass(w, n)
-        # one ranking over [columns, offsets]: on equal mass a vertical goes first
-        mass = np.concatenate([col_mass, slash_mass])
-        masses.append(mass)
-        if config.alpha >= 1.0:
-            counts.append(2 * n)
-            continue
+    # one ranking over [columns, offsets]: on equal mass a vertical goes first
+    masses = np.concatenate([col_mass, slash_mass], axis=1)
+    if config.alpha >= 1.0:
+        counts = 2 * n
+    else:
         # the greedy walk adds the other units to the forced mass one at a
         # time in rank order, so its running sum is a cumsum in that order
-        forced_mass = col_mass[:FORCED_PREFIX].sum() + slash_mass[:FORCED_LOCAL].sum()
-        covered = np.cumsum(np.concatenate([[forced_mass], np.sort(mass[~forced])[::-1]]))
-        count = np.count_nonzero(forced) + np.arange(covered.size)
-        done = (covered >= config.alpha * float(w.sum())) & (count >= config.min_budget)
-        counts.append(int(count[done.argmax()] if done.any() else count[-1]))
-    keep = ranked_keep(np.stack(masses), np.array(counts), forced)
+        forced_mass = col_mass[:, :FORCED_PREFIX].sum(axis=1)
+        forced_mass += slash_mass[:, :FORCED_LOCAL].sum(axis=1)
+        ranked = np.sort(masses[:, ~forced], axis=1)[:, ::-1]
+        covered = np.cumsum(np.concatenate([forced_mass[:, None], ranked], axis=1), axis=1)
+        count = np.count_nonzero(forced) + np.arange(covered.shape[1])
+        done = (covered >= config.alpha * total[:, None]) & (count >= config.min_budget)
+        counts = np.where(done.any(axis=1), count[done.argmax(axis=1)], count[-1])
+    keep = ranked_keep(masses, counts, forced)
     return VerticalSlashPlan(
         verticals=tuple(np.flatnonzero(k[:n]) for k in keep),
         slashes=tuple(np.flatnonzero(k[n:]) for k in keep),
@@ -171,17 +161,13 @@ def densest_vertical_slash_plan(
     )
 
 
-def calibrate_vertical_slash(
-    inputs: AttentionInputs,
-    target_sparsity: float,
-    approx_window: int = 256,
-) -> CalibrationSearch:
+def calibrate_vertical_slash(inputs: AttentionInputs, target_sparsity: float) -> CalibrationSearch:
     """Smallest equal budget k = k_v = k_s whose built plan achieves sparsity
     at or below the target (binary search; achieved sparsity is non-increasing
     in k because selections are nested)."""
 
     def sparsity(k: int) -> float:
-        plan = build_vertical_slash(inputs, k, k, approx_window)
+        plan = build_vertical_slash(inputs, k, k)
         return plan_sparsity(plan).achieved_sparsity
 
     n = inputs.seq_len

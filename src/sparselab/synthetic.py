@@ -14,6 +14,8 @@ from .attention import AttentionInputs
 __all__ = ["make_inputs", "GENERATOR_NAMES"]
 
 GENERATOR_NAMES = ("uniform", "planted", "clustered")
+# Key centroids shared by the clustered generator's keys and queries.
+NUM_CLUSTERS = 8
 
 
 def _unit(v: np.ndarray) -> np.ndarray:
@@ -29,7 +31,6 @@ def make_inputs(
     seed: int = 0,
     needle_positions: tuple[int, ...] | None = None,
     needle_gain: float = 12.0,
-    num_clusters: int = 8,
 ) -> AttentionInputs:
     rng = np.random.default_rng(seed)
     shape_kv = (num_kv_heads, seq_len, head_dim)
@@ -54,11 +55,11 @@ def make_inputs(
                 pick = rng.integers(len(needle_positions), size=seq_len)
                 queries[h] += needle_gain * np.stack([directions[p] for p in pick])
     elif kind == "clustered":
-        centroids = rng.standard_normal((num_clusters, head_dim)) * 4.0
-        assign = rng.integers(num_clusters, size=seq_len)
+        centroids = rng.standard_normal((NUM_CLUSTERS, head_dim)) * 4.0
+        assign = rng.integers(NUM_CLUSTERS, size=seq_len)
         for g in range(num_kv_heads):
             keys[g] = centroids[assign] + 0.5 * rng.standard_normal(shape_kv[1:])
-        q_assign = rng.integers(num_clusters, size=seq_len)
+        q_assign = rng.integers(NUM_CLUSTERS, size=seq_len)
         for h in range(num_q_heads):
             queries[h] = centroids[q_assign] + 0.5 * rng.standard_normal(shape_kv[1:])
     else:

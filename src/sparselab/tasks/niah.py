@@ -36,21 +36,19 @@ def _pair_line(key: str, value: str) -> str:
 
 def gen_niah(
     seed: int,
-    num_pairs: int = NUM_QUERIES,
     target_tokens: int = 16384,
     tokenizer: ApproxTokenizer | None = None,
 ) -> TaskSample:
-    """``num_pairs`` is the minimum number of key-value pairs; more are added
-    until the rendered prompt reaches the token target."""
-    if num_pairs < NUM_QUERIES:
-        raise ValueError(f"num_pairs must be at least {NUM_QUERIES}")
+    """Key-value pairs are added until the rendered prompt reaches the token
+    target; ``NUM_QUERIES`` of them are queried, so the target must hold at
+    least that many."""
     rng = np.random.default_rng(seed)
     words = load_words()
     used: set = set()
 
     pairs = [
         (_hyphenated(rng, words, used), _hyphenated(rng, words, used))
-        for _ in range(num_pairs)
+        for _ in range(NUM_QUERIES)
     ]
 
     # Overhead is constant: every key/value is three words and two hyphens,
@@ -58,9 +56,9 @@ def gen_niah(
     probe = _sample_from(pairs, pairs[:NUM_QUERIES], "", seed, target_tokens)
     overhead = count_tokens(render_prompt(probe), tokenizer)
     capacity = units_within(target_tokens - overhead, _pair_line(*pairs[0]), tokenizer)
-    if capacity < num_pairs:
+    if capacity < NUM_QUERIES:
         raise GenerationError(
-            f"target_tokens={target_tokens} cannot hold {num_pairs} pairs"
+            f"target_tokens={target_tokens} cannot hold {NUM_QUERIES} pairs"
         )
     while len(pairs) < capacity:
         pairs.append(

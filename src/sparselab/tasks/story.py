@@ -65,6 +65,11 @@ ITEM_OBJECTS = (
     "ring",
 )
 
+# story_retrieval asks NUM_QUESTIONS questions.  In each chapter the
+# protagonist, while owning an item, gives one away with RELINQUISH_RATE.
+NUM_QUESTIONS = 16
+RELINQUISH_RATE = 0.25
+
 EVENTS = (
     "a tense negotiation", "a violent storm", "an opulent banquet",
     "a sudden market crash", "a solemn festival", "a heated auction",
@@ -199,11 +204,7 @@ def _pick(rng: np.random.Generator, pool, avoid=None):
             return choice
 
 
-def _chapter_stream(
-    rng: np.random.Generator,
-    no_purchase: frozenset[int] = frozenset(),
-    relinquish_rate: float = 0.25,
-):
+def _chapter_stream(rng: np.random.Generator, no_purchase: frozenset[int] = frozenset()):
     """Chapters 1, 2, ... of one world, each drawn from ``rng`` after the
     ones before it, so the first k chapters do not depend on how many follow."""
     items = _item_stream(rng)
@@ -220,7 +221,7 @@ def _chapter_stream(
                 "with a purchase"
             )
         relinquished = None
-        if owned and rng.random() < relinquish_rate:
+        if owned and rng.random() < RELINQUISH_RATE:
             relinquished = owned.pop(int(rng.integers(0, len(owned))))
         if acquired is not None:
             owned.append(acquired)
@@ -232,10 +233,9 @@ def build_world(
     rng: np.random.Generator,
     num_chapters: int,
     no_purchase: frozenset[int] = frozenset(),
-    relinquish_rate: float = 0.25,
 ) -> StoryWorld:
     protagonist = _pick(rng, PROTAGONISTS)
-    chapters = _chapter_stream(rng, no_purchase, relinquish_rate)
+    chapters = _chapter_stream(rng, no_purchase)
     return StoryWorld(protagonist, tuple(itertools.islice(chapters, num_chapters)))
 
 
@@ -315,7 +315,6 @@ def gen_story(
     kind: str = "story_retrieval",
     num_chapters: int | None = None,
     target_tokens: int = 16384,
-    num_questions: int = 16,
     num_no_purchase: int = 3,
     tokenizer: ApproxTokenizer | None = None,
 ) -> TaskSample:
@@ -326,16 +325,14 @@ def gen_story(
     if kind != "story_filtering":
         num_no_purchase = 0
     minimum = {
-        "story_retrieval": num_questions,
+        "story_retrieval": NUM_QUESTIONS,
         "story_filtering": num_no_purchase + 1,
         "story_multihop": 2,
     }[kind]
 
     @functools.cache
     def build(count: int) -> TaskSample:
-        return _build_sample(
-            seed, kind, count, target_tokens, num_questions, num_no_purchase
-        )
+        return _build_sample(seed, kind, count, target_tokens, num_no_purchase)
 
     if num_chapters is None:
         num_chapters = _fit_chapter_count(
@@ -348,9 +345,7 @@ def gen_story(
     return build(num_chapters)
 
 
-def _build_sample(
-    seed, kind, num_chapters, target_tokens, num_questions, num_no_purchase
-) -> TaskSample:
+def _build_sample(seed, kind, num_chapters, target_tokens, num_no_purchase) -> TaskSample:
     if num_no_purchase:
         skip = frozenset(
             int(i) + 1
@@ -363,7 +358,7 @@ def _build_sample(
     rng = np.random.default_rng([seed, 1])
     world = build_world(rng, num_chapters, no_purchase=skip)
     context = render_world(seed, world)
-    questions, gold, extras = _pose_questions(rng, world, kind, num_questions)
+    questions, gold, extras = _pose_questions(rng, world, kind)
     return TaskSample(
         id=f"{kind}-s{seed}-t{target_tokens}",
         kind=kind,
@@ -377,11 +372,11 @@ def _build_sample(
     )
 
 
-def _pose_questions(rng, world: StoryWorld, kind: str, num_questions: int):
+def _pose_questions(rng, world: StoryWorld, kind: str):
     chapters = world.chapters
     if kind == "story_retrieval":
         picked = sorted(
-            int(i) for i in rng.choice(len(chapters), size=num_questions, replace=False)
+            int(i) for i in rng.choice(len(chapters), size=NUM_QUESTIONS, replace=False)
         )
         questions, gold = [], []
         for slot, idx in enumerate(picked):

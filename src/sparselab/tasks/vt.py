@@ -11,13 +11,15 @@ from .kinds import TABLE
 from .prompt import render_prompt
 from .tokenization import ApproxTokenizer, count_tokens, units_within
 
-__all__ = ["FILLER", "gen_vt", "resolve_variables"]
+__all__ = ["CHAIN_DEPTH", "FILLER", "NUM_CHAINS", "gen_vt", "resolve_variables"]
 
 FILLER = (
     "The grass is green. The sky is blue. The sun is yellow. "
     "Here we go. There and back again."
 )
 _NAME_LETTERS = "ABCDEFGHIJKLMNOPQRSTUVWXYZ"
+NUM_CHAINS = 4
+CHAIN_DEPTH = 4
 
 _NUMERIC = re.compile(r"^VAR ([A-Z]+) = (\d+)$", re.MULTILINE)
 _COPY = re.compile(r"^VAR ([A-Z]+) = VAR ([A-Z]+)$", re.MULTILINE)
@@ -35,26 +37,23 @@ def _fresh_name(rng: np.random.Generator, used: set) -> str:
 
 def gen_vt(
     seed: int,
-    num_chains: int = 4,
-    chain_depth: int = 4,
     target_tokens: int = 16384,
     tokenizer: ApproxTokenizer | None = None,
 ) -> TaskSample:
-    """Chains are trees: each chain has one numeric root and ``chain_depth - 1``
-    copy assignments pointing at earlier members of the same chain. The first
-    chain's value is queried; gold is that chain's full membership."""
-    if num_chains < 1 or chain_depth < 1:
-        raise ValueError("num_chains and chain_depth must be positive")
+    """``NUM_CHAINS`` chains are trees: each has one numeric root and
+    ``CHAIN_DEPTH - 1`` copy assignments pointing at earlier members of the
+    same chain. The first chain's value is queried; gold is that chain's full
+    membership."""
     rng = np.random.default_rng(seed)
     used: set = set()
 
-    values = rng.choice(np.arange(10000, 100000), size=num_chains, replace=False)
+    values = rng.choice(np.arange(10000, 100000), size=NUM_CHAINS, replace=False)
     lines: list[str] = []
     target_members: list[str] = []
-    for chain in range(num_chains):
+    for chain in range(NUM_CHAINS):
         members = [_fresh_name(rng, used)]
         lines.append(f"VAR {members[0]} = {int(values[chain])}")
-        for _ in range(chain_depth - 1):
+        for _ in range(CHAIN_DEPTH - 1):
             parent = members[int(rng.integers(0, len(members)))]
             child = _fresh_name(rng, used)
             members.append(child)
@@ -66,8 +65,7 @@ def gen_vt(
     order = rng.permutation(len(lines))
     lines = [lines[int(i)] for i in order]
 
-    probe = _sample("", seed, target_tokens, target_value, tuple(sorted(target_members)),
-                    num_chains, chain_depth)
+    probe = _sample("", seed, target_tokens, target_value, tuple(sorted(target_members)))
     overhead = count_tokens(render_prompt(probe), tokenizer)
     line_tokens = count_tokens("\n".join(lines), tokenizer)
     budget = target_tokens - overhead - line_tokens
@@ -84,10 +82,10 @@ def gen_vt(
         if gap < len(lines):
             parts.append(lines[gap])
     return _sample("\n".join(parts), seed, target_tokens, target_value,
-                   tuple(sorted(target_members)), num_chains, chain_depth)
+                   tuple(sorted(target_members)))
 
 
-def _sample(context, seed, target_tokens, value, gold, num_chains, chain_depth) -> TaskSample:
+def _sample(context, seed, target_tokens, value, gold) -> TaskSample:
     question = (
         f"Which variables resolve to the value {value}? A variable resolves to "
         f"{value} if it is either directly assigned {value}, or assigned to "
@@ -102,8 +100,8 @@ def _sample(context, seed, target_tokens, value, gold, num_chains, chain_depth) 
         metric=TABLE["vt"].metric,
         target_tokens=target_tokens,
         seed=seed,
-        extras={"target_value": value, "num_chains": num_chains,
-                "chain_depth": chain_depth},
+        extras={"target_value": value, "num_chains": NUM_CHAINS,
+                "chain_depth": CHAIN_DEPTH},
     )
 
 

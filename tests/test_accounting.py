@@ -102,7 +102,6 @@ def test_plan_sparsity_matches_mask_cell_count(seed, n, kv):
                 inputs,
                 int(rng.integers(FORCED_PREFIX, n + 1)),
                 int(rng.integers(FORCED_LOCAL, n + 1)),
-                approx_window=min(n, 128),
             )
         )
     for diagonal in (True, False):
@@ -206,11 +205,10 @@ def test_vertical_slash_and_flexprefill_properties(seed, n, kv):
     exactly, and nest in num_verticals / num_slashes and in alpha."""
     rng = np.random.default_rng(seed)
     inputs = random_inputs(rng, n, num_q_heads=2 * kv, num_kv_heads=kv)
-    window = int(rng.integers(1, n + 1))
     verticals = np.sort(rng.integers(min(FORCED_PREFIX, n), n + 1, size=3)).tolist()
     slashes = np.sort(rng.integers(min(FORCED_LOCAL, n), n + 1, size=3)).tolist()
     budgets = list(zip(verticals, slashes))
-    uniform = [build_vertical_slash(inputs, v, s, approx_window=window) for v, s in budgets]
+    uniform = [build_vertical_slash(inputs, v, s) for v, s in budgets]
     for plan, (v, s) in zip(uniform, budgets):
         check_vs_plan(plan, n)
         assert all(x.size == v for x in plan.verticals)
@@ -219,7 +217,7 @@ def test_vertical_slash_and_flexprefill_properties(seed, n, kv):
     assert_nested(uniform, "slashes")
 
     min_budget = int(rng.integers(1, 2 * n + 1))
-    config = dict(min_budget=min_budget, approx_window=window, fallback_counts=budgets[0])
+    config = dict(min_budget=min_budget, fallback_counts=budgets[0])
     fallback = build_flexprefill(inputs, FlexPrefillConfig(alpha=0.0, **config))
     for a, b in zip(fallback.verticals + fallback.slashes, uniform[0].verticals + uniform[0].slashes):
         assert np.array_equal(a, b)
@@ -343,17 +341,17 @@ def test_page_plan_has_no_mask_view(rng):
 
 def test_recall_is_bounded_and_exact_for_full_plan(rng):
     inputs = random_inputs(rng, 160)
-    partial = build_vertical_slash(inputs, 8, 64, approx_window=128)
+    partial = build_vertical_slash(inputs, 8, 64)
     r = attention_recall(partial, inputs)
     assert 0.0 < r < 1.0
-    full = build_vertical_slash(inputs, 160, 160, approx_window=128)
+    full = build_vertical_slash(inputs, 160, 160)
     assert attention_recall(full, inputs) == pytest.approx(1.0, abs=1e-12)
 
 
 @pytest.mark.parametrize(
     "build",
     [
-        lambda x: build_vertical_slash(x, 24, 72, approx_window=64),
+        lambda x: build_vertical_slash(x, 24, 72),
         lambda x: build_block_sparse(x, 4),
         lambda x: snapkv_compress(x, 140),
     ],
@@ -406,7 +404,6 @@ def test_recall_oracle_limit(rng):
     plan = build_vertical_slash(inputs, 16, 64)
     with pytest.raises(ValueError):
         attention_recall(plan, inputs)
-    assert attention_recall(plan, inputs, oracle_limit=ORACLE_LIMIT + 16) > 0.0
 
 
 def test_calibration_table_lookup():

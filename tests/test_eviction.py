@@ -28,7 +28,7 @@ def snapkv_oracle_kept(inputs, kv_head, capacity, window=256, kernel=21):
     group = [h for h, g in enumerate(inputs.group_map) if g == kv_head]
     per_token = np.zeros(n)
     for h in group:
-        per_token += window_weights_head(inputs, h, w).sum(axis=0)
+        per_token += window_weights_head(inputs, h).sum(axis=0)
     per_token /= len(group) * w
     half = kernel // 2
     padded = np.concatenate([np.zeros(half), per_token, np.zeros(half)])

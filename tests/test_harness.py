@@ -391,16 +391,59 @@ def test_cli_gen_plan_cost(tmp_path):
 
 
 @pytest.mark.parametrize(
-    "pairs, wrong",
-    [(["token_budgt=64"], "token_budgt"), (["token_budget=64", "page_sise=8"], "page_sise")],
-    ids=["misspelt_required", "misspelt_optional"],
+    "method, pairs, wrong, accepted",
+    [
+        ("quest", ["token_budgt=64"], "token_budgt", "quest takes token_budget;"),
+        ("quest", ["token_budget=64", "page_sise=8"], "page_sise", "quest takes token_budget;"),
+        (
+            "vertical_slash",
+            ["num_verticals=8", "num_slashes=64", "approx_window=64"],
+            "approx_window",
+            "vertical_slash takes num_verticals, num_slashes;",
+        ),
+        (
+            "flexprefill",
+            ["alpha=0.5", "approx_window=64"],
+            "approx_window",
+            "flexprefill takes alpha, min_budget (optional);",
+        ),
+    ],
+    ids=["misspelt_required", "misspelt_optional", "vs_window", "flex_window"],
 )
-def test_cli_plan_rejects_unknown_param_names(pairs, wrong):
+def test_cli_plan_rejects_unknown_param_names(method, pairs, wrong, accepted):
     params = [arg for pair in pairs for arg in ("--param", pair)]
-    result = CliRunner().invoke(cli, ["plan", "--method", "quest", "--length", "256", *params])
+    result = CliRunner().invoke(cli, ["plan", "--method", method, "--length", "256", *params])
     assert result.exit_code == 2, result.output
-    assert "quest takes token_budget" in result.output
+    assert accepted in result.output
     assert f"unknown {wrong}" in result.output
+
+
+def test_cli_plan_rejects_level_with_params():
+    result = CliRunner().invoke(
+        cli,
+        ["plan", "--method", "quest", "--length", "256", "--level", "0.9",
+         "--param", "token_budget=64"],
+    )
+    assert result.exit_code == 2, result.output
+    assert "not both" in result.output
+    assert "achieved sparsity" not in result.output
+
+
+@pytest.mark.parametrize(
+    "args, message",
+    [
+        (["--batch", "0"], "batch_size must be positive"),
+        (["--density", "1.5"], "density must lie in (0, 1]"),
+        (["--model", "nope"], "unknown model preset 'nope'"),
+    ],
+    ids=["batch", "density", "model"],
+)
+def test_cli_cost_reports_bad_values(tmp_path, args, message):
+    out = tmp_path / "sweep.csv"
+    result = CliRunner().invoke(cli, ["cost", "--length", "16384", *args, "--out", str(out)])
+    assert result.exit_code == 2, result.output
+    assert message in result.output
+    assert not out.exists()
 
 
 @pytest.mark.parametrize(
@@ -456,6 +499,18 @@ def test_cli_calibration_reports_every_row():
             assert fields[5] == "measured"
         assert (fields[6:] == ["<--", "off"]) == (error > 0.03)
     assert any(line.endswith("measured  <-- off") for line in rows)
+
+
+def test_cli_run_rejects_zero_samples(tmp_path):
+    config_path = tmp_path / "config.json"
+    config_path.write_text(json.dumps(small_config().to_json()))
+    out_root = tmp_path / "runs"
+    result = CliRunner().invoke(
+        cli, ["run", "--config", str(config_path), "--out", str(out_root), "--samples", "0"],
+    )
+    assert result.exit_code == 2, result.output
+    assert "samples_per_config must be positive" in result.output
+    assert not out_root.exists()
 
 
 def test_cli_run_and_analyze(tmp_path):

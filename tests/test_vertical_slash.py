@@ -14,7 +14,7 @@ from sparselab.patterns import (
     plan_sparsity,
     vertical_slash_cells,
 )
-from sparselab.patterns.vertical_slash import _column_and_diagonal_mass
+from sparselab.patterns.calibration import METHODS
 from sparselab.synthetic import make_inputs
 
 from conftest import random_inputs, tied_inputs
@@ -41,7 +41,7 @@ def test_planted_column_is_selected():
 
 def test_full_budget_covers_causal_triangle(rng):
     inputs = random_inputs(rng, 300)
-    plan = build_vertical_slash(inputs, 300, 300, approx_window=128)
+    plan = build_vertical_slash(inputs, 300, 300)
     report = plan_sparsity(plan)
     assert report.computed_cells == report.causal_cells
     assert report.achieved_sparsity == 0.0
@@ -54,7 +54,7 @@ def test_tie_break_prefers_lower_index():
     k = np.ones((1, 320, 8))
     v = np.zeros((1, 320, 8))
     inputs = AttentionInputs.from_arrays(q, k, v)
-    plan = build_vertical_slash(inputs, 10, 70, approx_window=64)
+    plan = build_vertical_slash(inputs, 10, 70)
     for vs, sl in zip(plan.verticals, plan.slashes):
         assert vs.tolist() == list(range(10))
         assert sl.tolist() == list(range(70))
@@ -63,13 +63,11 @@ def test_tie_break_prefers_lower_index():
 def test_budget_validation(rng):
     inputs = random_inputs(rng, 300)
     with pytest.raises(ValueError):
-        build_vertical_slash(inputs, FORCED_PREFIX - 1, 64, approx_window=128)
+        build_vertical_slash(inputs, FORCED_PREFIX - 1, 64)
     with pytest.raises(ValueError):
-        build_vertical_slash(inputs, 8, FORCED_LOCAL - 1, approx_window=128)
+        build_vertical_slash(inputs, 8, FORCED_LOCAL - 1)
     with pytest.raises(ValueError):
-        build_vertical_slash(inputs, 301, 64, approx_window=128)
-    with pytest.raises(ValueError):
-        build_vertical_slash(inputs, 8, 64, approx_window=301)
+        build_vertical_slash(inputs, 301, 64)
 
 
 @pytest.mark.parametrize("n", [1, 5, 63])
@@ -79,24 +77,38 @@ def test_builds_below_the_forced_offsets(rng, n):
     offsets; one fewer is still rejected."""
     inputs = random_inputs(rng, n)
     v_min, s_min = min(FORCED_PREFIX, n), min(FORCED_LOCAL, n)
-    plan = build_vertical_slash(inputs, v_min, s_min, approx_window=n)
+    plan = build_vertical_slash(inputs, v_min, s_min)
     for v, s in zip(plan.verticals, plan.slashes):
         assert v.tolist() == list(range(v_min))
         assert s.tolist() == list(range(n))
     assert plan_sparsity(plan).achieved_sparsity == 0.0
     with pytest.raises(ValueError, match="num_slashes must be >="):
-        build_vertical_slash(inputs, v_min, s_min - 1, approx_window=n)
+        build_vertical_slash(inputs, v_min, s_min - 1)
     with pytest.raises(ValueError, match="num_verticals must be >="):
-        build_vertical_slash(inputs, v_min - 1, s_min, approx_window=n)
-    with pytest.raises(ValueError, match="approx_window"):
-        build_vertical_slash(inputs, v_min, s_min, approx_window=n + 1)
+        build_vertical_slash(inputs, v_min - 1, s_min)
     fallback = build_flexprefill(
-        inputs, FlexPrefillConfig(alpha=0.0, approx_window=n, fallback_counts=(v_min, s_min))
+        inputs, FlexPrefillConfig(alpha=0.0, fallback_counts=(v_min, s_min))
     )
     assert [v.tolist() for v in fallback.verticals] == [v.tolist() for v in plan.verticals]
     assert [s.tolist() for s in fallback.slashes] == [s.tolist() for s in plan.slashes]
-    search = calibrate_vertical_slash(inputs, 0.5, approx_window=n)
+    search = calibrate_vertical_slash(inputs, 0.5)
     assert search.count == n
+
+
+@pytest.mark.parametrize("n", [65, 200, 255])
+def test_builds_below_the_observation_window(rng, n):
+    """A sequence shorter than APPROX_WINDOW is scored over all of its rows."""
+    inputs = random_inputs(rng, n)
+    assert window_weights_head(inputs, 0).shape == (n, n)
+    plan = build_vertical_slash(inputs, 8, 64)
+    assert all(v.size == 8 for v in plan.verticals)
+    assert all(s.size == 64 for s in plan.slashes)
+    flex = build_flexprefill(inputs, FlexPrefillConfig(alpha=0.5, min_budget=68))
+    verticals, slashes = flexprefill_oracle(inputs, 0.5, 68)
+    assert [v.tolist() for v in flex.verticals] == verticals
+    assert [s.tolist() for s in flex.slashes] == slashes
+    search = calibrate_vertical_slash(inputs, 0.3)
+    assert FORCED_LOCAL <= search.count <= n
 
 
 def test_determinism_bit_for_bit():
@@ -134,6 +146,25 @@ def test_flexprefill_alpha_zero_equals_vertical_slash():
         assert np.array_equal(a, b)
 
 
+def test_explicit_flexprefill_alpha_zero_falls_back_to_min_budget():
+    """Registry params set no fallback_counts, so alpha = 0 keeps min_budget
+    verticals and min_budget slashes, as every calibrated alpha = 0 row does."""
+    inputs = make_inputs("clustered", 512, seed=11)
+    flex = METHODS["flexprefill"].build(inputs, {"alpha": 0, "min_budget": 68})
+    uniform = build_vertical_slash(inputs, 68, 68)
+    for a, b in zip(flex.verticals, uniform.verticals):
+        assert np.array_equal(a, b)
+    for a, b in zip(flex.slashes, uniform.slashes):
+        assert np.array_equal(a, b)
+
+
+@pytest.mark.parametrize("n", [65, 400])
+def test_flexprefill_alpha_zero_default_is_clipped_to_n(rng, n):
+    plan = build_flexprefill(random_inputs(rng, n), FlexPrefillConfig(alpha=0.0))
+    for v, s in zip(plan.verticals, plan.slashes):
+        assert v.size == s.size == min(512, n)
+
+
 def test_flexprefill_alpha_one_selects_everything():
     inputs = make_inputs("uniform", 384, seed=0)
     plan = build_flexprefill(inputs, FlexPrefillConfig(alpha=1.0))
@@ -165,16 +196,23 @@ def test_flexprefill_min_budget_is_met():
         assert v.size + s.size >= floor + 40
 
 
-def flexprefill_oracle(inputs, alpha, min_budget, window):
+def flexprefill_oracle(inputs, alpha, min_budget):
     """The greedy coverage walk: start from the forced units, then take units
     (a column or an offset) by (-window mass, vertical before slash, index)
     until the covered mass reaches alpha of the total and the count reaches
-    min_budget."""
+    min_budget.  Window cell (i, j) adds to column j and to offset i - j."""
     n = inputs.seq_len
     verticals, slashes = [], []
     for head in range(inputs.num_q_heads):
-        w = window_weights_head(inputs, head, window)
-        col_mass, slash_mass, _ = _column_and_diagonal_mass(w, n)
+        w = window_weights_head(inputs, head)
+        start = n - w.shape[0]
+        col_mass, slash_mass = [0.0] * n, [0.0] * n
+        for r, row in enumerate(w.tolist()):
+            i = start + r
+            for j in range(i + 1):
+                col_mass[j] += row[j]
+                slash_mass[i - j] += row[j]
+        col_mass, slash_mass = np.array(col_mass), np.array(slash_mass)
         chosen = (set(range(min(FORCED_PREFIX, n))), set(range(min(FORCED_LOCAL, n))))
         if alpha >= 1.0:
             chosen = (set(range(n)), set(range(n)))
@@ -213,10 +251,8 @@ def flexprefill_oracle(inputs, alpha, min_budget, window):
 )
 def test_flexprefill_matches_coverage_oracle(rng, make, alpha, min_budget):
     inputs = make(rng, 300)
-    plan = build_flexprefill(
-        inputs, FlexPrefillConfig(alpha=alpha, min_budget=min_budget, approx_window=64)
-    )
-    verticals, slashes = flexprefill_oracle(inputs, alpha, min_budget, 64)
+    plan = build_flexprefill(inputs, FlexPrefillConfig(alpha=alpha, min_budget=min_budget))
+    verticals, slashes = flexprefill_oracle(inputs, alpha, min_budget)
     assert [v.tolist() for v in plan.verticals] == verticals
     assert [s.tolist() for s in plan.slashes] == slashes
 
@@ -251,7 +287,7 @@ def test_uniform_logit_recall_matches_closed_form():
     k = np.zeros((1, n, 4))
     v = np.zeros((1, n, 4))
     inputs = AttentionInputs.from_arrays(q, k, v)
-    plan = build_vertical_slash(inputs, 4, 64, approx_window=n)
+    plan = build_vertical_slash(inputs, 4, 64)
     lean = type(plan)(
         verticals=tuple(np.array([0]) for _ in range(2)),
         slashes=tuple(np.array([0]) for _ in range(2)),
@@ -280,5 +316,5 @@ def test_calibration_search_converges():
 
 def test_calibration_unreachable_flag():
     inputs = make_inputs("uniform", 128, seed=0)
-    search = calibrate_vertical_slash(inputs, 0.01, approx_window=128)
+    search = calibrate_vertical_slash(inputs, 0.01)
     assert not search.target_reachable
