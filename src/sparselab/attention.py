@@ -14,6 +14,11 @@ with the columns the tiles read, not with n².  The same loop gives each
 row's log-sum-exp, which ``AttentionInputs.causal_lse`` caches for the
 dense causal logits, so the dense probability mass on any cell set is
 ``exp(masked_lse - causal_lse)`` without holding n x n weights.
+
+The window-scored pattern builders read ``AttentionInputs.window_stats``:
+per head, the column sums and maxima, the diagonal sums and the total of the
+observation window's softmax, computed once per input and cached the same
+way.
 """
 
 from __future__ import annotations
@@ -29,6 +34,7 @@ __all__ = [
     "TILE_ROWS",
     "AttentionInputs",
     "AttentionOutput",
+    "WindowStats",
     "CellMask",
     "check_causal_bitmap",
     "default_group_map",
@@ -69,7 +75,9 @@ class AttentionInputs:
     group_map: query head -> kv head, partitioning query heads into equal groups.
 
     The three arrays are stored as read-only views (the caller's arrays stay
-    writeable), so ``causal_lse``, computed once and cached, cannot go stale.
+    writeable), so the two cached properties cannot go stale: ``causal_lse``
+    for the recall oracle and ``window_stats`` for the window-scored
+    builders, each computed on first use.
     """
 
     queries: np.ndarray
@@ -137,6 +145,29 @@ class AttentionInputs:
     def causal_lse(self) -> np.ndarray:
         """[num_q_heads, seq_len] log-sum-exp of each row's causal logits."""
         return np.stack([row_logsumexp(self, head) for head in range(self.num_q_heads)])
+
+    @cached_property
+    def window_stats(self) -> WindowStats:
+        """Observation-window reductions of every query head (``WindowStats``)."""
+        return _window_stats(self)
+
+
+@dataclass(frozen=True)
+class WindowStats:
+    """O(n) reductions of ``window_weights_head`` for every query head, as
+    read-only arrays.
+
+    column_sum: [num_q_heads, seq_len] window mass of each key column.
+    column_max: [num_q_heads, seq_len] largest window weight of each key column.
+    slash_mass: [num_q_heads, seq_len] window mass of each diagonal offset o,
+        the cells (i, i - o).
+    total:      [num_q_heads] the window's total mass.
+    """
+
+    column_sum: np.ndarray
+    column_max: np.ndarray
+    slash_mass: np.ndarray
+    total: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -228,6 +259,29 @@ def window_weights_head(inputs: AttentionInputs, head: int) -> np.ndarray:
     rows = np.arange(n - window, n)[:, None]
     logits[np.arange(n)[None, :] > rows] = -np.inf
     return _stable_softmax(logits)
+
+
+def _window_stats(inputs: AttentionInputs) -> WindowStats:
+    """Score each head's window once and keep only its reductions; the
+    [window, n] weights of one head are freed before the next is scored."""
+    n, heads = inputs.seq_len, inputs.num_q_heads
+    column_sum = np.empty((heads, n))
+    column_max = np.empty((heads, n))
+    slash_mass = np.zeros((heads, n))
+    total = np.empty(heads)
+    for head in range(heads):
+        weights = window_weights_head(inputs, head)
+        start = n - weights.shape[0]
+        column_sum[head] = weights.sum(axis=0)
+        column_max[head] = weights.max(axis=0)
+        for r in range(weights.shape[0]):
+            i = start + r
+            # cell (i, j) sits on offset i - j; reversing the row aligns offsets 0..i
+            slash_mass[head, : i + 1] += weights[r, : i + 1][::-1]
+        total[head] = weights.sum()
+    for arr in (column_sum, column_max, slash_mass, total):
+        arr.flags.writeable = False
+    return WindowStats(column_sum, column_max, slash_mass, total)
 
 
 def _tiles(inputs: AttentionInputs, head: int, cells: np.ndarray | None = None):

@@ -32,7 +32,7 @@ def main() -> None:
 @main.command()
 @click.option("--kind", type=click.Choice(TASK_KINDS), required=True)
 @click.option("--seed", default=0, show_default=True)
-@click.option("--samples", default=1, show_default=True)
+@click.option("--samples", type=click.IntRange(min=1), default=1, show_default=True)
 @click.option("--target-tokens", default=16384, show_default=True)
 @click.option("--out", type=click.Path(dir_okay=False), required=True)
 def gen(kind, seed, samples, target_tokens, out) -> None:

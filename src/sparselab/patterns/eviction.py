@@ -2,9 +2,10 @@
 adaptive variant that pools the budget across heads.
 
 Both score tokens with exact attention from the last ``APPROX_WINDOW`` query
-rows, reduce over the query heads of each kv group (mean for the uniform
-variant, max for the adaptive one), then smooth the per-token scores with a
-zero-padded ``KERNEL_SIZE``-wide average pool.  The first 4 and most recent
+rows, reduce over the query heads and window rows of each kv group (mean for
+the uniform variant, max for the adaptive one) from the input's cached
+``window_stats``, then smooth the per-token scores with a zero-padded
+``KERNEL_SIZE``-wide average pool.  The first 4 and most recent
 128 tokens are always kept and count toward the capacity; tokens are ranked
 by ``accounting.ranked_keep``.  Uniform allocation is the pooled rule with
 every head's floor at its full capacity.
@@ -12,11 +13,13 @@ every head's floor at its full capacity.
 
 from __future__ import annotations
 
-from typing import Callable
+from typing import Literal
 
 import numpy as np
 
-from ..attention import APPROX_WINDOW, AttentionInputs, window_weights_head
+# window_weights_head is not called here (the scoring runs once per input in
+# AttentionInputs.window_stats), but perfbench's tracer wraps this attribute
+from ..attention import APPROX_WINDOW, AttentionInputs, window_weights_head  # noqa: F401
 from .accounting import ranked_keep
 from .plans import EvictionPlan
 
@@ -44,26 +47,29 @@ def _avg_pool_1d(scores: np.ndarray) -> np.ndarray:
 
 
 def smoothed_scores(
-    inputs: AttentionInputs, kv_head: int, reduce: Callable[..., np.ndarray]
+    inputs: AttentionInputs, kv_head: int, reduce: Literal["mean", "max"]
 ) -> np.ndarray:
     """Per-token window attention of one kv head's query group, reduced over
-    the group's heads and window rows by ``reduce`` (``np.mean`` or
-    ``np.max``), then smoothed."""
-    group = np.stack(
-        [
-            window_weights_head(inputs, h)
-            for h, g in enumerate(inputs.group_map)
-            if g == kv_head
-        ]
-    )
-    return _avg_pool_1d(reduce(group, axis=(0, 1)))
+    the group's heads and window rows (the mean from the cached per-head
+    column sums, the max from the cached per-head column maxima), then
+    smoothed."""
+    stats = inputs.window_stats
+    group = [h for h, g in enumerate(inputs.group_map) if g == kv_head]
+    if reduce == "mean":
+        window = min(APPROX_WINDOW, inputs.seq_len)
+        scores = stats.column_sum[group].sum(axis=0) / (len(group) * window)
+    elif reduce == "max":
+        scores = stats.column_max[group].max(axis=0)
+    else:
+        raise ValueError(f"reduce must be 'mean' or 'max', got {reduce!r}")
+    return _avg_pool_1d(scores)
 
 
 def _compress(
     inputs: AttentionInputs,
     token_capacity: int,
     floor_fraction: float,
-    reduce: Callable[..., np.ndarray],
+    reduce: Literal["mean", "max"],
 ) -> EvictionPlan:
     """Each kv head keeps its forced tokens and its best tokens up to a floor
     of ceil(floor_fraction * capacity); one pool of num_kv_heads * capacity
@@ -88,7 +94,7 @@ def _compress(
 def snapkv_compress(inputs: AttentionInputs, token_capacity: int) -> EvictionPlan:
     """Uniform eviction: each kv head keeps its own top ``token_capacity``
     tokens by smoothed mean window attention."""
-    return _compress(inputs, token_capacity, 1.0, np.mean)
+    return _compress(inputs, token_capacity, 1.0, "mean")
 
 
 def ada_snapkv_compress(
@@ -99,4 +105,4 @@ def ada_snapkv_compress(
     a per-head floor of ceil(min_head_fraction * token_capacity) tokens."""
     if not 0.0 <= min_head_fraction <= 1.0:
         raise ValueError("min_head_fraction must lie in [0, 1]")
-    return _compress(inputs, token_capacity, min_head_fraction, np.max)
+    return _compress(inputs, token_capacity, min_head_fraction, "max")

@@ -29,12 +29,13 @@ def quest_index(keys: np.ndarray) -> PageIndex:
     if n < 1:
         raise ValueError("at least one key required")
     keys = np.asarray(keys, dtype=np.float64)
-    starts = np.arange(0, n, PAGE_SIZE)
-    return PageIndex(
-        mins=np.minimum.reduceat(keys, starts, axis=1),
-        maxs=np.maximum.reduceat(keys, starts, axis=1),
-        seq_len=n,
-    )
+    pages = -(-n // PAGE_SIZE)
+    pad = pages * PAGE_SIZE - n
+    if pad:
+        # repeating the last key leaves the partial page's min and max exact
+        keys = np.concatenate([keys, np.repeat(keys[:, -1:], pad, axis=1)], axis=1)
+    paged = keys.reshape(keys.shape[0], pages, PAGE_SIZE, keys.shape[2])
+    return PageIndex(mins=paged.min(axis=2), maxs=paged.max(axis=2), seq_len=n)
 
 
 def page_upper_bounds(query_row: np.ndarray, mins: np.ndarray, maxs: np.ndarray) -> np.ndarray:

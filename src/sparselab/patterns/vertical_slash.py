@@ -3,11 +3,12 @@ coverage-driven adaptive variant.
 
 Both score candidates with exact attention from the last
 ``attention.APPROX_WINDOW`` query rows (all rows of a shorter sequence) onto
-all keys.  A "vertical" keeps one key column for every later query; a
-"slash" keeps one causal diagonal (offset o covers cells (i, i-o)).  The
-first ``FORCED_PREFIX`` columns and the ``FORCED_LOCAL`` smallest offsets
-(all of them in a shorter sequence) are always selected and count toward the
-configured budgets; candidates are ranked by ``accounting.ranked_keep``.
+all keys, read from the input's cached ``window_stats``.  A "vertical" keeps
+one key column for every later query; a "slash" keeps one causal diagonal
+(offset o covers cells (i, i-o)).  The first ``FORCED_PREFIX`` columns and
+the ``FORCED_LOCAL`` smallest offsets (all of them in a shorter sequence) are
+always selected and count toward the configured budgets; candidates are
+ranked by ``accounting.ranked_keep``.
 """
 
 from __future__ import annotations
@@ -16,7 +17,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..attention import APPROX_WINDOW, AttentionInputs, window_weights_head
+# window_weights_head is not called here (the scoring runs once per input in
+# AttentionInputs.window_stats), but perfbench's tracer wraps this attribute
+from ..attention import APPROX_WINDOW, AttentionInputs, window_weights_head  # noqa: F401
 from .accounting import CalibrationSearch, _smallest_budget, plan_sparsity, ranked_keep
 from .plans import VerticalSlashPlan
 
@@ -34,25 +37,6 @@ FORCED_PREFIX = 4
 FORCED_LOCAL = 64
 
 
-def _window_masses(inputs: AttentionInputs) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Window attention mass per head: per key column [heads, n], per
-    diagonal offset [heads, n], and the window's total [heads]."""
-    n, heads = inputs.seq_len, inputs.num_q_heads
-    column_mass = np.empty((heads, n))
-    slash_mass = np.zeros((heads, n))
-    total = np.empty(heads)
-    for head in range(heads):
-        weights = window_weights_head(inputs, head)
-        start = n - weights.shape[0]
-        column_mass[head] = weights.sum(axis=0)
-        for r in range(weights.shape[0]):
-            i = start + r
-            # cell (i, j) sits on offset i - j; reversing the row aligns offsets 0..i
-            slash_mass[head, : i + 1] += weights[r, : i + 1][::-1]
-        total[head] = weights.sum()
-    return column_mass, slash_mass, total
-
-
 def build_vertical_slash(
     inputs: AttentionInputs, num_verticals: int, num_slashes: int
 ) -> VerticalSlashPlan:
@@ -67,7 +51,8 @@ def build_vertical_slash(
     if num_verticals > n or num_slashes > n:
         raise ValueError("budgets cannot exceed seq_len")
 
-    col_mass, slash_mass, _ = _window_masses(inputs)
+    stats = inputs.window_stats
+    col_mass, slash_mass = stats.column_sum, stats.slash_mass
     ids = np.arange(n)
     # offset o intersects window rows i >= max(n - window, o): min(window, n - o) cells
     slash_cells = np.minimum(min(APPROX_WINDOW, n), n - ids)
@@ -87,7 +72,8 @@ class FlexPrefillConfig:
     window mass reaches ``alpha`` of the total, then pad to ``min_budget``
     units.  ``alpha=0`` reverts to the uniform builder with
     ``fallback_counts`` verticals and slashes (``min_budget`` of each when
-    unset); ``alpha=1`` selects every candidate unit."""
+    unset), lifted to the forced units that every ``alpha > 0`` build keeps;
+    ``alpha=1`` selects every candidate unit."""
 
     alpha: float
     min_budget: int = 512
@@ -102,7 +88,7 @@ class FlexPrefillConfig:
     def uniform_counts(self, n: int) -> tuple[int, int]:
         """(verticals, slashes) of the ``alpha=0`` build at length n."""
         kv, ks = self.fallback_counts or (self.min_budget, self.min_budget)
-        return min(kv, n), min(ks, n)
+        return min(max(kv, FORCED_PREFIX), n), min(max(ks, FORCED_LOCAL), n)
 
 
 def build_flexprefill(
@@ -112,7 +98,8 @@ def build_flexprefill(
     if config.alpha == 0.0:
         return build_vertical_slash(inputs, *config.uniform_counts(n))
 
-    col_mass, slash_mass, total = _window_masses(inputs)
+    stats = inputs.window_stats
+    col_mass, slash_mass, total = stats.column_sum, stats.slash_mass, stats.total
     ids = np.arange(n)
     forced = np.concatenate([ids < FORCED_PREFIX, ids < FORCED_LOCAL])
     # one ranking over [columns, offsets]: on equal mass a vertical goes first

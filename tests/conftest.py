@@ -38,6 +38,22 @@ def naive_attention(inputs: AttentionInputs) -> np.ndarray:
     return out
 
 
+def window_mass_oracle(weights: np.ndarray, seq_len: int):
+    """Plain-loop reductions of one head's [window, n] window weights, whose
+    rows are the last query rows: per key column the sum and the max, and
+    per diagonal offset the sum (cell (i, j) adds to offset i - j)."""
+    n = seq_len
+    start = n - len(weights)
+    col_sum, col_max, slash_sum = [0.0] * n, [0.0] * n, [0.0] * n
+    for r, row in enumerate(weights.tolist()):
+        i = start + r
+        for j in range(i + 1):
+            col_sum[j] += row[j]
+            col_max[j] = max(col_max[j], row[j])
+            slash_sum[i - j] += row[j]
+    return np.array(col_sum), np.array(col_max), np.array(slash_sum)
+
+
 def random_inputs(
     rng: np.random.Generator,
     seq_len: int,

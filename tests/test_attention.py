@@ -3,6 +3,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from sparselab import attention
 from sparselab.attention import (
     AttentionInputs,
     CellMask,
@@ -11,9 +12,17 @@ from sparselab.attention import (
     dense_prefill,
     masked_attention,
 )
+from sparselab.patterns import (
+    FlexPrefillConfig,
+    ada_snapkv_compress,
+    build_flexprefill,
+    build_vertical_slash,
+    calibrate_vertical_slash,
+    snapkv_compress,
+)
 from sparselab.synthetic import make_inputs
 
-from conftest import naive_attention, random_inputs
+from conftest import naive_attention, random_inputs, window_mass_oracle
 
 
 def test_dense_matches_naive_oracle(rng):
@@ -219,3 +228,41 @@ def test_cell_mask_validation():
     assert mask.num_cells() == 2 * 15
     assert mask.row(0, 3).tolist() == [0, 1, 2, 3]
     assert mask.is_superset_of(CellMask(np.eye(5, dtype=bool)[None].repeat(2, axis=0)))
+
+
+@pytest.mark.parametrize("n", [140, 300])
+def test_window_is_scored_once_per_head(rng, monkeypatch, n):
+    """Every window-scored build and calibration step reads one cache, filled
+    by one window_weights_head call per query head."""
+    inputs = random_inputs(rng, n)
+    calls = []
+    real = attention.window_weights_head
+
+    def counted(inputs, head):
+        calls.append(head)
+        return real(inputs, head)
+
+    monkeypatch.setattr(attention, "window_weights_head", counted)
+    for budget in (64, 96):
+        build_vertical_slash(inputs, budget // 8, budget)
+    for alpha in (0.3, 0.9):
+        build_flexprefill(inputs, FlexPrefillConfig(alpha=alpha, min_budget=68))
+    for capacity in (132, 140):
+        snapkv_compress(inputs, capacity)
+        ada_snapkv_compress(inputs, capacity)
+    calibrate_vertical_slash(inputs, 0.5)
+    assert sorted(calls) == list(range(inputs.num_q_heads))
+
+    stats = inputs.window_stats
+    for arr in (stats.column_sum, stats.column_max, stats.slash_mass, stats.total):
+        with pytest.raises(ValueError):
+            arr[0] = 1.0
+    for head in range(inputs.num_q_heads):
+        weights = real(inputs, head)
+        col_sum, col_max, slash_sum = window_mass_oracle(weights, n)
+        assert np.array_equal(stats.column_sum[head], col_sum)
+        # the eviction oracle's per-token term: one head's window mass per key
+        assert np.array_equal(stats.column_sum[head], weights.sum(axis=0))
+        assert np.array_equal(stats.column_max[head], col_max)
+        assert np.array_equal(stats.slash_mass[head], slash_sum)
+        assert stats.total[head] == pytest.approx(min(256, n), rel=1e-12)

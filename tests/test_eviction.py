@@ -58,7 +58,7 @@ def ada_snapkv_oracle_kept(inputs, capacity, min_head_fraction):
     the floor; then one pool over every head's remaining tokens ranked by
     (-score, kv head, token) fills the rest of num_kv * capacity."""
     n, num_kv = inputs.seq_len, inputs.num_kv_heads
-    scores = [smoothed_scores(inputs, kv, np.max).tolist() for kv in range(num_kv)]
+    scores = [smoothed_scores(inputs, kv, "max").tolist() for kv in range(num_kv)]
     forced = set(range(min(FORCED_FIRST, n))) | set(range(max(0, n - FORCED_RECENT), n))
     floor = max(math.ceil(min_head_fraction * capacity), len(forced))
     kept = []

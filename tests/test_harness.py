@@ -475,6 +475,29 @@ def test_cli_gen_reports_infeasible_target(tmp_path):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("samples", ["0", "-3"])
+def test_cli_gen_rejects_samples_below_one(tmp_path, samples):
+    out = tmp_path / "samples.jsonl"
+    result = CliRunner().invoke(
+        cli,
+        ["gen", "--kind", "niah", "--target-tokens", "2000", "--samples", samples,
+         "--out", str(out)],
+    )
+    assert result.exit_code == 2, result.output
+    assert "--samples" in result.output
+    assert not out.exists()
+
+
+def test_cli_plan_flexprefill_alpha_zero_takes_a_small_min_budget():
+    result = CliRunner().invoke(
+        cli,
+        ["plan", "--method", "flexprefill", "--length", "256",
+         "--param", "alpha=0", "--param", "min_budget=10"],
+    )
+    assert result.exit_code == 0, result.output
+    assert "achieved sparsity" in result.output
+
+
 def test_cli_calibration_reports_every_row():
     result = CliRunner().invoke(cli, ["calibration"])
     assert result.exit_code == 0, result.output

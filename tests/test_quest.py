@@ -28,6 +28,16 @@ def test_index_matches_naive_min_max(rng):
             assert np.array_equal(index.maxs[g][p], chunk.max(axis=0))
 
 
+@pytest.mark.parametrize("n", [1, 15, 16, 17, 300])
+def test_index_equals_reduceat_min_max(rng, n):
+    """Whole pages and a partial last page, against np.minimum/maximum.reduceat."""
+    keys = rng.normal(size=(2, n, 8))
+    index = quest_index(keys)
+    starts = np.arange(0, n, PAGE_SIZE)
+    assert np.array_equal(index.mins, np.minimum.reduceat(keys, starts, axis=1))
+    assert np.array_equal(index.maxs, np.maximum.reduceat(keys, starts, axis=1))
+
+
 def test_page_score_upper_bounds_every_dot_product(rng):
     """Exhaustive at n=256: for every page, the min/max bound dominates the
     true maximum query-key dot product inside the page."""

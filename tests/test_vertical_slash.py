@@ -17,7 +17,7 @@ from sparselab.patterns import (
 from sparselab.patterns.calibration import METHODS
 from sparselab.synthetic import make_inputs
 
-from conftest import random_inputs, tied_inputs
+from conftest import random_inputs, tied_inputs, window_mass_oracle
 
 
 def test_forced_members_always_selected(rng):
@@ -158,6 +158,25 @@ def test_explicit_flexprefill_alpha_zero_falls_back_to_min_budget():
         assert np.array_equal(a, b)
 
 
+@pytest.mark.parametrize("n", [40, 256])
+def test_flexprefill_alpha_zero_lifts_min_budget_to_the_forced_units(rng, n):
+    """A min_budget below the forced units builds at alpha = 0, as it does
+    at alpha > 0: the uniform counts are lifted to min(4, n) verticals and
+    min(64, n) slashes."""
+    inputs = random_inputs(rng, n)
+    assert FlexPrefillConfig(alpha=0.0, min_budget=10).uniform_counts(n) == (
+        10, min(FORCED_LOCAL, n)
+    )
+    assert FlexPrefillConfig(alpha=0.0, min_budget=2).uniform_counts(n) == (
+        FORCED_PREFIX, min(FORCED_LOCAL, n)
+    )
+    flex = METHODS["flexprefill"].build(inputs, {"alpha": 0, "min_budget": 10})
+    uniform = build_vertical_slash(inputs, 10, min(FORCED_LOCAL, n))
+    assert [v.tolist() for v in flex.verticals] == [v.tolist() for v in uniform.verticals]
+    assert [s.tolist() for s in flex.slashes] == [s.tolist() for s in uniform.slashes]
+    build_flexprefill(inputs, FlexPrefillConfig(alpha=0.5, min_budget=10))
+
+
 @pytest.mark.parametrize("n", [65, 400])
 def test_flexprefill_alpha_zero_default_is_clipped_to_n(rng, n):
     plan = build_flexprefill(random_inputs(rng, n), FlexPrefillConfig(alpha=0.0))
@@ -205,14 +224,7 @@ def flexprefill_oracle(inputs, alpha, min_budget):
     verticals, slashes = [], []
     for head in range(inputs.num_q_heads):
         w = window_weights_head(inputs, head)
-        start = n - w.shape[0]
-        col_mass, slash_mass = [0.0] * n, [0.0] * n
-        for r, row in enumerate(w.tolist()):
-            i = start + r
-            for j in range(i + 1):
-                col_mass[j] += row[j]
-                slash_mass[i - j] += row[j]
-        col_mass, slash_mass = np.array(col_mass), np.array(slash_mass)
+        col_mass, _, slash_mass = window_mass_oracle(w, n)
         chosen = (set(range(min(FORCED_PREFIX, n))), set(range(min(FORCED_LOCAL, n))))
         if alpha >= 1.0:
             chosen = (set(range(n)), set(range(n)))
