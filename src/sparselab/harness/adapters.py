@@ -1,43 +1,41 @@
-"""Model adapters: a deterministic mock and a generic remote completion client."""
+"""Model adapters: a deterministic mock and a generic remote completion client.
+
+``generate(prompt, sample)`` answers one prompt; the mock reads the sample it
+was rendered from, an endpoint sees only the prompt."""
 
 from __future__ import annotations
 
 import os
 
-__all__ = ["MockAdapter", "RemoteAdapter", "make_adapter"]
+from ..tasks import format_reference_response
+
+__all__ = ["MAX_NEW_TOKENS", "MockAdapter", "RemoteAdapter", "make_adapter"]
 
 ENV_URL = "SPARSELAB_REMOTE_URL"
 ENV_TOKEN = "SPARSELAB_REMOTE_TOKEN"
 ENV_MODEL = "SPARSELAB_REMOTE_MODEL"
+MAX_NEW_TOKENS = 512
 
 
 class MockAdapter:
     """Deterministic stand-in for a model endpoint.
 
-    In echo mode the runner registers a reference response per prompt before
-    generating; empty mode returns no text at all (every sample should then
-    parse as failed and score zero). A custom responder callable overrides
-    both modes.
+    Echo mode answers with the sample's reference response, so every record
+    scores 1.0; empty mode returns no text at all (every sample should then
+    parse as failed and score zero).
     """
 
-    def __init__(self, mode: str = "echo", responder=None) -> None:
+    def __init__(self, mode: str = "echo") -> None:
         if mode not in ("echo", "empty"):
             raise ValueError(f"unknown mock mode {mode!r}")
         self.mode = mode
-        self.responder = responder
         self.calls = 0
-        self._responses: dict[str, str] = {}
 
-    def register(self, prompt: str, response: str) -> None:
-        self._responses[prompt] = response
-
-    def generate(self, prompt: str, max_new_tokens: int = 512) -> str:
+    def generate(self, prompt: str, sample) -> str:
         self.calls += 1
-        if self.responder is not None:
-            return self.responder(prompt)
         if self.mode == "empty":
             return ""
-        return self._responses.get(prompt, "")
+        return format_reference_response(sample)
 
 
 class RemoteAdapter:
@@ -60,7 +58,7 @@ class RemoteAdapter:
         if not self.url:
             raise ValueError(f"remote adapter needs an endpoint ({ENV_URL})")
 
-    def generate(self, prompt: str, max_new_tokens: int = 512) -> str:
+    def generate(self, prompt: str, sample) -> str:
         import requests
 
         self.calls += 1
@@ -70,7 +68,7 @@ class RemoteAdapter:
         payload = {
             "model": self.model,
             "prompt": prompt,
-            "max_tokens": max_new_tokens,
+            "max_tokens": MAX_NEW_TOKENS,
         }
         response = requests.post(
             self.url, json=payload, headers=headers, timeout=self.timeout

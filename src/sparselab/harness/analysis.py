@@ -1,8 +1,9 @@
 """Analysis over persisted run records: tables, curves, error and Pareto exports.
 
 Pure functions of the records: regenerating exports from the same records
-produces identical bytes. Failed records (adapter errors) are excluded from
-every aggregate.
+produces identical bytes. Failed records (generator or adapter errors) are
+excluded from every aggregate. A torn last line of ``records.jsonl`` is
+skipped with a warning and the file is left as it is.
 """
 
 from __future__ import annotations
@@ -13,6 +14,7 @@ from pathlib import Path
 from ..costs import ParetoPoint, pareto_frontier, prefill_flops, spec_from_preset, write_csv
 from ..evaluation import SparsityCurve, absolute_error, aggregate, relative_error
 from .config import ExperimentConfig
+from .runner import read_records
 
 __all__ = [
     "analyze",
@@ -28,12 +30,7 @@ def load_run(run_dir: str | Path) -> tuple[ExperimentConfig, list[dict]]:
     run_dir = Path(run_dir)
     with open(run_dir / "config.json", encoding="utf-8") as handle:
         config = ExperimentConfig.from_json(json.load(handle))
-    records = []
-    with open(run_dir / "records.jsonl", encoding="utf-8") as handle:
-        for line in handle:
-            line = line.strip()
-            if line:
-                records.append(json.loads(line))
+    records, _ = read_records(run_dir / "records.jsonl")
     fingerprint = config.fingerprint()
     mixed = {r.get("fingerprint") for r in records} - {fingerprint}
     if mixed:

@@ -223,9 +223,11 @@ def run(config_path, out, adapter, samples, seed, lengths, sparsity) -> None:
             err=True,
         )
     result = run_suite(config, out)
+    failed = sum(record["status"] != "ok" for record in result.records)
     click.echo(
         f"run {config.fingerprint()}: {result.new_records} new record(s), "
-        f"{len(result.records)} total, {result.adapter_calls} adapter call(s)"
+        f"{len(result.records)} total, {result.adapter_calls} adapter call(s), "
+        f"{failed} failed"
     )
     click.echo(f"records: {result.run_dir / 'records.jsonl'}")
 

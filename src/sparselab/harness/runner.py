@@ -8,14 +8,15 @@ import logging
 import os
 import time
 from dataclasses import dataclass
+from itertools import product
 from pathlib import Path
 
 from ..evaluation import parse_answer, score_response
-from ..tasks import format_reference_response, generate, render_prompt
-from .adapters import MockAdapter, make_adapter
+from ..tasks import GenerationError, generate, render_prompt
+from .adapters import make_adapter
 from .config import ExperimentConfig
 
-__all__ = ["RunResult", "record_key", "run_suite", "sample_seed"]
+__all__ = ["RunResult", "read_records", "record_key", "run_suite", "sample_seed"]
 
 logger = logging.getLogger("sparselab")
 
@@ -56,32 +57,32 @@ def _is_torn(line: bytes) -> bool:
     return False
 
 
+def read_records(path: Path) -> tuple[list[dict], int]:
+    """The records in a ``records.jsonl`` and the byte length of the part
+    that holds them. A torn last line, left by a crash mid-write, is skipped
+    with a warning; a bad line anywhere else raises."""
+    lines = path.read_bytes().splitlines(keepends=True)
+    if lines and _is_torn(lines[-1]):
+        logger.warning(
+            "%s: skipping a torn last line (%d bytes)", path, len(lines.pop())
+        )
+    records = [json.loads(line) for line in lines if line.strip()]
+    return records, sum(map(len, lines))
+
+
 def _load_existing(path: Path) -> dict[tuple, dict]:
     """Records already in ``path``, by key. A torn last line is cut from the
     file, so appends start after the last complete record, and its record
-    is redone. A bad line anywhere else raises."""
+    is redone."""
     if not path.exists():
         return {}
-    data = path.read_bytes()
-    lines = data.splitlines(keepends=True)
-    if lines and _is_torn(lines[-1]):
-        tail = lines.pop()
-        logger.warning(
-            "%s: dropping a torn last line (%d bytes); its record is redone",
-            path, len(tail),
-        )
-        with open(path, "r+b") as handle:
-            handle.truncate(len(data) - len(tail))
-    records = (json.loads(line) for line in lines if line.strip())
+    records, complete = read_records(path)
+    if complete < path.stat().st_size:
+        os.truncate(path, complete)
     return {record_key(record): record for record in records}
 
 
-def run_suite(
-    config: ExperimentConfig,
-    out_root: str | Path,
-    adapter=None,
-    max_new_tokens: int = 512,
-) -> RunResult:
+def run_suite(config: ExperimentConfig, out_root: str | Path, adapter=None) -> RunResult:
     """Executes the full grid, appending one record per (task, method,
     sparsity, length, sample). Completed records are skipped on rerun;
     failed ones are retried."""
@@ -104,40 +105,21 @@ def run_suite(
         adapter = make_adapter(config)
     calls_before = getattr(adapter, "calls", 0)
 
-    samples: dict[tuple, object] = {}
-
-    def get_sample(kind: str, seq_len: int, index: int):
-        key = (kind, seq_len, index)
-        if key not in samples:
-            seed = sample_seed(config.seed, kind, seq_len, index)
-            sample = generate(kind, seed=seed, target_tokens=seq_len)
-            samples[key] = (sample, render_prompt(sample))
-        return samples[key]
-
     records: list[dict] = []
     new_records = 0
     with open(records_path, "a", encoding="utf-8") as sink:
-        for kind in config.tasks:
-            for seq_len in config.seq_lengths:
-                for index in range(config.samples_per_config):
-                    sample_id = f"{kind}-L{seq_len}-i{index}"
-                    for method in config.methods:
-                        for sparsity in config.sparsity_levels:
-                            key = (kind, method, sparsity, seq_len, sample_id)
-                            prior = existing.get(key)
-                            if prior is not None and prior["status"] == "ok":
-                                records.append(prior)
-                                continue
-                            sample, prompt = get_sample(kind, seq_len, index)
-                            record = _run_one(
-                                adapter, config, sample, prompt, kind, method,
-                                sparsity, seq_len, sample_id, max_new_tokens,
-                            )
-                            record["fingerprint"] = fingerprint
-                            sink.write(json.dumps(record, sort_keys=True) + "\n")
-                            sink.flush()
-                            records.append(record)
-                            new_records += 1
+        for kind, seq_len, index in product(
+            config.tasks, config.seq_lengths, range(config.samples_per_config)
+        ):
+            for record, is_new in _sample_records(
+                adapter, config, existing, kind, seq_len, index
+            ):
+                if is_new:
+                    record["fingerprint"] = fingerprint
+                    sink.write(json.dumps(record, sort_keys=True) + "\n")
+                    sink.flush()
+                    new_records += 1
+                records.append(record)
     return RunResult(
         run_dir=run_dir,
         records=records,
@@ -146,34 +128,48 @@ def run_suite(
     )
 
 
-def _run_one(
-    adapter, config, sample, prompt, kind, method, sparsity, seq_len,
-    sample_id, max_new_tokens,
-) -> dict:
-    if isinstance(adapter, MockAdapter) and adapter.mode == "echo":
-        adapter.register(prompt, format_reference_response(sample))
-    started = time.monotonic()
-    try:
-        response = adapter.generate(prompt, max_new_tokens=max_new_tokens)
-        status = "ok"
-    except Exception as exc:  # adapter failure: record and continue
-        response = ""
-        status = f"failed: {exc}"
-    elapsed_ms = (time.monotonic() - started) * 1000.0
-    parsed = parse_answer(response)
-    score = score_response(sample, response) if status == "ok" else None
-    return {
-        "task": kind,
-        "method": method,
-        "sparsity": sparsity,
-        "seq_len": seq_len,
-        "sample_id": sample_id,
-        "sample_seed": sample.seed,
-        "model": config.model_dims,
-        "status": status,
-        "score": score,
-        "parse_ok": parsed.parse_ok,
-        "answer_block": parsed.answer_block,
-        "response": response,
-        "elapsed_ms": round(elapsed_ms, 3),
-    }
+def _sample_records(adapter, config, existing, kind, seq_len, index):
+    """One sample's records over the (method, sparsity) cells in grid order,
+    each with whether it is new. The sample is generated and rendered at its
+    first pending cell and released when the last cell is done, so a run
+    holds one sample at a time. A sample its generator cannot produce fails
+    each pending cell without an adapter call, and resume retries them."""
+    sample_id = f"{kind}-L{seq_len}-i{index}"
+    seed = sample_seed(config.seed, kind, seq_len, index)
+    sample = prompt = failure = None
+    for method, sparsity in product(config.methods, config.sparsity_levels):
+        prior = existing.get((kind, method, sparsity, seq_len, sample_id))
+        if prior is not None and prior["status"] == "ok":
+            yield prior, False
+            continue
+        if sample is None and failure is None:
+            try:
+                sample = generate(kind, seed=seed, target_tokens=seq_len)
+            except GenerationError as exc:  # an infeasible (kind, length)
+                failure = f"failed: {exc}"
+            else:
+                prompt = render_prompt(sample)
+        started = time.monotonic()
+        response, status = "", failure
+        if failure is None:
+            try:
+                response, status = adapter.generate(prompt, sample), "ok"
+            except Exception as exc:  # adapter failure: record and continue
+                status = f"failed: {exc}"
+        elapsed_ms = (time.monotonic() - started) * 1000.0
+        parsed = parse_answer(response)
+        yield {
+            "task": kind,
+            "method": method,
+            "sparsity": sparsity,
+            "seq_len": seq_len,
+            "sample_id": sample_id,
+            "sample_seed": seed,
+            "model": config.model_dims,
+            "status": status,
+            "score": score_response(sample, response) if status == "ok" else None,
+            "parse_ok": parsed.parse_ok,
+            "answer_block": parsed.answer_block,
+            "response": response,
+            "elapsed_ms": round(elapsed_ms, 3),
+        }, True

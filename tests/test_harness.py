@@ -3,15 +3,18 @@ import dataclasses
 import json
 import logging
 import re
+import weakref
 
 import numpy as np
 import pytest
+import requests
 from click.testing import CliRunner
 
 from sparselab.evaluation import interpolate
 from sparselab.harness import (
     ExperimentConfig,
     MockAdapter,
+    RemoteAdapter,
     analyze,
     curve_for,
     error_rows,
@@ -24,6 +27,8 @@ from sparselab.harness import (
     sample_seed,
     summary_rows,
 )
+from sparselab.harness import runner
+from sparselab.harness.adapters import ENV_MODEL, ENV_TOKEN, ENV_URL
 from sparselab.harness.cli import main as cli
 from sparselab.patterns import (
     FlexPrefillConfig,
@@ -38,6 +43,7 @@ from sparselab.patterns import (
 )
 from sparselab.patterns.calibration import METHOD_NAMES, METHODS
 from sparselab.synthetic import make_inputs
+from sparselab.tasks import format_reference_response, generate, render_prompt
 
 
 def small_config(**overrides) -> ExperimentConfig:
@@ -154,17 +160,175 @@ def test_resume_skips_completed_records(tmp_path):
     }
 
 
-def test_failed_records_are_retried(tmp_path):
-    def boom(prompt):
+class DownAdapter:
+    def generate(self, prompt, sample):
         raise RuntimeError("endpoint down")
 
+
+def test_failed_records_are_retried(tmp_path):
     config = small_config()
-    broken = run_suite(config, tmp_path, adapter=MockAdapter(responder=boom))
-    assert all(r["status"].startswith("failed") for r in broken.records)
+    broken = run_suite(config, tmp_path, adapter=DownAdapter())
+    assert all(r["status"] == "failed: endpoint down" for r in broken.records)
     assert all(r["score"] is None for r in broken.records)
     healed = run_suite(config, tmp_path)
     assert healed.new_records == 8
     assert all(r["status"] == "ok" for r in healed.records)
+
+
+def test_mock_answers_from_the_sample():
+    sample = generate("niah", seed=1, target_tokens=2000)
+    prompt = render_prompt(sample)
+    assert MockAdapter().generate(prompt, sample) == format_reference_response(sample)
+    assert MockAdapter(mode="empty").generate(prompt, sample) == ""
+
+
+class WeakAdapter(MockAdapter):
+    """Echo mock that counts, as each new sample arrives, how many of the
+    samples it saw before are still alive."""
+
+    def __init__(self) -> None:
+        super().__init__(mode="echo")
+        self.seen: list[weakref.ref] = []
+        self.alive_at_arrival: list[int] = []
+
+    def generate(self, prompt, sample):
+        if not self.seen or self.seen[-1]() is not sample:
+            self.alive_at_arrival.append(sum(ref() is not None for ref in self.seen))
+            self.seen.append(weakref.ref(sample))
+        return super().generate(prompt, sample)
+
+
+def test_one_sample_in_memory(tmp_path):
+    config = small_config(tasks=("niah", "vt"), seq_lengths=(2000, 3000))
+    adapter = WeakAdapter()
+    result = run_suite(config, tmp_path, adapter=adapter)
+    assert adapter.alive_at_arrival == [0] * 8
+    assert result.adapter_calls == 32
+    assert all(r["score"] == 1.0 for r in result.records)
+
+
+def test_samples_are_generated_only_for_pending_cells(tmp_path, monkeypatch):
+    kinds = []
+
+    def counted(kind, **kwargs):
+        kinds.append(kind)
+        return generate(kind, **kwargs)
+
+    monkeypatch.setattr(runner, "generate", counted)
+    config = small_config(tasks=("niah", "vt"))
+    first = run_suite(config, tmp_path)
+    assert kinds == ["niah", "niah", "vt", "vt"]
+    del kinds[:]
+    assert run_suite(config, tmp_path).new_records == 0
+    assert kinds == []
+    # drop one cell of the third sample: only that sample is generated again
+    path = first.run_dir / "records.jsonl"
+    lines = path.read_text().splitlines(keepends=True)
+    path.write_text("".join(lines[:9] + lines[10:]))
+    again = run_suite(config, tmp_path)
+    assert kinds == ["vt"]
+    assert again.new_records == again.adapter_calls == 1
+    assert [record_key(r) for r in again.records] == [record_key(r) for r in first.records]
+
+
+def test_infeasible_sample_fails_its_cells_and_not_the_grid(tmp_path):
+    config = small_config(tasks=("vt", "niah"), seq_lengths=(100, 2000))
+    result = run_suite(config, tmp_path)
+    assert len(result.records) == 32
+    assert result.adapter_calls == 16
+    for record in result.records:
+        if record["seq_len"] == 2000:
+            assert record["status"] == "ok" and record["score"] == 1.0
+            continue
+        index = int(record["sample_id"].rpartition("-i")[2])
+        assert record["sample_seed"] == sample_seed(config.seed, record["task"], 100, index)
+        assert record["status"].startswith("failed: target_tokens=100 ")
+        assert record["score"] is None
+        assert record["response"] == "" and not record["parse_ok"]
+    retried = run_suite(config, tmp_path)
+    assert retried.new_records == 16
+    assert retried.adapter_calls == 0
+
+
+def test_cli_run_reports_failed_records(tmp_path):
+    config_path = tmp_path / "config.json"
+    config = small_config(tasks=("vt", "niah"), seq_lengths=(100, 2000))
+    config_path.write_text(json.dumps(config.to_json()))
+    result = CliRunner().invoke(
+        cli, ["run", "--config", str(config_path), "--out", str(tmp_path / "runs")]
+    )
+    assert result.exit_code == 0, result.output
+    assert "Traceback" not in result.output
+    assert "32 total, 16 adapter call(s), 16 failed" in result.output
+
+
+def test_cli_analyze_skips_a_torn_last_line(tmp_path, caplog):
+    config = small_config()
+    first = run_suite(config, tmp_path)
+    path = first.run_dir / "records.jsonl"
+    lines = path.read_text().splitlines(keepends=True)
+    torn = "".join(lines[:-1]) + lines[-1][: len(lines[-1]) // 2]
+    path.write_text(torn)
+    with caplog.at_level(logging.WARNING, logger="sparselab"):
+        result = CliRunner().invoke(cli, ["analyze", "--run", str(first.run_dir)])
+    assert result.exit_code == 0, result.output
+    assert path.read_text() == torn
+    [warning] = caplog.messages
+    assert warning.endswith("skipping a torn last line (%d bytes)" % (len(lines[-1]) // 2))
+    with open(first.run_dir / "analysis" / "summary.csv", newline="") as handle:
+        counts = [int(row["n"]) for row in csv.DictReader(handle)]
+    assert sum(counts) == len(lines) - 1
+    caplog.clear()
+    with caplog.at_level(logging.WARNING, logger="sparselab"):
+        run_suite(config, tmp_path)
+    assert caplog.messages == [warning]
+
+
+def test_remote_adapter_posts_the_prompt(monkeypatch):
+    posts = []
+
+    class Response:
+        def __init__(self, body):
+            self.body = body
+
+        def raise_for_status(self):
+            pass
+
+        def json(self):
+            return self.body
+
+    bodies = [{"text": "plain"}, {"choices": [{"text": "wrapped"}]}]
+
+    def post(url, **kwargs):
+        posts.append((url, kwargs))
+        return Response(bodies[len(posts) - 1])
+
+    monkeypatch.setattr(requests, "post", post)
+    adapter = RemoteAdapter(url="http://endpoint.test/v1/completions", token="s3cret",
+                            model="m-1", timeout=7.5)
+    sample = generate("niah", seed=1, target_tokens=2000)
+    assert adapter.generate("the prompt", sample) == "plain"
+    assert adapter.generate("the prompt", sample) == "wrapped"
+    assert adapter.calls == 2
+    assert posts[0] == posts[1] == (
+        "http://endpoint.test/v1/completions",
+        {
+            "json": {"model": "m-1", "prompt": "the prompt", "max_tokens": 512},
+            "headers": {"Authorization": "Bearer s3cret"},
+            "timeout": 7.5,
+        },
+    )
+
+
+def test_remote_adapter_reads_the_environment_and_needs_a_url(monkeypatch):
+    monkeypatch.delenv(ENV_URL, raising=False)
+    with pytest.raises(ValueError, match=ENV_URL):
+        RemoteAdapter()
+    monkeypatch.setenv(ENV_URL, "http://endpoint.test")
+    monkeypatch.setenv(ENV_TOKEN, "t")
+    monkeypatch.setenv(ENV_MODEL, "m")
+    adapter = RemoteAdapter()
+    assert (adapter.url, adapter.token, adapter.model) == ("http://endpoint.test", "t", "m")
 
 
 def test_resume_after_torn_last_record(tmp_path, caplog):
