@@ -203,15 +203,37 @@ def ranked_keep(scores: np.ndarray, k: int | np.ndarray, forced: np.ndarray) -> 
     m = scores.shape[-1]
     k = np.broadcast_to(np.asarray(k, dtype=np.int64), scores.shape[:-1])
     forced = np.broadcast_to(forced, scores.shape)
+    if (k < 0).any():
+        raise ValueError(f"budget {int(k.min())} is negative")
     if (k > m).any():
         raise ValueError(f"budget {int(k.max())} exceeds the {m} available candidates")
     if (k < forced.sum(axis=-1)).any():
         raise ValueError("budget cannot cover the forced members")
-    # a stable sort keeps equal keys in index order
-    order = np.argsort(np.where(forced, -np.inf, -scores), axis=-1, kind="stable")
-    keep = np.empty(scores.shape, dtype=bool)
-    np.put_along_axis(keep, order, np.arange(m) < k[..., None], axis=-1)
-    return keep
+    # ascending key order is rank order; forced members sort below every score
+    key = np.where(forced, -np.inf, -scores).reshape(k.size, m)
+    k = k.reshape(-1)
+    keep = np.zeros(key.shape, dtype=bool)
+    budgets = np.unique(k).tolist()
+    for budget in budgets:
+        rows = slice(None) if len(budgets) == 1 else np.flatnonzero(k == budget)
+        if budget > 0:
+            keep[rows] = _first_k(key[rows], budget)
+    return keep.reshape(scores.shape)
+
+
+def _first_k(key: np.ndarray, k: int) -> np.ndarray:
+    """Per row of ``key``, the k smallest members, equal keys to the lower
+    index: every member below the row's k-th smallest key, then the lowest
+    indexed members equal to it until k are kept."""
+    threshold = np.partition(key, k - 1, axis=-1)[:, k - 1 : k]
+    keep = key < threshold
+    tied = key == threshold
+    room = k - np.count_nonzero(keep, axis=-1)
+    crowded = np.flatnonzero(np.count_nonzero(tied, axis=-1) > room)
+    if crowded.size:
+        rank = np.cumsum(tied[crowded], axis=-1)
+        tied[crowded] &= rank <= room[crowded, None]
+    return keep | tied
 
 
 class CalibrationSearch(NamedTuple):

@@ -7,31 +7,41 @@ from __future__ import annotations
 import numpy as np
 
 from ..attention import AttentionInputs
-from .accounting import CalibrationSearch, _smallest_budget, plan_sparsity, ranked_keep
+from .accounting import CalibrationSearch, _smallest_budget, block_budget_cells, ranked_keep
 from .plans import BLOCK_SIZE, BlockPlan, span_lengths
 
 __all__ = ["build_block_sparse", "calibrate_block_topk", "pooled_block_logits"]
 
 
-def _pool_blocks(x: np.ndarray) -> np.ndarray:
-    """Arithmetic mean over each block of rows; the last block may be short.
+# Ranked query blocks are scored this many rows at a time, each group over
+# its causal prefix of key blocks only.
+ROW_GROUP = 64
 
-    Zero padding to whole blocks leaves every block's row sum exact, so the
-    means equal a per-block ``mean(axis=0)`` bit for bit."""
-    n, d = x.shape
+
+def _pool_blocks(x: np.ndarray) -> np.ndarray:
+    """Arithmetic mean over each block of rows of every head of ``x``
+    ([heads, n, d]); the last block may be short.
+
+    Each block's rows are summed in order, so the means equal a per-block
+    ``mean(axis=0)`` bit for bit."""
+    heads, n, d = x.shape
+    full = n // BLOCK_SIZE
     nb = -(-n // BLOCK_SIZE)
-    padded = np.zeros((nb * BLOCK_SIZE, d))
-    padded[:n] = x
-    sums = padded.reshape(nb, BLOCK_SIZE, d).sum(axis=1)
+    sums = np.empty((heads, nb, d))
+    sums[:, :full] = x[:, : full * BLOCK_SIZE].reshape(heads, full, BLOCK_SIZE, d).sum(axis=2)
+    if nb > full:
+        sums[:, full] = x[:, full * BLOCK_SIZE :].sum(axis=1)
     return sums / span_lengths(np.arange(nb), n)[:, None]
 
 
-def pooled_block_logits(inputs: AttentionInputs, head: int) -> np.ndarray:
-    """[num_blocks, num_blocks] scaled dot products of pooled queries/keys."""
-    g = inputs.group_map[head]
-    qp = _pool_blocks(inputs.queries[head])
-    kp = _pool_blocks(inputs.keys[g])
-    return (qp @ kp.T) / np.sqrt(inputs.head_dim)
+def pooled_block_logits(inputs: AttentionInputs) -> np.ndarray:
+    """[num_q_heads, num_blocks, num_blocks] scaled dot products of pooled
+    queries and keys; each kv head's keys are pooled once for its group."""
+    qp = _pool_blocks(inputs.queries)
+    kp = _pool_blocks(inputs.keys)[list(inputs.group_map)]
+    logits = qp @ kp.transpose(0, 2, 1)
+    logits /= np.sqrt(inputs.head_dim)
+    return logits
 
 
 def build_block_sparse(inputs: AttentionInputs, top_k_blocks: int) -> BlockPlan:
@@ -42,25 +52,34 @@ def build_block_sparse(inputs: AttentionInputs, top_k_blocks: int) -> BlockPlan:
         raise ValueError("top_k_blocks must be >= 2 (first block plus diagonal)")
     n = inputs.seq_len
     nb = -(-n // BLOCK_SIZE)
+    # query block b has b + 1 causal key blocks: up to row k - 1 it keeps them all
+    selections = np.tri(nb, dtype=bool)[None].repeat(inputs.num_q_heads, axis=0)
+    if top_k_blocks >= nb:
+        return BlockPlan(selections=selections, seq_len=n)
+    logits = pooled_block_logits(inputs)
     ids = np.arange(nb)
-    non_causal = ids[None, :] > ids[:, None]
-    forced = (ids[None, :] == 0) | (ids[None, :] == ids[:, None])
-    k = np.minimum(top_k_blocks, ids + 1)
-    logits = np.stack([pooled_block_logits(inputs, h) for h in range(inputs.num_q_heads)])
-    logits[:, non_causal] = -np.inf
-    return BlockPlan(selections=ranked_keep(logits, k, forced), seq_len=n)
+    for lo in range(top_k_blocks, nb, ROW_GROUP):
+        hi = min(lo + ROW_GROUP, nb)
+        rows, cols = ids[lo:hi, None], ids[None, :hi]
+        scores = np.where(cols <= rows, logits[:, lo:hi, :hi], -np.inf)
+        forced = (cols == 0) | (cols == rows)
+        selections[:, lo:hi, :hi] = ranked_keep(scores, top_k_blocks, forced)
+    return BlockPlan(selections=selections, seq_len=n)
 
 
 def calibrate_block_topk(inputs: AttentionInputs, target_sparsity: float) -> CalibrationSearch:
     """Smallest k whose achieved sparsity is at or below the target.
 
-    Achieved sparsity is non-increasing in k, so binary search applies.  When
-    even the forced-only selection (k = 2) sits below the target, the target
-    is unreachable and the minimal k is returned flagged.
+    A block plan's cell count depends on k and the length alone
+    (``block_budget_cells``), so the search builds no plan.  Achieved
+    sparsity is non-increasing in k, so binary search applies.  When even
+    the forced-only selection (k = 2) sits below the target, the target is
+    unreachable and the minimal k is returned flagged.
     """
-    nb = -(-inputs.seq_len // BLOCK_SIZE)
+    n = inputs.seq_len
+    causal = n * (n + 1) // 2
 
     def sparsity(k: int) -> float:
-        return plan_sparsity(build_block_sparse(inputs, k)).achieved_sparsity
+        return 1.0 - block_budget_cells(n, k) / causal
 
-    return _smallest_budget(2, nb, sparsity, target_sparsity)
+    return _smallest_budget(2, -(-n // BLOCK_SIZE), sparsity, target_sparsity)

@@ -318,6 +318,30 @@ def test_ranked_keep_rejects_budgets_below_forced_or_above_row(data, m):
         ranked_keep(scores, sum(forced) - 1, np.array(forced))
     with pytest.raises(ValueError, match="exceeds"):
         ranked_keep(scores, m + 1, np.zeros(m, dtype=bool))
+    with pytest.raises(ValueError, match="negative"):
+        ranked_keep(scores, -1, np.zeros(m, dtype=bool))
+
+
+@pytest.mark.parametrize("m", [300, 1024, 2048])
+def test_ranked_keep_matches_brute_force_on_wide_rows(m):
+    rng = np.random.default_rng(m)
+    rows = 16
+    scores = rng.normal(size=(rows, m))
+    scores[0] = 0.0
+    scores[1] = rng.choice([-np.inf, 0.0, 0.5, 1.0], size=m)
+    scores[2, rng.random(m) < 0.5] = -np.inf
+    scores[3] = -np.inf
+    scores[4] = rng.integers(0, 4, size=m)
+    forced = rng.random((rows, m)) < 0.02
+    forced[5:8] = False
+    # budgets spread over the row, shared by some rows, at both ends of the range
+    k = rng.integers(forced.sum(axis=1), m + 1)
+    k[5], k[6], k[7] = 0, m, k[8]
+    k[9] = forced[9].sum()
+    keep = ranked_keep(scores, k, forced)
+    for row in range(rows):
+        want = brute_force_keep(scores[row].tolist(), k[row], forced[row].tolist())
+        assert keep[row].tolist() == want, row
 
 
 def test_eviction_mask_expansion(rng):

@@ -10,7 +10,9 @@ from sparselab.patterns import (
     calibrate_block_topk,
     plan_sparsity,
 )
-from sparselab.patterns.block_sparse import pooled_block_logits
+from sparselab.patterns import block_sparse
+from sparselab.patterns.accounting import _smallest_budget
+from sparselab.patterns.block_sparse import ROW_GROUP, pooled_block_logits
 from sparselab.synthetic import make_inputs
 
 from conftest import random_inputs, tied_inputs
@@ -151,10 +153,58 @@ def test_determinism(rng):
     assert np.array_equal(a.selections, b.selections)
 
 
+def pooled_means(x, block_size=16):
+    """Per-block mean of the rows of one head's [n, d] array."""
+    return np.stack([x[i : i + block_size].mean(axis=0) for i in range(0, len(x), block_size)])
+
+
 def test_pooled_logits_shape(rng):
     inputs = random_inputs(rng, 100)
-    logits = pooled_block_logits(inputs, 0)
-    assert logits.shape == (7, 7)
+    logits = pooled_block_logits(inputs)
+    assert logits.shape == (4, 7, 7)
+    for h, g in enumerate(inputs.group_map):
+        qp, kp = pooled_means(inputs.queries[h]), pooled_means(inputs.keys[g])
+        assert np.array_equal(logits[h], (qp @ kp.T) / np.sqrt(inputs.head_dim))
+
+
+def stable_sort_selection(inputs, top_k):
+    """The block rule by one stable argsort over every key block of every
+    query block: per-head pooled logits, non-causal blocks at -inf, block 0
+    and the diagonal forced, min(k, b + 1) blocks kept, ties to the lower
+    block."""
+    nb = -(-inputs.seq_len // 16)
+    ids = np.arange(nb)
+    logits = np.stack(
+        [
+            (pooled_means(inputs.queries[h]) @ pooled_means(inputs.keys[g]).T)
+            / np.sqrt(inputs.head_dim)
+            for h, g in enumerate(inputs.group_map)
+        ]
+    )
+    logits[:, ids[None, :] > ids[:, None]] = -np.inf
+    forced = (ids[None, :] == 0) | (ids[None, :] == ids[:, None])
+    k = np.minimum(top_k, ids + 1)
+    order = np.argsort(np.where(forced, -np.inf, -logits), axis=-1, kind="stable")
+    keep = np.empty(logits.shape, dtype=bool)
+    np.put_along_axis(keep, order, np.arange(nb) < k[:, None], axis=-1)
+    return keep
+
+
+# the last length ranks query blocks 2..nb-1 at k = 2: four row groups
+STABLE_SORT_LENGTHS = (1, 15, 16, 17, 200, 16 * (3 * ROW_GROUP + 5) + 7)
+
+
+@pytest.mark.parametrize("heads", [(1, 1), (2, 1), (4, 2), (4, 4)], ids=lambda h: "%d:%d" % h)
+@pytest.mark.parametrize("make", [random_inputs, tied_inputs], ids=["random", "ties"])
+def test_selection_matches_stable_sort_reference(make, heads):
+    rng = np.random.default_rng(17)
+    assert -(-STABLE_SORT_LENGTHS[-1] // 16) - 2 > 2 * ROW_GROUP
+    for n in STABLE_SORT_LENGTHS:
+        inputs = make(rng, n, num_q_heads=heads[0], num_kv_heads=heads[1])
+        nb = -(-n // 16)
+        for k in sorted({2, nb - 1, nb, nb + 4} - {0, 1}):
+            plan = build_block_sparse(inputs, k)
+            assert np.array_equal(plan.selections, stable_sort_selection(inputs, k)), (n, k)
 
 
 def test_calibration_search(rng):
@@ -168,3 +218,22 @@ def test_calibration_search(rng):
             build_block_sparse(inputs, search.count - 1)
         ).achieved_sparsity
         assert previous > 0.8
+
+
+@pytest.mark.parametrize("n", [1, 17, 200, 1024, 4100])
+def test_calibration_follows_the_build_without_building(rng, monkeypatch, n):
+    inputs = random_inputs(rng, n)
+    nb = -(-n // 16)
+    targets = (0.0, 0.3, 0.8, 0.95)
+
+    def built(k):
+        return plan_sparsity(build_block_sparse(inputs, k)).achieved_sparsity
+
+    want = [_smallest_budget(2, nb, built, target) for target in targets]
+
+    def no_build(*args):
+        raise AssertionError("calibration built a plan")
+
+    monkeypatch.setattr(block_sparse, "build_block_sparse", no_build)
+    monkeypatch.setattr(block_sparse, "ranked_keep", no_build)
+    assert [calibrate_block_topk(inputs, target) for target in targets] == want
