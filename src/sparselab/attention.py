@@ -172,11 +172,9 @@ class WindowStats:
 
 @dataclass(frozen=True)
 class AttentionOutput:
-    """output: [num_q_heads, num_rows, head_dim]; weights (optional):
-    [num_q_heads, num_rows, seq_len] with zeros outside the permitted support."""
+    """output: [num_q_heads, num_rows, head_dim]."""
 
     output: np.ndarray
-    weights: np.ndarray | None = None
 
 
 def check_causal_bitmap(cells: np.ndarray, name: str, row: str, key: str) -> None:
@@ -232,16 +230,13 @@ class CellMask:
         """Boolean [seq_len, seq_len] view of one head's mask."""
         return self.cells[head]
 
-    def is_superset_of(self, other: "CellMask") -> bool:
-        if self.cells.shape != other.cells.shape:
-            return False
-        return not (other.cells & ~self.cells).any()
 
-
-def _stable_softmax(logits: np.ndarray, axis: int = -1) -> np.ndarray:
-    shifted = logits - np.max(logits, axis=axis, keepdims=True)
-    ex = np.exp(shifted)
-    return ex / np.sum(ex, axis=axis, keepdims=True)
+def _stable_softmax(logits: np.ndarray) -> np.ndarray:
+    """Softmax over the last axis, computed in place in ``logits``."""
+    logits -= logits.max(axis=-1, keepdims=True)
+    np.exp(logits, out=logits)
+    logits /= logits.sum(axis=-1, keepdims=True)
+    return logits
 
 
 def window_weights_head(inputs: AttentionInputs, head: int) -> np.ndarray:
@@ -255,7 +250,8 @@ def window_weights_head(inputs: AttentionInputs, head: int) -> np.ndarray:
     window = min(APPROX_WINDOW, n)
     g = inputs.group_map[head]
     scale = 1.0 / np.sqrt(inputs.head_dim)
-    logits = (inputs.queries[head][n - window :] @ inputs.keys[g].T) * scale
+    logits = inputs.queries[head][n - window :] @ inputs.keys[g].T
+    logits *= scale
     rows = np.arange(n - window, n)[:, None]
     logits[np.arange(n)[None, :] > rows] = -np.inf
     return _stable_softmax(logits)
@@ -315,12 +311,9 @@ def _tiles(inputs: AttentionInputs, head: int, cells: np.ndarray | None = None):
         yield rows, cols, peak, np.exp(logits, out=logits)
 
 
-def _prefill(
-    inputs: AttentionInputs, mask: CellMask | None, with_weights: bool
-) -> AttentionOutput:
+def _prefill(inputs: AttentionInputs, mask: CellMask | None) -> AttentionOutput:
     h, n, d = inputs.num_q_heads, inputs.seq_len, inputs.head_dim
     out = np.empty((h, n, d))
-    weights = np.zeros((h, n, n)) if with_weights else None
     for head in range(h):
         values = inputs.values[inputs.group_map[head]]
         cells = None if mask is None else mask.dense(head)
@@ -328,19 +321,15 @@ def _prefill(
             # CellMask rows are never empty, so no row sum is zero
             w /= w.sum(axis=1, keepdims=True)
             out[head, rows] = w @ values[cols]
-            if weights is not None:
-                weights[head][rows, cols] = w
-    return AttentionOutput(out, weights)
+    return AttentionOutput(out)
 
 
-def dense_prefill(inputs: AttentionInputs, with_weights: bool = False) -> AttentionOutput:
+def dense_prefill(inputs: AttentionInputs) -> AttentionOutput:
     """Exact causal attention over the full lower triangle."""
-    return _prefill(inputs, None, with_weights)
+    return _prefill(inputs, None)
 
 
-def masked_attention(
-    inputs: AttentionInputs, mask: CellMask, with_weights: bool = False
-) -> AttentionOutput:
+def masked_attention(inputs: AttentionInputs, mask: CellMask) -> AttentionOutput:
     """Attention restricted to the mask's cells; softmax renormalizes per row
     over the permitted keys only."""
     h, n = inputs.num_q_heads, inputs.seq_len
@@ -349,7 +338,7 @@ def masked_attention(
             f"mask shape ({mask.num_heads} heads, {mask.seq_len}) does not match "
             f"inputs ({h} heads, {n})"
         )
-    return _prefill(inputs, mask, with_weights)
+    return _prefill(inputs, mask)
 
 
 def row_logsumexp(
@@ -365,9 +354,7 @@ def row_logsumexp(
 
 
 def decode_step(
-    inputs: AttentionInputs,
-    mask_row: np.ndarray | Sequence[np.ndarray],
-    with_weights: bool = False,
+    inputs: AttentionInputs, mask_row: np.ndarray | Sequence[np.ndarray]
 ) -> AttentionOutput:
     """One decode step: the last query row attends to a selected key set.
 
@@ -386,7 +373,6 @@ def decode_step(
     pos = n - 1
     scale = 1.0 / np.sqrt(d)
     out = np.empty((h, 1, d))
-    weights = np.zeros((h, 1, n)) if with_weights else None
     for head in range(h):
         idx = np.unique(per_head[head])
         if idx.size == 0:
@@ -397,6 +383,4 @@ def decode_step(
         logits = (inputs.keys[g][idx] @ inputs.queries[head][pos]) * scale
         w = _stable_softmax(logits)
         out[head, 0] = w @ inputs.values[g][idx]
-        if weights is not None:
-            weights[head, 0, idx] = w
-    return AttentionOutput(out, weights)
+    return AttentionOutput(out)

@@ -12,7 +12,7 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from ..attention import AttentionInputs, CellMask, _stable_softmax, row_logsumexp
+from ..attention import AttentionInputs, CellMask, row_logsumexp
 from .plans import (
     BLOCK_SIZE,
     PAGE_SIZE,
@@ -131,18 +131,16 @@ def _plan_mask_matrix(plan: SparsePlan, head: int, group_map: tuple[int, ...]) -
     return m
 
 
-def to_cell_mask(plan: SparsePlan, group_map: tuple[int, ...] | None = None) -> CellMask:
+def to_cell_mask(plan: SparsePlan, group_map: tuple[int, ...]) -> CellMask:
     """Stack each query head's cell matrix into one bitmap mask.
 
     Vertical-slash and block plans are per query head already; eviction plans
-    are per kv head and need a group_map to fan out to query heads.  Page
+    are per kv head and fan out to query heads through ``group_map``.  Page
     plans constrain a single decode row only, so they have no full-mask view
     (use page_plan_rows).
     """
     if isinstance(plan, PagePlan):
         raise TypeError("page plans constrain one decode row; use page_plan_rows")
-    if group_map is None:
-        group_map = tuple(range(plan.num_heads))
     heads = len(group_map) if isinstance(plan, EvictionPlan) else plan.num_heads
     return CellMask(np.stack([_plan_mask_matrix(plan, h, group_map) for h in range(heads)]))
 
@@ -161,9 +159,11 @@ def attention_recall(plan: SparsePlan, inputs: AttentionInputs) -> float:
     """Fraction of dense attention probability mass covered by the plan's
     cells, averaged over the rows the plan constrains and over heads.
 
-    For prefill-style plans a row's covered mass is exp(masked_lse -
-    causal_lse): the log-sum-exp of its logits over the plan's cells against
-    the cached one over the whole causal row."""
+    Every plan reads the dense mass off the cached causal log-sum-exp: a
+    cell (i, j) holds exp(logit_ij - causal_lse_i) of row i.  A page plan
+    constrains its decode row, whose covered mass is that sum over the
+    selected tokens; a prefill-style plan's row covers exp(masked_lse -
+    causal_lse), with the log-sum-exp taken over the plan's cells."""
     n = inputs.seq_len
     if n > ORACLE_LIMIT:
         raise ValueError(f"recall oracle limited to n <= {ORACLE_LIMIT}, got {n}")
@@ -173,11 +173,9 @@ def attention_recall(plan: SparsePlan, inputs: AttentionInputs) -> float:
         pos = plan.position
         scale = 1.0 / np.sqrt(inputs.head_dim)
         total = 0.0
-        for h in range(heads):
-            g = inputs.group_map[h]
-            logits = (inputs.keys[g][: pos + 1] @ inputs.queries[h][pos]) * scale
-            w = _stable_softmax(logits)
-            total += float(w[rows[h]].sum())
+        for h, tokens in enumerate(rows):
+            logits = (inputs.keys[inputs.group_map[h]][tokens] @ inputs.queries[h][pos]) * scale
+            total += float(np.exp(logits - inputs.causal_lse[h, pos]).sum())
         return total / heads
 
     masked = np.stack(

@@ -80,6 +80,17 @@ def _flexprefill_config(kw: dict) -> FlexPrefillConfig:
     return FlexPrefillConfig(kw["alpha"], **_given(kw, "min_budget"))
 
 
+def _quest_cells(n: int, kw: dict) -> tuple[int, int]:
+    """Every token once the budget covers n; else floor(budget / PAGE_SIZE)
+    pages, all full but the current one, which holds the last
+    n - PAGE_SIZE * floor((n - 1) / PAGE_SIZE) tokens."""
+    budget = kw["token_budget"]
+    if budget >= n:
+        return n, n
+    current = n - (n - 1) // PAGE_SIZE * PAGE_SIZE
+    return (budget // PAGE_SIZE - 1) * PAGE_SIZE + current, n
+
+
 def _flexprefill_cells(n: int, kw: dict) -> tuple[int, int] | None:
     """alpha = 0 reverts to the uniform builder at the config's uniform
     counts; coverage-driven points (alpha > 0) depend on the inputs."""
@@ -115,7 +126,7 @@ METHODS: dict[str, Method] = {
     "snapkv": Method(
         build=lambda inputs, kw: snapkv_compress(inputs, kw["token_capacity"]),
         calibrated=lambda v: {"token_capacity": int(v)},
-        cells=lambda n, kw: (kw["token_capacity"], n),
+        cells=lambda n, kw: (min(kw["token_capacity"], n), n),
         required=("token_capacity",),
     ),
     "ada_snapkv": Method(
@@ -123,14 +134,14 @@ METHODS: dict[str, Method] = {
             inputs, kw["token_capacity"], **_given(kw, "min_head_fraction")
         ),
         calibrated=lambda v: {"token_capacity": int(v)},
-        cells=lambda n, kw: (kw["token_capacity"], n),
+        cells=lambda n, kw: (min(kw["token_capacity"], n), n),
         required=("token_capacity",),
         optional=("min_head_fraction",),
     ),
     "quest": Method(
         build=lambda inputs, kw: quest_plan(inputs, kw["token_budget"]),
         calibrated=lambda v: {"token_budget": int(v)},
-        cells=lambda n, kw: (min(kw["token_budget"] // PAGE_SIZE * PAGE_SIZE, n), n),
+        cells=_quest_cells,
         required=("token_budget",),
     ),
 }

@@ -43,8 +43,9 @@ def make_inputs(
     elif kind == "planted":
         if needle_positions is None:
             count = max(1, seq_len // 128)
+            # needles sit in the first half; a one-token sequence plants at 0
             needle_positions = tuple(
-                sorted(rng.choice(seq_len // 2, size=count, replace=False).tolist())
+                sorted(rng.choice(max(1, seq_len // 2), size=count, replace=False).tolist())
             )
         for g in range(num_kv_heads):
             directions = [_unit(rng.standard_normal(head_dim)) for _ in needle_positions]

@@ -12,12 +12,7 @@ from .base import (
 from .cwe import count_listed_words, gen_cwe
 from .kinds import TABLE, TaskKind
 from .niah import gen_niah, scan_pairs
-from .prompt import (
-    format_reference_response,
-    question_block,
-    question_block_tokens,
-    render_prompt,
-)
+from .prompt import format_reference_response, question_block, render_prompt
 from .qa import assemble_qa, gen_qa, make_demo_documents
 from .story import Chapter, StoryWorld, gen_story, scan_world
 from .tokenization import DEFAULT_TOKENIZER, ApproxTokenizer, count_tokens
@@ -46,7 +41,6 @@ __all__ = [
     "load_words",
     "make_demo_documents",
     "question_block",
-    "question_block_tokens",
     "read_samples",
     "render_prompt",
     "resolve_variables",

@@ -15,54 +15,50 @@ from .vocab import load_words
 
 __all__ = ["count_listed_words", "gen_cwe"]
 
+# The list holds NUM_COMMON words COMMON_REPS times each; every other word
+# appears RARE_REPS times.
+NUM_COMMON = 10
+COMMON_REPS = 30
+RARE_REPS = 3
+
 
 def gen_cwe(
-    seed: int,
-    target_tokens: int = 16384,
-    num_common: int = 10,
-    common_reps: int = 30,
-    rare_reps: int = 3,
-    tokenizer: ApproxTokenizer | None = None,
+    seed: int, target_tokens: int = 16384, tokenizer: ApproxTokenizer | None = None
 ) -> TaskSample:
-    if num_common < 1 or common_reps <= rare_reps or rare_reps < 1:
-        raise ValueError("need num_common >= 1 and common_reps > rare_reps >= 1")
     rng = np.random.default_rng(seed)
     words = load_words()
 
-    probe = _sample("", seed, target_tokens, ("placeholder",) * num_common, num_common)
+    probe = _sample("", seed, target_tokens, ("placeholder",) * NUM_COMMON)
     overhead = count_tokens(render_prompt(probe), tokenizer)
     budget_lines = units_within(target_tokens - overhead, f"1. {words[0]}", tokenizer)
-    common_lines = num_common * common_reps
-    num_rare = (budget_lines - common_lines) // rare_reps
+    num_rare = (budget_lines - NUM_COMMON * COMMON_REPS) // RARE_REPS
     if num_rare < 1:
         raise GenerationError(
             f"target_tokens={target_tokens} too small for "
-            f"{num_common}x{common_reps} common words plus distractors"
+            f"{NUM_COMMON}x{COMMON_REPS} common words plus distractors"
         )
-    if num_common + num_rare > len(words):
+    if NUM_COMMON + num_rare > len(words):
         raise GenerationError(
-            f"vocabulary exhausted: need {num_common + num_rare} distinct words, "
+            f"vocabulary exhausted: need {NUM_COMMON + num_rare} distinct words, "
             f"have {len(words)}"
         )
 
-    picks = rng.choice(len(words), size=num_common + num_rare, replace=False)
+    picks = rng.choice(len(words), size=NUM_COMMON + num_rare, replace=False)
     chosen = [words[int(i)] for i in picks]
-    common, rare = chosen[:num_common], chosen[num_common:]
-    listed = common * common_reps + rare * rare_reps
+    common, rare = chosen[:NUM_COMMON], chosen[NUM_COMMON:]
+    listed = common * COMMON_REPS + rare * RARE_REPS
     order = rng.permutation(len(listed))
     lines = [f"{i}. {listed[int(j)]}" for i, j in enumerate(order, start=1)]
-    return _sample("\n".join(lines), seed, target_tokens, tuple(sorted(common)), num_common,
-                   common_reps=common_reps, rare_reps=rare_reps)
+    return _sample("\n".join(lines), seed, target_tokens, tuple(sorted(common)))
 
 
-def _sample(context, seed, target_tokens, gold, num_common,
-            common_reps: int = 30, rare_reps: int = 3) -> TaskSample:
+def _sample(context, seed, target_tokens, gold) -> TaskSample:
     question = (
-        f"The list contains exactly {num_common} words that appear "
-        f"{common_reps} times each.\n"
-        f"All other words appear {rare_reps} times each.\n"
-        f"Your task is to identify the {num_common} words that appear "
-        f"{common_reps} times each."
+        f"The list contains exactly {NUM_COMMON} words that appear "
+        f"{COMMON_REPS} times each.\n"
+        f"All other words appear {RARE_REPS} times each.\n"
+        f"Your task is to identify the {NUM_COMMON} words that appear "
+        f"{COMMON_REPS} times each."
     )
     return TaskSample(
         id=f"cwe-s{seed}-t{target_tokens}",
@@ -73,8 +69,7 @@ def _sample(context, seed, target_tokens, gold, num_common,
         metric=TABLE["cwe"].metric,
         target_tokens=target_tokens,
         seed=seed,
-        extras={"num_common": num_common, "common_reps": common_reps,
-                "rare_reps": rare_reps},
+        extras={"num_common": NUM_COMMON, "common_reps": COMMON_REPS, "rare_reps": RARE_REPS},
     )
 
 

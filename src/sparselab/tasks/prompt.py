@@ -13,12 +13,10 @@ from __future__ import annotations
 
 from .base import TaskSample
 from .kinds import TABLE
-from .tokenization import ApproxTokenizer, count_tokens
 
 __all__ = [
     "format_reference_response",
     "question_block",
-    "question_block_tokens",
     "render_prompt",
 ]
 
@@ -92,13 +90,6 @@ def render_prompt(sample: TaskSample) -> str:
         answer_format=kind.answer_format.format(count=count),
         extra_instructions=kind.extra_instructions.format(count=count),
     )
-
-
-def question_block_tokens(
-    sample: TaskSample, tokenizer: ApproxTokenizer | None = None
-) -> int:
-    """Token count of the question text over both stated copies."""
-    return 2 * count_tokens(question_block(sample), tokenizer)
 
 
 def format_reference_response(sample: TaskSample) -> str:

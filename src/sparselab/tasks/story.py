@@ -65,9 +65,11 @@ ITEM_OBJECTS = (
     "ring",
 )
 
-# story_retrieval asks NUM_QUESTIONS questions.  In each chapter the
+# story_retrieval asks NUM_QUESTIONS questions and story_filtering hides
+# NUM_NO_PURCHASE chapters without a purchase.  In each chapter the
 # protagonist, while owning an item, gives one away with RELINQUISH_RATE.
 NUM_QUESTIONS = 16
+NUM_NO_PURCHASE = 3
 RELINQUISH_RATE = 0.25
 
 EVENTS = (
@@ -315,15 +317,13 @@ def gen_story(
     kind: str = "story_retrieval",
     num_chapters: int | None = None,
     target_tokens: int = 16384,
-    num_no_purchase: int = 3,
     tokenizer: ApproxTokenizer | None = None,
 ) -> TaskSample:
     """When ``num_chapters`` is None the chapter count is chosen to land the
     rendered prompt inside the token target."""
     if kind not in _STORY_KINDS:
         raise ValueError(f"unknown story kind {kind!r}")
-    if kind != "story_filtering":
-        num_no_purchase = 0
+    num_no_purchase = NUM_NO_PURCHASE if kind == "story_filtering" else 0
     minimum = {
         "story_retrieval": NUM_QUESTIONS,
         "story_filtering": num_no_purchase + 1,

@@ -11,7 +11,7 @@ import math
 import numpy as np
 import pytest
 
-from sparselab.attention import AttentionInputs
+from sparselab.attention import AttentionInputs, CellMask
 
 
 def naive_attention(inputs: AttentionInputs) -> np.ndarray:
@@ -36,6 +36,21 @@ def naive_attention(inputs: AttentionInputs) -> np.ndarray:
                 for t in range(d):
                     out[head, i, t] += w * float(v[g, j, t])
     return out
+
+
+def identity_values(inputs: AttentionInputs) -> AttentionInputs:
+    """The same queries and keys with value j the j-th unit vector, so a
+    kernel's output row is its attention weight row over the keys
+    (needs head_dim >= seq_len)."""
+    n, d = inputs.seq_len, inputs.head_dim
+    assert d >= n, "identity values need head_dim >= seq_len"
+    values = np.broadcast_to(np.eye(n, d), inputs.keys.shape)
+    return AttentionInputs.from_arrays(inputs.queries, inputs.keys, values, inputs.group_map)
+
+
+def is_superset_of(big: CellMask, small: CellMask) -> bool:
+    """Every cell of ``small`` is a cell of ``big`` (same shape)."""
+    return big.cells.shape == small.cells.shape and not (small.cells & ~big.cells).any()
 
 
 def window_mass_oracle(weights: np.ndarray, seq_len: int):

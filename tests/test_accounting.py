@@ -31,6 +31,7 @@ from sparselab.patterns import (
 )
 from sparselab import attention
 from sparselab.patterns.accounting import ranked_keep
+from sparselab.patterns.calibration import METHODS
 from sparselab.synthetic import make_inputs
 
 from conftest import random_inputs
@@ -110,7 +111,7 @@ def test_plan_sparsity_matches_mask_cell_count(seed, n, kv):
         prefill.append(plan)
     for plan in prefill:
         report = plan_sparsity(plan)
-        assert report.computed_cells == to_cell_mask(plan).num_cells()
+        assert report.computed_cells == to_cell_mask(plan, inputs.group_map).num_cells()
         assert report.causal_cells == plan.num_heads * n * (n + 1) // 2
     capacity = int(rng.integers(FORCED_FIRST + FORCED_RECENT, 220))
     for plan in (snapkv_compress(inputs, capacity), ada_snapkv_compress(inputs, capacity)):
@@ -180,11 +181,12 @@ def brute_force_vs_mask(verticals, slashes, n):
     return (cols <= rows) & (vertical | slash)
 
 
-def check_vs_plan(plan, n):
+def check_vs_plan(plan, inputs):
     """Exact cell count, a valid cell mask and the forced members."""
+    n = inputs.seq_len
     brute = [brute_force_vs_mask(v, s, n) for v, s in zip(plan.verticals, plan.slashes)]
     assert plan_sparsity(plan).computed_cells == sum(int(m.sum()) for m in brute)
-    assert np.array_equal(to_cell_mask(plan).cells, np.stack(brute))
+    assert np.array_equal(to_cell_mask(plan, inputs.group_map).cells, np.stack(brute))
     for v, s in zip(plan.verticals, plan.slashes):
         assert set(range(min(FORCED_PREFIX, n))) <= set(v.tolist())
         assert set(range(min(FORCED_LOCAL, n))) <= set(s.tolist())
@@ -210,7 +212,7 @@ def test_vertical_slash_and_flexprefill_properties(seed, n, kv):
     budgets = list(zip(verticals, slashes))
     uniform = [build_vertical_slash(inputs, v, s) for v, s in budgets]
     for plan, (v, s) in zip(uniform, budgets):
-        check_vs_plan(plan, n)
+        check_vs_plan(plan, inputs)
         assert all(x.size == v for x in plan.verticals)
         assert all(x.size == s for x in plan.slashes)
     assert_nested(uniform, "verticals")
@@ -224,7 +226,7 @@ def test_vertical_slash_and_flexprefill_properties(seed, n, kv):
     alphas = sorted({float(rng.uniform(0.01, 1.0)), float(rng.uniform(0.01, 1.0)), 1.0})
     flex = [build_flexprefill(inputs, FlexPrefillConfig(alpha=a, **config)) for a in alphas]
     for plan in flex:
-        check_vs_plan(plan, n)
+        check_vs_plan(plan, inputs)
         for v, s in zip(plan.verticals, plan.slashes):
             assert v.size + s.size >= min(min_budget, 2 * n)
     assert all(x.size == n for x in flex[-1].verticals + flex[-1].slashes)
@@ -360,7 +362,7 @@ def test_page_plan_has_no_mask_view(rng):
     inputs = random_inputs(rng, 128)
     plan = quest_plan(inputs, 32)
     with pytest.raises(TypeError):
-        to_cell_mask(plan)
+        to_cell_mask(plan, inputs.group_map)
 
 
 def test_recall_is_bounded_and_exact_for_full_plan(rng):
@@ -466,3 +468,32 @@ def test_flexprefill_alpha_rows_are_input_dependent():
     assert rows
     for entry in rows:
         assert predicted_sparsity(entry) is None
+
+
+@settings(deadline=None, max_examples=40)
+@given(seed=st.integers(0, 10_000), n=st.integers(1, 200))
+@example(seed=0, n=1)
+@example(seed=1, n=15)
+@example(seed=2, n=16)
+@example(seed=3, n=17)
+@example(seed=4, n=200)
+def test_method_cells_match_built_plans(seed, n):
+    """The input-free METHODS cells equal plan_sparsity of the built plan,
+    with capacities and budgets on both sides of n and a short current page."""
+    rng = np.random.default_rng(seed)
+    inputs = random_inputs(rng, n)
+    forced = FORCED_FIRST + FORCED_RECENT
+    params = {
+        "block_sparse": {"top_k_blocks": int(rng.integers(2, 16))},
+        "snapkv": {"token_capacity": int(rng.integers(forced, 300))},
+        "ada_snapkv": {"token_capacity": int(rng.integers(forced, 300))},
+        "quest": {"token_budget": int(rng.integers(PAGE_SIZE, 300))},
+    }
+    for method, kw in params.items():
+        report = plan_sparsity(METHODS[method].build(inputs, kw))
+        computed, causal = METHODS[method].cells(n, kw)
+        heads = report.causal_cells // causal
+        assert (computed * heads, causal * heads) == (
+            report.computed_cells,
+            report.causal_cells,
+        ), method

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -22,7 +24,13 @@ from sparselab.patterns import (
 )
 from sparselab.synthetic import make_inputs
 
-from conftest import naive_attention, random_inputs, window_mass_oracle
+from conftest import (
+    identity_values,
+    is_superset_of,
+    naive_attention,
+    random_inputs,
+    window_mass_oracle,
+)
 
 
 def test_dense_matches_naive_oracle(rng):
@@ -40,27 +48,28 @@ def test_dense_matches_naive_oracle(rng):
 
 
 def test_full_mask_equals_dense(rng):
-    inputs = random_inputs(rng, 96)
+    """Outputs agree, and so do the weight rows read through identity values."""
+    inputs = random_inputs(rng, 96, head_dim=96)
     mask = CellMask.full_causal(inputs.num_q_heads, inputs.seq_len)
-    dense = dense_prefill(inputs, with_weights=True)
-    masked = masked_attention(inputs, mask, with_weights=True)
-    assert np.abs(masked.output - dense.output).max() <= 1e-7
-    assert np.abs(masked.weights - dense.weights).max() <= 1e-7
+    for probe in (inputs, identity_values(inputs)):
+        dense = dense_prefill(probe)
+        masked = masked_attention(probe, mask)
+        assert np.abs(masked.output - dense.output).max() <= 1e-7
 
 
 def test_masked_weights_renormalize_over_support(rng):
-    inputs = random_inputs(rng, 40)
+    inputs = identity_values(random_inputs(rng, 40, head_dim=40))
     h, n = inputs.num_q_heads, inputs.seq_len
     # a random density per row; the diagonal keeps every row non-empty
     cells = np.tril(rng.random((h, n, n)) < rng.random((h, n, 1)))
     cells[:, np.arange(n), np.arange(n)] = True
     mask = CellMask(cells)
-    out = masked_attention(inputs, mask, with_weights=True)
-    sums = out.weights.sum(axis=2)
-    assert np.abs(sums - 1.0).max() <= 1e-6
+    # identity values make each output row the row's weights
+    weights = masked_attention(inputs, mask).output
+    assert np.abs(weights.sum(axis=2) - 1.0).max() <= 1e-6
     # nothing outside the permitted support
     for head in range(h):
-        off = out.weights[head][~mask.dense(head)]
+        off = weights[head][~mask.dense(head)]
         assert np.all(off == 0.0)
 
 
@@ -77,21 +86,21 @@ def test_decode_step_matches_masked_last_row(rng):
 
 
 def test_decode_step_per_head_rows(rng):
-    inputs = random_inputs(rng, 32)
+    inputs = identity_values(random_inputs(rng, 32, head_dim=32))
     per_head = [np.sort(rng.choice(32, size=5, replace=False)) for _ in range(4)]
-    out = decode_step(inputs, per_head, with_weights=True)
+    out = decode_step(inputs, per_head)
     assert out.output.shape == (4, 1, inputs.head_dim)
     for h in range(4):
-        w = out.weights[h, 0]
+        w = out.output[h, 0]
         assert abs(w.sum() - 1.0) <= 1e-9
         assert np.all(w[np.setdiff1d(np.arange(32), per_head[h])] == 0.0)
 
 
 def test_softmax_saturation_stays_finite(rng):
-    inputs = random_inputs(rng, 24, scale=1e4)
-    out = dense_prefill(inputs, with_weights=True)
-    assert np.isfinite(out.output).all()
-    assert np.abs(out.weights.sum(axis=2) - 1.0).max() <= 1e-6
+    inputs = random_inputs(rng, 24, head_dim=24, scale=1e4)
+    assert np.isfinite(dense_prefill(inputs).output).all()
+    weights = dense_prefill(identity_values(inputs)).output
+    assert np.abs(weights.sum(axis=2) - 1.0).max() <= 1e-6
 
 
 def test_gqa_matches_repeated_kv_heads(rng):
@@ -131,7 +140,7 @@ def test_superset_mask_mean_error_monotone():
         dense = dense_prefill(inputs).output
         small_mask = CellMask(np.repeat(small[None], inputs.num_q_heads, axis=0))
         big_mask = CellMask(np.repeat(big[None], inputs.num_q_heads, axis=0))
-        assert big_mask.is_superset_of(small_mask)
+        assert is_superset_of(big_mask, small_mask)
         err_small = np.abs(masked_attention(inputs, small_mask).output - dense).mean()
         err_big = np.abs(masked_attention(inputs, big_mask).output - dense).mean()
         deltas.append(err_small - err_big)
@@ -147,28 +156,25 @@ def test_superset_mask_mean_error_monotone():
 )
 def test_dense_weight_rows_sum_to_one(seed, n, kv, mult):
     rng = np.random.default_rng(seed)
-    inputs = random_inputs(rng, n, num_q_heads=kv * mult, num_kv_heads=kv, head_dim=4)
-    out = dense_prefill(inputs, with_weights=True)
-    assert np.abs(out.weights.sum(axis=2) - 1.0).max() <= 1e-6
+    inputs = random_inputs(rng, n, num_q_heads=kv * mult, num_kv_heads=kv, head_dim=max(n, 4))
+    weights = dense_prefill(identity_values(inputs)).output
+    assert np.abs(weights.sum(axis=2) - 1.0).max() <= 1e-6
     tri = np.triu_indices(n, k=1)
     for h in range(inputs.num_q_heads):
-        assert np.all(out.weights[h][tri] == 0.0)
+        assert np.all(weights[h][tri] == 0.0)
 
 
 def full_matrix_reference(inputs, cells):
-    """Float64 masked softmax over the full [n, n] logits of every head:
-    (output, weights)."""
-    h, n = inputs.num_q_heads, inputs.seq_len
+    """Float64 masked softmax attention over the full [n, n] logits of every
+    head."""
     out = np.empty(inputs.queries.shape)
-    weights = np.empty((h, n, n))
-    for head in range(h):
+    for head in range(inputs.num_q_heads):
         g = inputs.group_map[head]
         logits = inputs.queries[head] @ inputs.keys[g].T / np.sqrt(inputs.head_dim)
         logits[~cells[head]] = -np.inf
         w = np.exp(logits - logits.max(axis=1, keepdims=True))
-        weights[head] = w / w.sum(axis=1, keepdims=True)
-        out[head] = weights[head] @ inputs.values[g]
-    return out, weights
+        out[head] = (w / w.sum(axis=1, keepdims=True)) @ inputs.values[g]
+    return out
 
 
 @settings(deadline=None, max_examples=40)
@@ -178,9 +184,8 @@ def full_matrix_reference(inputs, cells):
 @example(seed=2, n=32, kv=1)
 @example(seed=3, n=70, kv=2)
 def test_tiled_kernels_match_full_matrix_reference(seed, n, kv):
-    """dense_prefill and masked_attention, output and weights, against the
-    full-matrix softmax: below one tile, at whole tiles and with a partial
-    last tile."""
+    """dense_prefill and masked_attention against the full-matrix softmax:
+    below one tile, at whole tiles and with a partial last tile."""
     rng = np.random.default_rng(seed)
     inputs = random_inputs(rng, n, num_q_heads=2 * kv, num_kv_heads=kv)
     h = inputs.num_q_heads
@@ -191,12 +196,10 @@ def test_tiled_kernels_match_full_matrix_reference(seed, n, kv):
     cells[np.arange(h)[:, None], rows, picks] = True
     causal = np.broadcast_to(np.tri(n, dtype=bool), (h, n, n))
     for got, support in (
-        (dense_prefill(inputs, with_weights=True), causal),
-        (masked_attention(inputs, CellMask(cells), with_weights=True), cells),
+        (dense_prefill(inputs), causal),
+        (masked_attention(inputs, CellMask(cells)), cells),
     ):
-        want_out, want_weights = full_matrix_reference(inputs, support)
-        assert np.abs(got.output - want_out).max() <= 1e-12
-        assert np.abs(got.weights - want_weights).max() <= 1e-12
+        assert np.abs(got.output - full_matrix_reference(inputs, support)).max() <= 1e-12
 
 
 def test_inputs_validation():
@@ -227,7 +230,7 @@ def test_cell_mask_validation():
     mask = CellMask.full_causal(2, 5)
     assert mask.num_cells() == 2 * 15
     assert mask.row(0, 3).tolist() == [0, 1, 2, 3]
-    assert mask.is_superset_of(CellMask(np.eye(5, dtype=bool)[None].repeat(2, axis=0)))
+    assert is_superset_of(mask, CellMask(np.eye(5, dtype=bool)[None].repeat(2, axis=0)))
 
 
 @pytest.mark.parametrize("n", [140, 300])
@@ -266,3 +269,26 @@ def test_window_is_scored_once_per_head(rng, monkeypatch, n):
         assert np.array_equal(stats.column_max[head], col_max)
         assert np.array_equal(stats.slash_mass[head], slash_sum)
         assert stats.total[head] == pytest.approx(min(256, n), rel=1e-12)
+
+
+def test_window_scoring_holds_one_window_array():
+    """One head's window scoring allocates little beyond its [window, n]
+    result: the softmax runs in place."""
+    inputs = make_inputs("planted", 4096, seed=0)
+    tracemalloc.start()
+    try:
+        weights = attention.window_weights_head(inputs, 0)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert weights.shape == (256, 4096)
+    assert peak < 1.5 * weights.nbytes
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_planted_inputs_at_tiny_lengths(n):
+    """The default needle is drawn from the first max(1, n // 2) positions,
+    so every length below 4 plants it at token 0."""
+    inputs = make_inputs("planted", n, seed=0)
+    assert inputs.seq_len == n
+    assert np.allclose(np.linalg.norm(inputs.keys[:, 0], axis=-1), 12.0)

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from sparselab.attention import decode_step, dense_prefill
+from sparselab.attention import decode_step
 from sparselab.patterns import (
     PAGE_SIZE,
     attention_recall,
@@ -119,7 +119,7 @@ def test_decode_row_equality(rng):
     inputs = random_inputs(rng, 256)
     plan = quest_plan(inputs, 64)
     rows = page_plan_rows(plan, inputs.group_map)
-    out = decode_step(inputs, rows, with_weights=True)
+    out = decode_step(inputs, rows)
     scale = 1.0 / np.sqrt(inputs.head_dim)
     for h in range(inputs.num_q_heads):
         g = inputs.group_map[h]
@@ -152,17 +152,23 @@ def test_planted_needle_page_selected():
             assert needle // PAGE_SIZE in pages.tolist()
 
 
-def test_full_recall_includes_dense_row_mass(rng):
-    """Recall of a page plan is the covered share of the decode row's dense
+@pytest.mark.parametrize("position", [15, 70, 127])
+def test_full_recall_includes_dense_row_mass(rng, position):
+    """Recall of a page plan is the covered share of its decode row's dense
     softmax mass; the all-pages plan covers everything."""
     inputs = random_inputs(rng, 128)
-    partial = quest_plan(inputs, 32)
-    dense = dense_prefill(inputs, with_weights=True)
+    partial = quest_plan(inputs, 32, position=position)
     rows = page_plan_rows(partial, inputs.group_map)
-    want = np.mean(
-        [dense.weights[h, -1, rows[h]].sum() for h in range(inputs.num_q_heads)]
-    )
-    assert attention_recall(partial, inputs) == pytest.approx(float(want), abs=1e-9)
+    scale = 1.0 / np.sqrt(inputs.head_dim)
+    want = []
+    for h, tokens in enumerate(rows):
+        g = inputs.group_map[h]
+        logits = (inputs.keys[g][: position + 1] @ inputs.queries[h][position]) * scale
+        w = np.exp(logits - logits.max())
+        want.append(w[tokens].sum() / w.sum())
+    assert attention_recall(partial, inputs) == pytest.approx(float(np.mean(want)), abs=1e-12)
+    full = quest_plan(inputs, 128, position=position)
+    assert attention_recall(full, inputs) == pytest.approx(1.0, abs=1e-12)
 
 
 def test_determinism():

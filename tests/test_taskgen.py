@@ -4,6 +4,7 @@ from collections import Counter
 
 import pytest
 
+from sparselab.tasks import story
 from sparselab.tasks import (
     ApproxTokenizer,
     DEFAULT_TOKENIZER,
@@ -20,7 +21,7 @@ from sparselab.tasks import (
     generate,
     load_words,
     make_demo_documents,
-    question_block_tokens,
+    question_block,
     read_samples,
     render_prompt,
     resolve_variables,
@@ -76,14 +77,6 @@ def test_cwe_histogram_law():
         assert histogram[30] == 10
         common = sorted(w for w, c in counts.items() if c == 30)
         assert list(sample.gold) == common
-
-
-def test_cwe_configurable_repetitions():
-    sample = gen_cwe(1, target_tokens=3000, num_common=5, common_reps=12, rare_reps=2)
-    counts = count_listed_words(sample.context)
-    histogram = Counter(counts.values())
-    assert histogram[12] == 5
-    assert set(histogram) == {12, 2}
 
 
 def test_cwe_too_small_target_raises():
@@ -145,10 +138,13 @@ def test_story_filtering_exact_no_purchase_count():
         assert "exactly 3 chapters" in sample.questions[0]
 
 
-def test_story_filtering_configurable_k():
-    sample = gen_story(2, "story_filtering", target_tokens=3000, num_no_purchase=5)
+def test_story_filtering_configurable_k(monkeypatch):
+    """NUM_NO_PURCHASE sets how many chapters go without a purchase."""
+    monkeypatch.setattr(story, "NUM_NO_PURCHASE", 5)
+    sample = gen_story(2, "story_filtering", target_tokens=3000)
     facts = scan_world(sample.context)
     assert sum(f["acquired_item"] is None for f in facts) == 5
+    assert len(sample.gold) == 5 and "exactly 5 chapters" in sample.questions[0]
 
 
 def test_story_multihop_walk_back_oracle():
@@ -285,6 +281,11 @@ def test_prompt_structure(kind):
         assert prompt.count(question) == 2
     assert sample.metric == TABLE[kind].metric
     assert sample.gold
+
+
+def question_block_tokens(sample) -> int:
+    """Token count of the question text over both stated copies."""
+    return 2 * count_tokens(question_block(sample))
 
 
 def test_retrieval_question_block_near_reference_width():
