@@ -5,27 +5,45 @@ Everything runs in float64 with the numerically stable softmax (row-max
 subtraction).  A mask is one boolean cell matrix per query head, so its cell
 count is an exact integer.
 
-Prefill walks the sequence in tiles of ``TILE_ROWS`` query rows.  Each tile
-gathers the key columns that any of its rows may read (the causal prefix for
-dense prefill, the union of the tile's mask rows otherwise), computes logits
-over those columns only, sets the mask's holes to -inf and runs the softmax
-and the value product on the gathered columns.  Kernel time therefore grows
-with the columns the tiles read, not with n².  The same loop gives each
-row's log-sum-exp, which ``AttentionInputs.causal_lse`` caches for the
-dense causal logits, so the dense probability mass on any cell set is
-``exp(masked_lse - causal_lse)`` without holding n x n weights.
+Prefill runs one pass over tiles of query rows.  A tile is one or more
+blocks of scaled logits that together hold each of its rows' permitted
+cells once, with -inf at the holes a block carries; the pass takes one row
+peak over all of a tile's blocks, raises the holes to a finite floor before
+exp and zeroes them after it (no -inf reaches exp), and merges the blocks'
+softmax sums and value products by that shared peak, the log-sum-exp merge
+of FlashAttention.  Three producers read tiles from a mask's geometry:
+
+- ``column_tiles``: whole key columns plus diagonals, as MInference splits a
+  vertical-slash pattern.  The columns' keys and values are gathered once
+  and read through prefixes in ``SPAN_ROWS``-row tiles, so causal holes lie
+  only among a tile's own columns.  A diagonal offset o keeps cells
+  (i, i - o): each tile takes one product over the key range its diagonals
+  cross, reads the diagonals out of it and sends their weights back through
+  one product with the same values.  A cell on both a column and a diagonal
+  belongs to the column.
+- ``block_tiles``: chosen ``TILE_ROWS``-token key blocks per query block;
+  only a query block's own diagonal block has holes.
+- bitmap tiles: any boolean mask, each ``TILE_ROWS``-row tile over the
+  union of its rows' columns.  A hand-built ``CellMask`` runs these; a mask
+  built from a plan carries its plan's producer and runs that.
+
+Dense prefill runs 32-row tiles over each tile's causal prefix.
+
+Kernel time therefore grows with the cells a plan keeps, not with n².  The
+same pass gives each row's log-sum-exp, which ``AttentionInputs.causal_lse``
+caches for the dense causal logits, so the dense probability mass on any
+cell set is ``exp(masked_lse - causal_lse)`` without holding n x n weights.
 
 The window-scored pattern builders read ``AttentionInputs.window_stats``:
 per head, the column sums and maxima, the diagonal sums and the total of the
 observation window's softmax, computed once per input and cached the same
 way.
 """
-
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
-from typing import Sequence
+from functools import cached_property, partial
+from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 
 import numpy as np
 
@@ -36,7 +54,9 @@ __all__ = [
     "AttentionOutput",
     "WindowStats",
     "CellMask",
+    "block_tiles",
     "check_causal_bitmap",
+    "column_tiles",
     "default_group_map",
     "dense_prefill",
     "masked_attention",
@@ -44,10 +64,16 @@ __all__ = [
     "decode_step",
 ]
 
-# Query rows per prefill tile.  The block-sparse BLOCK_SIZE and the Quest
-# PAGE_SIZE are this size, so a block plan's tile reads exactly its chosen
-# key blocks.
+# Tokens per key block and query rows per block or bitmap tile.  The
+# block-sparse BLOCK_SIZE and the Quest PAGE_SIZE are this size, so a block
+# plan's tile reads exactly its chosen key blocks.
 TILE_ROWS = 16
+
+# Query rows per tile of the column and diagonal producer.  A tile's causal
+# holes lie among its own columns only, so tall tiles waste little and cut
+# numpy's per-call cost; a head's two [SPAN_ROWS, 2n + 1] diagonal buffers
+# take 4 MiB each at n = 2048.
+SPAN_ROWS = 128
 
 # Query rows of the observation window that every window-scored builder
 # (vertical-slash, flexprefill, snapkv, ada_snapkv) reads; a shorter
@@ -200,13 +226,21 @@ class CellMask:
 
     ``cells`` is a boolean [num_heads, seq_len, seq_len] array.  Every row
     must keep at least one key and may never look ahead of its own position.
+    ``tiles``, when given, yields the same cells of one head from the
+    geometry they came from, ``tiles(inputs, head)``, and the kernel reads
+    those tiles instead of the bitmap.
     """
 
-    __slots__ = ("cells",)
+    __slots__ = ("cells", "tiles")
 
-    def __init__(self, cells: np.ndarray):
+    def __init__(
+        self,
+        cells: np.ndarray,
+        tiles: Callable[[AttentionInputs, int], Iterable[Tile]] | None = None,
+    ):
         check_causal_bitmap(cells, "mask", "row", "key")
         self.cells = cells
+        self.tiles = tiles
 
     @classmethod
     def full_causal(cls, num_heads: int, seq_len: int) -> "CellMask":
@@ -280,77 +314,275 @@ def _window_stats(inputs: AttentionInputs) -> WindowStats:
     return WindowStats(column_sum, column_max, slash_mass, total)
 
 
-def _tiles(inputs: AttentionInputs, head: int, cells: np.ndarray | None = None):
-    """Yield ``(rows, cols, peak, ex)`` for each TILE_ROWS-row query tile of
-    one head.  ``cols`` are the key columns that any row of the tile may read;
-    ``ex`` is exp(logits - peak) over those columns, zero outside the mask,
-    and ``peak`` [rows, 1] is each row's largest permitted logit.
+class _Part(NamedTuple):
+    """One block of a tile's scaled logits, [rows, width].
 
-    ``cells`` is the head's boolean [n, n] mask; None means full causal, whose
-    columns are the tile's causal prefix.  An empty row has peak 0 and an
-    all-zero ``ex`` row.
+    The columns from ``first`` on may hold -inf at the block's holes; the
+    columns before it are permitted in every row.  ``weigh`` maps the
+    block's softmax numerators to their sum over the block's values,
+    [rows, head_dim].
+    """
+
+    logits: np.ndarray
+    first: int
+    weigh: Callable[[np.ndarray], np.ndarray]
+
+
+# A tile: a slice of query rows and the blocks of logits they read.
+Tile = tuple[slice, list[_Part]]
+
+# Shifted logits are raised to this floor before exp, where exp is still a
+# normal float (~1e-304) and fast; the holes among them are zeroed after exp.
+_EXP_FLOOR = -700.0
+
+
+def _times(values: np.ndarray) -> Callable[[np.ndarray], np.ndarray]:
+    return lambda weights: weights @ values
+
+
+def _head_arrays(inputs: AttentionInputs, head: int):
+    """Scaled queries, keys and values of one query head."""
+    g = inputs.group_map[head]
+    queries = inputs.queries[head] * (1.0 / np.sqrt(inputs.head_dim))
+    return queries, inputs.keys[g], inputs.values[g]
+
+
+def _bitmap_tiles(inputs: AttentionInputs, head: int, cells: np.ndarray) -> Iterator[Tile]:
+    """Tiles of one head's boolean [n, n] cells: each TILE_ROWS-row tile
+    reads the union of its rows' key columns."""
+    queries, keys, values = _head_arrays(inputs, head)
+    for start in range(0, inputs.seq_len, TILE_ROWS):
+        rows = slice(start, min(start + TILE_ROWS, inputs.seq_len))
+        cols = np.flatnonzero(cells[rows].any(axis=0))
+        logits = queries[rows] @ keys[cols].T
+        np.copyto(logits, -np.inf, where=~cells[rows, cols])
+        yield rows, [_Part(logits, 0, _times(values[cols]))]
+
+
+def column_tiles(
+    inputs: AttentionInputs,
+    head: int,
+    columns: np.ndarray,
+    offsets: np.ndarray | None = None,
+) -> Iterator[Tile]:
+    """Tiles of the causal cells (i, j) of one head whose key column j is in
+    ``columns`` or whose diagonal offset i - j is in ``offsets`` (sorted and
+    unique; a cell in both belongs to its column).
+
+    The column part gathers the columns' keys and values once and reads
+    each SPAN_ROWS-row tile through a prefix of them, so a tile's causal
+    holes lie only among its own columns.  The diagonal part takes one
+    product over the key range the tile's diagonals cross, reads its cells
+    along the diagonals of that product, and sends their weights back
+    through one product with the same range of values (``_Diagonals``).
+    A tile whose rows read no cell is not yielded.
     """
     n = inputs.seq_len
-    keys = inputs.keys[inputs.group_map[head]]
-    queries = inputs.queries[head] * (1.0 / np.sqrt(inputs.head_dim))
-    ahead = np.triu(np.ones((TILE_ROWS, TILE_ROWS), dtype=bool), k=1)
-    for start in range(0, n, TILE_ROWS):
-        rows = slice(start, min(start + TILE_ROWS, n))
-        if cells is None:
-            cols = slice(0, rows.stop)
-            logits = queries[rows] @ keys[cols].T
-            # in a causal tile only the diagonal block holds cells ahead of their row
-            size = rows.stop - start
-            logits[:, start:][ahead[:size, :size]] = -np.inf
-        else:
-            cols = np.flatnonzero(cells[rows].any(axis=0))
-            logits = np.where(cells[rows, cols], queries[rows] @ keys[cols].T, -np.inf)
-        peak = logits.max(axis=1, keepdims=True, initial=-np.inf)
-        peak[np.isneginf(peak)] = 0.0
-        logits -= peak
-        yield rows, cols, peak, np.exp(logits, out=logits)
+    queries, keys, values = _head_arrays(inputs, head)
+    col_keys, col_values = keys[columns], values[columns]
+    diagonals = _Diagonals(n, columns, offsets) if offsets is not None and offsets.size else None
+    for start in range(0, n, SPAN_ROWS):
+        stop = min(start + SPAN_ROWS, n)
+        parts = []
+        m = int(np.searchsorted(columns, stop))
+        if m:
+            # the columns below the tile are permitted in every row
+            cut = int(np.searchsorted(columns, start))
+            logits = queries[start:stop] @ col_keys[:m].T
+            ahead = columns[cut:m] > np.arange(start, stop)[:, None]
+            np.copyto(logits[:, cut:], -np.inf, where=ahead)
+            parts.append(_Part(logits, cut, _times(col_values[:m])))
+        t = 0 if diagonals is None else int(np.searchsorted(offsets, stop))
+        if t:
+            parts.append(diagonals.part(queries, keys, values, t, start, stop))
+        if parts:
+            yield slice(start, stop), parts
 
 
-def _prefill(inputs: AttentionInputs, mask: CellMask | None) -> AttentionOutput:
+class _Diagonals:
+    """Reused buffers of one head's diagonal parts.
+
+    Row r of a tile starting at query row s holds the logits of key
+    columns lo.. at positions n.., after n columns of padding, in rows of
+    width 2n + 1.  Cell (s + r, s + r - o) then sits at flat position
+    ``cell_at[r, o's index] + s - lo + 1``, so one take reads every
+    diagonal of the tile; a cell whose key column is negative lands in the
+    padding.  ``penalty[n + j]`` is -inf where column j is a plan column
+    (its cells belong to the column part) or negative, else 0, and is read
+    the same way through ``penalty_at``.  The weight buffer has the logits'
+    layout and is zero outside the cells written into it.
+    """
+
+    def __init__(self, n: int, columns: np.ndarray, offsets: np.ndarray):
+        self.n = n
+        self.logits = np.zeros((SPAN_ROWS, 2 * n + 1))
+        self.weights = np.zeros((SPAN_ROWS, 2 * n + 1))
+        self.penalty = np.zeros(2 * n)
+        self.penalty[:n] = -np.inf
+        self.penalty[n + columns] = -np.inf
+        self.offsets = offsets
+        rows = np.arange(SPAN_ROWS)[:, None]
+        back = (n - 1) - offsets
+        self.cell_at = rows * (2 * n + 2) + back
+        self.penalty_at = rows + back
+
+    def part(self, queries, keys, values, count: int, start: int, stop: int) -> _Part:
+        """The tile's cells on its first ``count`` offsets."""
+        size, n = stop - start, self.n
+        lo, hi = max(0, start - int(self.offsets[count - 1])), stop - int(self.offsets[0])
+        np.matmul(queries[start:stop], keys[lo:hi].T, out=self.logits[:size, n : n + hi - lo])
+        base = start - lo + 1
+        cells = self.cell_at[:size, :count]
+        logits = self.logits.reshape(-1)[base:].take(cells)
+        logits += self.penalty[start + 1 :].take(self.penalty_at[:size, :count])
+        return _Part(logits, 0, partial(self._weigh, base, cells, values[lo:hi]))
+
+    def _weigh(self, base: int, cells: np.ndarray, values: np.ndarray, weights: np.ndarray):
+        # holes carry zero weight, so only the span's cells become nonzero
+        self.weights.reshape(-1)[base:][cells] = weights
+        span = self.weights[: weights.shape[0], self.n : self.n + values.shape[0]]
+        out = span @ values
+        span[...] = 0.0
+        return out
+
+
+def block_tiles(inputs: AttentionInputs, head: int, selections: np.ndarray) -> Iterator[Tile]:
+    """Tiles of one head's [nb, nb] key-block selections over TILE_ROWS-token
+    blocks: each query block reads its chosen key blocks, and only its own
+    diagonal block, chosen last when chosen, has causal holes.  Only the
+    last block can be short, and only as a diagonal.
+
+    A tile stacks up to SPAN_ROWS // TILE_ROWS consecutive query blocks that
+    choose as many key blocks, all with their diagonal or all without it:
+    one batched product per tile, each block reading its own key blocks.
+    """
+    n, d = inputs.seq_len, inputs.head_dim
+    queries, keys, values = _head_arrays(inputs, head)
+    nb = selections.shape[0]
+    padded = np.zeros((2, nb * TILE_ROWS, d))
+    padded[0, :n], padded[1, :n] = keys, values
+    key_blocks, value_blocks = padded.reshape(2, nb, TILE_ROWS, d)
+    ahead = ~np.tri(TILE_ROWS, dtype=bool)
+    counts = np.count_nonzero(selections, axis=1)
+    diagonal = np.diagonal(selections)
+    # a run breaks where the shape changes, every SPAN_ROWS rows, and
+    # before a short last block
+    shape = np.stack([counts, diagonal, np.arange(nb) // (SPAN_ROWS // TILE_ROWS)])
+    breaks = np.flatnonzero((shape[:, 1:] != shape[:, :-1]).any(axis=0)) + 1
+    if n % TILE_ROWS and nb > 1:
+        breaks = np.union1d(breaks, [nb - 1])
+    for first, last in zip([0, *breaks.tolist()], [*breaks.tolist(), nb]):
+        batch, k = last - first, int(counts[first])
+        rows = slice(first * TILE_ROWS, min(last * TILE_ROWS, n))
+        size = (rows.stop - rows.start) // batch
+        width = k * TILE_ROWS - (TILE_ROWS - size if diagonal[first] else 0)
+        chosen = np.nonzero(selections[first:last])[1].reshape(batch, k)
+        block_keys = key_blocks[chosen].reshape(batch, -1, d)[:, :width]
+        logits = queries[rows].reshape(batch, size, d) @ block_keys.transpose(0, 2, 1)
+        if diagonal[first]:
+            np.copyto(logits[:, :, width - size :], -np.inf, where=ahead[:size, :size])
+        block_values = value_blocks[chosen].reshape(batch, -1, d)[:, :width]
+        weigh = partial(_batched_values, block_values)
+        yield rows, [_Part(logits.reshape(-1, width), width - size, weigh)]
+
+
+def _batched_values(values: np.ndarray, weights: np.ndarray) -> np.ndarray:
+    """[batch * rows, d] products of each batch item's weight rows with its
+    [width, d] values."""
+    batch, width, d = values.shape
+    return (weights.reshape(batch, -1, width) @ values).reshape(-1, d)
+
+
+def _tile_pass(inputs: AttentionInputs, tiles: Iterable[Tile], out: np.ndarray | None = None):
+    """[seq_len] log-sum-exp of each row over its tiles' permitted cells,
+    with ``out`` ([seq_len, head_dim]) also filled with the attention output.
+
+    The parts of a tile share one row peak, the largest permitted logit.
+    Holes are raised to a finite floor before exp and zeroed after it, so no
+    -inf reaches exp.  An empty row's log-sum-exp is -inf, as is that of a
+    row no tile covers.
+    """
+    peaks, totals = np.zeros(inputs.seq_len), np.zeros(inputs.seq_len)
+    for rows, parts in tiles:
+        peak = parts[0].logits.max(axis=1, keepdims=True)
+        for part in parts[1:]:
+            np.maximum(peak, part.logits.max(axis=1, keepdims=True), out=peak)
+        peak[peak == -np.inf] = 0.0
+        sums = []
+        for logits, first, _ in parts:
+            logits -= peak
+            if first < logits.shape[1]:
+                holes = logits[:, first:]
+                keep = holes > -np.inf
+                np.maximum(holes, _EXP_FLOOR, out=holes)
+                np.exp(logits, out=logits)
+                holes *= keep
+            else:
+                np.exp(logits, out=logits)
+            sums.append(logits.sum(axis=1))
+        total = sum(sums[1:], sums[0])
+        peaks[rows], totals[rows] = peak[:, 0], total
+        if out is not None:
+            acc = parts[0].weigh(parts[0].logits)
+            for part in parts[1:]:
+                acc += part.weigh(part.logits)
+            # a CellMask row is never empty, so no total is zero
+            out[rows] = acc / total[:, None]
+    with np.errstate(divide="ignore"):
+        return peaks + np.log(totals)
+
+
+def _causal_tiles(inputs: AttentionInputs, head: int) -> Iterator[Tile]:
+    """Tiles of 2 * TILE_ROWS rows over each tile's causal prefix; only the
+    diagonal block has holes.  Taller tiles hold more holes and shorter
+    ones pay numpy's per-call cost more often; 32 rows measured faster
+    than 16 at n = 512 and 2048 on a 2-vCPU VM with numpy 2.4.6."""
+    queries, keys, values = _head_arrays(inputs, head)
+    rows = 2 * TILE_ROWS
+    ahead = ~np.tri(rows, dtype=bool)
+    for start in range(0, inputs.seq_len, rows):
+        stop = min(start + rows, inputs.seq_len)
+        logits = queries[start:stop] @ keys[:stop].T
+        size = stop - start
+        np.copyto(logits[:, start:], -np.inf, where=ahead[:size, :size])
+        yield slice(start, stop), [_Part(logits, start, _times(values[:stop]))]
+
+
+def _prefill(inputs: AttentionInputs, tiles_of: Callable[[int], Iterable[Tile]]) -> AttentionOutput:
     h, n, d = inputs.num_q_heads, inputs.seq_len, inputs.head_dim
     out = np.empty((h, n, d))
     for head in range(h):
-        values = inputs.values[inputs.group_map[head]]
-        cells = None if mask is None else mask.dense(head)
-        for rows, cols, _, w in _tiles(inputs, head, cells):
-            # CellMask rows are never empty, so no row sum is zero
-            w /= w.sum(axis=1, keepdims=True)
-            out[head, rows] = w @ values[cols]
+        _tile_pass(inputs, tiles_of(head), out[head])
     return AttentionOutput(out)
 
 
 def dense_prefill(inputs: AttentionInputs) -> AttentionOutput:
     """Exact causal attention over the full lower triangle."""
-    return _prefill(inputs, None)
+    return _prefill(inputs, partial(_causal_tiles, inputs))
 
 
 def masked_attention(inputs: AttentionInputs, mask: CellMask) -> AttentionOutput:
     """Attention restricted to the mask's cells; softmax renormalizes per row
-    over the permitted keys only."""
+    over the permitted keys only.  A mask built from a plan runs its plan's
+    tiles; any other runs the bitmap tiles."""
     h, n = inputs.num_q_heads, inputs.seq_len
     if mask.num_heads != h or mask.seq_len != n:
         raise ValueError(
             f"mask shape ({mask.num_heads} heads, {mask.seq_len}) does not match "
             f"inputs ({h} heads, {n})"
         )
-    return _prefill(inputs, mask)
+    if mask.tiles is not None:
+        return _prefill(inputs, partial(mask.tiles, inputs))
+    return _prefill(inputs, lambda head: _bitmap_tiles(inputs, head, mask.cells[head]))
 
 
 def row_logsumexp(
-    inputs: AttentionInputs, head: int, cells: np.ndarray | None = None
+    inputs: AttentionInputs, head: int, tiles: Iterable[Tile] | None = None
 ) -> np.ndarray:
-    """[seq_len] log-sum-exp of one head's logits over each row's cells
-    (boolean [n, n]; None means full causal).  An empty row gives -inf."""
-    lse = np.empty(inputs.seq_len)
-    with np.errstate(divide="ignore"):
-        for rows, _, peak, ex in _tiles(inputs, head, cells):
-            lse[rows] = peak[:, 0] + np.log(ex.sum(axis=1))
-    return lse
+    """[seq_len] log-sum-exp of one head's logits over each row's cells, as
+    read from that head's ``tiles`` (None means full causal).  An empty row
+    gives -inf."""
+    return _tile_pass(inputs, _causal_tiles(inputs, head) if tiles is None else tiles)
 
 
 def decode_step(

@@ -8,11 +8,20 @@ decode step.
 
 from __future__ import annotations
 
-from typing import Callable, NamedTuple
+from functools import partial
+from typing import Callable, Iterator, NamedTuple
 
 import numpy as np
+from numpy.lib.stride_tricks import as_strided
 
-from ..attention import AttentionInputs, CellMask, row_logsumexp
+from ..attention import (
+    AttentionInputs,
+    CellMask,
+    Tile,
+    block_tiles,
+    column_tiles,
+    row_logsumexp,
+)
 from .plans import (
     BLOCK_SIZE,
     PAGE_SIZE,
@@ -30,6 +39,7 @@ __all__ = [
     "plan_sparsity",
     "attention_recall",
     "to_cell_mask",
+    "plan_tiles",
     "page_plan_rows",
     "vertical_slash_cells",
     "block_plan_cells",
@@ -105,44 +115,79 @@ def plan_sparsity(plan: SparsePlan, target_sparsity: float | None = None) -> Spa
     )
 
 
-def _plan_mask_matrix(plan: SparsePlan, head: int, group_map: tuple[int, ...]) -> np.ndarray:
-    """Boolean cell matrix of one query head's plan (prefill-style plans)."""
-    if not isinstance(plan, (VerticalSlashPlan, BlockPlan, EvictionPlan)):
-        raise TypeError(f"no full-mask view for {type(plan).__name__}")
+def _plan_mask_matrix(plan: SparsePlan, head: int, causal: np.ndarray, out: np.ndarray) -> None:
+    """Write the boolean [n, n] cells of one head of a prefill-style plan
+    (a query head; a kv head for an eviction plan) into ``out``, given the
+    causal lower triangle."""
     n = plan.seq_len
     if isinstance(plan, BlockPlan):
-        chosen = plan.selections[head]
-        full = chosen.repeat(BLOCK_SIZE, axis=0).repeat(BLOCK_SIZE, axis=1)[:n, :n]
-    else:
-        # vertical lines and kept tokens are whole key columns
-        if isinstance(plan, VerticalSlashPlan):
-            columns = plan.verticals[head]
-        else:
-            columns = plan.kept[group_map[head]]
-        full = np.zeros((1, n), dtype=bool)
-        full[0, columns] = True
-    # the lower triangle, as np.tril(full) but without its full-size where()
-    m = full & np.tri(n, dtype=bool)
+        # the key columns of each query block, copied to its rows: whole
+        # blocks as a [blocks, BLOCK_SIZE, n] view, then the short last one
+        chosen = plan.selections[head].repeat(BLOCK_SIZE, axis=1)[:, :n]
+        full = n // BLOCK_SIZE
+        out[: full * BLOCK_SIZE].reshape(full, BLOCK_SIZE, n)[...] = chosen[:full, None]
+        out[full * BLOCK_SIZE :] = chosen[full : full + 1]
+        out &= causal
+        return
+    # vertical lines and kept tokens are whole key columns
+    columns = np.zeros(n, dtype=bool)
+    columns[plan.verticals[head] if isinstance(plan, VerticalSlashPlan) else plan.kept[head]] = True
+    np.logical_and(causal, columns, out=out)
     if isinstance(plan, VerticalSlashPlan):
-        flat = m.reshape(-1)
-        for o in plan.slashes[head].tolist():
-            # cells (o, 0), (o + 1, 1), ... lie n + 1 apart in the flat array
-            flat[o * n :: n + 1] = True
-    return m
+        slashes = np.zeros(n, dtype=bool)
+        slashes[plan.slashes[head]] = True
+        out |= _lower_toeplitz(slashes)
+
+
+def _lower_toeplitz(diagonals: np.ndarray) -> np.ndarray:
+    """Read-only boolean [n, n] view whose cell (i, j) is diagonals[i - j]
+    for j <= i and false above the diagonal; nothing n x n is allocated."""
+    n = diagonals.size
+    line = np.zeros(2 * n - 1, dtype=bool)
+    line[:n] = diagonals[::-1]
+    return as_strided(line[n - 1 :], shape=(n, n), strides=(-1, 1), writeable=False)
+
+
+def plan_tiles(
+    plan: SparsePlan, group_map: tuple[int, ...], inputs: AttentionInputs, head: int
+) -> Iterator[Tile]:
+    """One query head's attention tiles, read straight from the plan's
+    fields: a vertical-slash plan's verticals as columns and its slashes as
+    diagonals, an eviction plan's kept tokens (of the head's kv head under
+    ``group_map``) as columns, a block plan's chosen key blocks."""
+    if isinstance(plan, VerticalSlashPlan):
+        return column_tiles(inputs, head, plan.verticals[head], plan.slashes[head])
+    if isinstance(plan, EvictionPlan):
+        return column_tiles(inputs, head, plan.kept[group_map[head]])
+    if isinstance(plan, BlockPlan):
+        return block_tiles(inputs, head, plan.selections[head])
+    raise TypeError(f"no prefill tiles for {type(plan).__name__}")
 
 
 def to_cell_mask(plan: SparsePlan, group_map: tuple[int, ...]) -> CellMask:
-    """Stack each query head's cell matrix into one bitmap mask.
+    """Write each query head's cells into one bitmap mask, which also
+    remembers the plan: the kernel runs the plan's tiles on it.
 
     Vertical-slash and block plans are per query head already; eviction plans
-    are per kv head and fan out to query heads through ``group_map``.  Page
-    plans constrain a single decode row only, so they have no full-mask view
-    (use page_plan_rows).
+    are per kv head, expanded once per kv head and copied to its query heads
+    through ``group_map``.  Page plans constrain a single decode row only, so
+    they have no full-mask view (use page_plan_rows).
     """
     if isinstance(plan, PagePlan):
         raise TypeError("page plans constrain one decode row; use page_plan_rows")
-    heads = len(group_map) if isinstance(plan, EvictionPlan) else plan.num_heads
-    return CellMask(np.stack([_plan_mask_matrix(plan, h, group_map) for h in range(heads)]))
+    n = plan.seq_len
+    causal = _lower_toeplitz(np.ones(n, dtype=bool))
+    if isinstance(plan, EvictionPlan):
+        cells = np.empty((len(group_map), n, n), dtype=bool)
+        for g in sorted(set(group_map)):
+            first, *rest = [h for h, kv in enumerate(group_map) if kv == g]
+            _plan_mask_matrix(plan, g, causal, cells[first])
+            cells[rest] = cells[first]
+    else:
+        cells = np.empty((plan.num_heads, n, n), dtype=bool)
+        for h in range(plan.num_heads):
+            _plan_mask_matrix(plan, h, causal, cells[h])
+    return CellMask(cells, tiles=partial(plan_tiles, plan, group_map))
 
 
 def page_plan_rows(plan: PagePlan, group_map: tuple[int, ...]) -> list[np.ndarray]:
@@ -159,30 +204,30 @@ def attention_recall(plan: SparsePlan, inputs: AttentionInputs) -> float:
     """Fraction of dense attention probability mass covered by the plan's
     cells, averaged over the rows the plan constrains and over heads.
 
-    Every plan reads the dense mass off the cached causal log-sum-exp: a
-    cell (i, j) holds exp(logit_ij - causal_lse_i) of row i.  A page plan
-    constrains its decode row, whose covered mass is that sum over the
-    selected tokens; a prefill-style plan's row covers exp(masked_lse -
-    causal_lse), with the log-sum-exp taken over the plan's cells."""
+    A cell (i, j) holds exp(logit_ij - lse_i) of row i, with lse_i the
+    log-sum-exp of row i's causal logits.  A page plan constrains its decode
+    row, whose covered mass is that sum over the selected tokens, with the
+    row's lse computed from the row alone in O(n * head_dim).  A
+    prefill-style plan's row covers exp(masked_lse - causal_lse), with the
+    masked log-sum-exp taken over the plan's tiles (``plan_tiles``) and
+    the causal one read from ``AttentionInputs.causal_lse``."""
     n = inputs.seq_len
     if n > ORACLE_LIMIT:
         raise ValueError(f"recall oracle limited to n <= {ORACLE_LIMIT}, got {n}")
-    heads = inputs.num_q_heads
+    heads, group_map = inputs.num_q_heads, inputs.group_map
     if isinstance(plan, PagePlan):
-        rows = page_plan_rows(plan, inputs.group_map)
         pos = plan.position
         scale = 1.0 / np.sqrt(inputs.head_dim)
         total = 0.0
-        for h, tokens in enumerate(rows):
-            logits = (inputs.keys[inputs.group_map[h]][tokens] @ inputs.queries[h][pos]) * scale
-            total += float(np.exp(logits - inputs.causal_lse[h, pos]).sum())
+        for h, tokens in enumerate(page_plan_rows(plan, group_map)):
+            logits = (inputs.keys[group_map[h]][: pos + 1] @ inputs.queries[h][pos]) * scale
+            peak = logits.max()
+            dense = peak + np.log(np.exp(logits - peak).sum())
+            total += float(np.exp(logits[tokens] - dense).sum())
         return total / heads
 
     masked = np.stack(
-        [
-            row_logsumexp(inputs, h, _plan_mask_matrix(plan, h, inputs.group_map))
-            for h in range(heads)
-        ]
+        [row_logsumexp(inputs, h, plan_tiles(plan, group_map, inputs, h)) for h in range(heads)]
     )
     return float(np.exp(masked - inputs.causal_lse).mean())
 

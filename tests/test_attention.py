@@ -15,13 +15,20 @@ from sparselab.attention import (
     masked_attention,
 )
 from sparselab.patterns import (
+    BlockPlan,
+    EvictionPlan,
     FlexPrefillConfig,
+    VerticalSlashPlan,
+    accounting,
     ada_snapkv_compress,
+    attention_recall,
     build_flexprefill,
     build_vertical_slash,
     calibrate_vertical_slash,
     snapkv_compress,
+    to_cell_mask,
 )
+from sparselab.patterns.plans import BLOCK_SIZE
 from sparselab.synthetic import make_inputs
 
 from conftest import (
@@ -200,6 +207,119 @@ def test_tiled_kernels_match_full_matrix_reference(seed, n, kv):
         (masked_attention(inputs, CellMask(cells)), cells),
     ):
         assert np.abs(got.output - full_matrix_reference(inputs, support)).max() <= 1e-12
+
+
+def full_matrix_recall(inputs, cells):
+    """Dense causal softmax mass on the cells, averaged over rows and heads."""
+    n = inputs.seq_len
+    total = 0.0
+    for head in range(inputs.num_q_heads):
+        g = inputs.group_map[head]
+        logits = inputs.queries[head] @ inputs.keys[g].T / np.sqrt(inputs.head_dim)
+        logits[~np.tri(n, dtype=bool)] = -np.inf
+        w = np.exp(logits - logits.max(axis=1, keepdims=True))
+        total += (w / w.sum(axis=1, keepdims=True))[cells[head]].sum()
+    return total / (inputs.num_q_heads * n)
+
+
+def random_prefill_plans(rng, n, heads, kv_heads, with_first=True):
+    """A vertical-slash, a block and an eviction plan with random members.
+    With ``with_first`` every row keeps a cell (offset 0, key block 0 or
+    token 0); without it, row 0 may read nothing."""
+    low = 0 if with_first else 1
+
+    def members():
+        picked = np.flatnonzero(rng.random(n) < rng.uniform(0.05, 0.6))
+        return np.append(picked[picked >= low], 0 if with_first else n - 1)
+
+    vs = VerticalSlashPlan(
+        tuple(members() for _ in range(heads)),
+        # dense low offsets overlap the verticals on many cells
+        tuple(np.union1d(members(), np.arange(low, min(n, 4))) for _ in range(heads)),
+        seq_len=n,
+    )
+    nb = -(-n // BLOCK_SIZE)
+    selections = np.tril(rng.random((heads, nb, nb)) < 0.4)
+    selections[:, np.arange(nb), np.arange(nb)] = True
+    block = BlockPlan(selections, seq_len=n)
+    eviction = EvictionPlan(tuple(members() for _ in range(kv_heads)), seq_len=n)
+    return [vs, block, eviction] if with_first else [vs, eviction]
+
+
+@settings(deadline=None, max_examples=30)
+@given(seed=st.integers(0, 10_000), n=st.integers(1, 300), kv=st.sampled_from([1, 2]))
+@example(seed=0, n=1, kv=1)
+@example(seed=1, n=15, kv=2)
+@example(seed=2, n=16, kv=1)
+@example(seed=3, n=17, kv=2)
+@example(seed=4, n=255, kv=1)
+@example(seed=5, n=256, kv=2)
+@example(seed=6, n=257, kv=1)
+def test_plan_tiles_match_full_matrix_reference(seed, n, kv):
+    """Vertical-slash (offset 0, verticals over the slashes), block (a
+    partial last block) and eviction plans (1:1 and 2:1 group maps): the
+    kernel on a plan's mask (plan tiles) and on the same bitmap alone
+    (bitmap tiles), and the recall, against the full-matrix softmax.  A
+    row with no cells has a log-sum-exp of -inf."""
+    rng = np.random.default_rng(seed)
+    heads = kv * int(rng.choice([1, 2]))
+    inputs = random_inputs(rng, n, num_q_heads=heads, num_kv_heads=kv)
+    for plan in random_prefill_plans(rng, n, heads, kv):
+        mask = to_cell_mask(plan, inputs.group_map)
+        assert mask.tiles is not None
+        want = full_matrix_reference(inputs, mask.cells)
+        for kernel_mask in (mask, CellMask(mask.cells.copy())):
+            got = masked_attention(inputs, kernel_mask).output
+            assert np.abs(got - want).max() <= 1e-12
+        assert attention_recall(plan, inputs) == pytest.approx(
+            full_matrix_recall(inputs, mask.cells), abs=1e-12
+        )
+    if n > 1:
+        for plan in random_prefill_plans(rng, n, heads, kv, with_first=False):
+            for head in range(heads):
+                tiles = accounting.plan_tiles(plan, inputs.group_map, inputs, head)
+                lse = attention.row_logsumexp(inputs, head, tiles)
+                assert lse[0] == -np.inf
+                assert np.isfinite(lse[n - 1])
+            assert np.isfinite(attention_recall(plan, inputs))
+
+
+def test_rows_before_a_plans_first_cell_read_nothing(rng):
+    """Rows below a plan's first vertical, kept token and slash offset
+    leave whole column tiles empty: their log-sum-exp is -inf and the
+    recall counts no mass for them."""
+    n = 300
+    inputs = random_inputs(rng, n, num_q_heads=2, num_kv_heads=1)
+    last = np.zeros((2, n, n), dtype=bool)
+    last[:, n - 1, n - 1] = True
+    with_slash = last.copy()
+    with_slash[:, np.arange(200, n), np.arange(n - 200)] = True
+    vs = VerticalSlashPlan((np.array([n - 1]),) * 2, (np.array([200]),) * 2, seq_len=n)
+    eviction = EvictionPlan((np.array([n - 1]),), seq_len=n)
+    for plan, first, want in ((vs, 200, with_slash), (eviction, n - 1, last)):
+        for head in range(2):
+            tiles = accounting.plan_tiles(plan, inputs.group_map, inputs, head)
+            lse = attention.row_logsumexp(inputs, head, tiles)
+            assert (lse[:first] == -np.inf).all() and np.isfinite(lse[first:]).all()
+        assert attention_recall(plan, inputs) == pytest.approx(
+            full_matrix_recall(inputs, want), abs=1e-12
+        )
+
+
+def test_recall_builds_no_bitmap(rng, monkeypatch):
+    """Recall of a prefill-style plan reads the plan's tiles; no cell
+    matrix or CellMask is built."""
+    inputs = random_inputs(rng, 200)
+    plans = random_prefill_plans(rng, 200, inputs.num_q_heads, inputs.num_kv_heads)
+    want = [attention_recall(plan, inputs) for plan in plans]
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("recall built a bitmap")
+
+    monkeypatch.setattr(accounting, "_plan_mask_matrix", refuse)
+    monkeypatch.setattr(accounting, "CellMask", refuse)
+    monkeypatch.setattr(attention, "CellMask", refuse)
+    assert [attention_recall(plan, inputs) for plan in plans] == want
 
 
 def test_inputs_validation():
