@@ -85,7 +85,8 @@ def _load_existing(path: Path) -> dict[tuple, dict]:
 def run_suite(config: ExperimentConfig, out_root: str | Path, adapter=None) -> RunResult:
     """Executes the full grid, appending one record per (task, method,
     sparsity, length, sample). Completed records are skipped on rerun;
-    failed ones are retried."""
+    failed ones are retried. One INFO line on the ``sparselab`` logger
+    reports the grid's records done, resumed and failed."""
     fingerprint = config.fingerprint()
     run_dir = Path(out_root) / fingerprint
     run_dir.mkdir(parents=True, exist_ok=True)
@@ -106,7 +107,7 @@ def run_suite(config: ExperimentConfig, out_root: str | Path, adapter=None) -> R
     calls_before = getattr(adapter, "calls", 0)
 
     records: list[dict] = []
-    new_records = 0
+    new_records = failed = 0
     with open(records_path, "a", encoding="utf-8") as sink:
         for kind, seq_len, index in product(
             config.tasks, config.seq_lengths, range(config.samples_per_config)
@@ -119,7 +120,13 @@ def run_suite(config: ExperimentConfig, out_root: str | Path, adapter=None) -> R
                     sink.write(json.dumps(record, sort_keys=True) + "\n")
                     sink.flush()
                     new_records += 1
+                    failed += record["status"] != "ok"
                 records.append(record)
+    logger.info(
+        "run %s: %d/%d records done, %d resumed, %d failed",
+        fingerprint, len(records) - failed, len(records),
+        len(records) - new_records, failed,
+    )
     return RunResult(
         run_dir=run_dir,
         records=records,

@@ -1,10 +1,14 @@
+import hashlib
 import json
+import math
 import re
 from collections import Counter
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from sparselab.tasks import story
+from sparselab.tasks import cwe, niah, story
 from sparselab.tasks import (
     ApproxTokenizer,
     DEFAULT_TOKENIZER,
@@ -208,6 +212,32 @@ def test_story_fit_exact_for_non_additive_tokenizer(kind):
         _assert_largest_fit(sample, 6000, tokenizer)
 
 
+def _count_renders(monkeypatch) -> Counter:
+    renders: Counter = Counter()
+    render = story._render_chapter
+
+    def counted(seed, protagonist, ch):
+        renders[ch] += 1
+        return render(seed, protagonist, ch)
+
+    monkeypatch.setattr(story, "_render_chapter", counted)
+    return renders
+
+
+@pytest.mark.parametrize("kind", STORY_KINDS)
+@pytest.mark.parametrize("target", [4000, 16000])
+def test_story_renders_each_chapter_once(monkeypatch, kind, target):
+    renders = _count_renders(monkeypatch)
+    for seed in range(4):
+        renders.clear()
+        sample = gen_story(seed, kind, target_tokens=target)
+        assert max(renders.values()) == 1
+        assert len(renders) > sample.extras["num_chapters"]
+        if kind != "story_filtering":
+            # one world for every count, so one chapter per index
+            assert max(Counter(ch.index for ch in renders).values()) == 1
+
+
 def test_story_item_limit_raises_generation_error():
     with pytest.raises(GenerationError, match="4608 chapters"):
         gen_story(0, "story_multihop", num_chapters=4700, target_tokens=600000)
@@ -297,6 +327,78 @@ def test_retrieval_question_block_near_reference_width():
     ]
     mean = sum(widths) / len(widths)
     assert abs(mean - 457.54) / 457.54 <= 0.15
+
+
+def _reference_units(text: str) -> int:
+    return len(re.findall(r"\w+|[^\w\s]", text))
+
+
+class _ReferenceTokenizer:
+    """The unit count by the general pattern alone, at factor 1."""
+
+    def count(self, text: str) -> int:
+        return _reference_units(text)
+
+
+@settings(deadline=None, max_examples=300)
+@given(
+    text=st.text() | st.text(st.characters(max_codepoint=127)),
+    factor=st.sampled_from([0.8, 1.0, 1.3]) | st.floats(0.01, 10.0),
+)
+@example(text="", factor=1.0)
+@example(text="\x1c\x1d\x1e\x1f", factor=1.0)
+@example(text="a\x1cb\x1f.c", factor=1.0)
+@example(text=" ", factor=1.0)
+@example(text="\xa0\u2003 x", factor=1.0)
+@example(text="café naïve, Zoë!", factor=1.3)
+@example(text="ab12 3.5 __init__ x_y-z", factor=1.0)
+@example(text="snake_case_2 _ __", factor=0.8)
+def test_tokenizer_count_matches_general_pattern(text, factor):
+    expected = math.ceil(_reference_units(text) * factor)
+    assert ApproxTokenizer(factor).count(text) == expected
+
+
+@pytest.mark.parametrize("kind", ["niah", "cwe"])
+@pytest.mark.parametrize("target", [2000, 16000])
+def test_units_within_unchanged_at_call_sites(monkeypatch, kind, target):
+    """The generators size their context by the same unit counts as the
+    general pattern gives."""
+    module = {"niah": niah, "cwe": cwe}[kind]
+    calls = []
+    units_within = module.units_within
+
+    def recorded(budget, unit, tokenizer=None):
+        calls.append((budget, unit, units_within(budget, unit, tokenizer)))
+        return calls[-1][2]
+
+    monkeypatch.setattr(module, "units_within", recorded)
+    for seed in range(3):
+        calls.clear()
+        sample = generate(kind, seed=seed, target_tokens=target)
+        [(budget, unit, fitted)] = calls
+        run = _reference_units("\n".join([unit] * 20))
+        assert fitted == budget * 20 // run
+        reference = generate(
+            kind, seed=seed, target_tokens=target, tokenizer=_ReferenceTokenizer()
+        )
+        assert calls[1][2] == fitted
+        assert reference.to_json() == sample.to_json()
+
+
+# sha256 over every kind at seeds 0-2 and 4000/16000 tokens, computed on the
+# generators before chapter texts were shared and the tokenizer had an ASCII
+# path; both must leave every sample byte-identical
+SAMPLES_DIGEST = "d430c581a0469c37e078db8e02a266db0b21f201f69dc2faf131649582b62d3c"
+
+
+def test_samples_byte_identical():
+    digest = hashlib.sha256()
+    for kind in TASK_KINDS:
+        for seed in range(3):
+            for target in (4000, 16000):
+                sample = generate(kind, seed=seed, target_tokens=target)
+                digest.update(json.dumps(sample.to_json(), sort_keys=True).encode())
+    assert digest.hexdigest() == SAMPLES_DIGEST
 
 
 def test_tokenizer_additivity():
