@@ -4,7 +4,6 @@ from __future__ import annotations
 
 import csv
 import json
-import logging
 from pathlib import Path
 
 import click
@@ -190,20 +189,6 @@ def calibration() -> None:
     click.echo(f"worst |achieved - target| = {worst:.4f}")
 
 
-def _log_level(command):
-    """``-v``/``-q`` on a command that logs through the ``sparselab``
-    logger: progress lines at -v, warnings by default, errors only at -q."""
-    command = click.option("-q", "--quiet", "log_level", flag_value=logging.ERROR,
-                           help="Log errors only.")(command)
-    return click.option("-v", "--verbose", "log_level", flag_value=logging.INFO,
-                        default=logging.WARNING, help="Log progress.")(command)
-
-
-def _start_logging(level: int) -> None:
-    logging.basicConfig(format="%(name)s: %(message)s")
-    logging.getLogger("sparselab").setLevel(level)
-
-
 @main.command()
 @click.option("--config", "config_path", type=click.Path(exists=True, dir_okay=False),
               required=True)
@@ -214,10 +199,8 @@ def _start_logging(level: int) -> None:
 @click.option("--seed", type=int, default=None)
 @click.option("--lengths", multiple=True, type=int)
 @click.option("--sparsity", multiple=True, type=float)
-@_log_level
-def run(config_path, out, adapter, samples, seed, lengths, sparsity, log_level) -> None:
+def run(config_path, out, adapter, samples, seed, lengths, sparsity) -> None:
     """Execute a suite; reruns resume from persisted records."""
-    _start_logging(log_level)
     overrides = {}
     if adapter:
         overrides["adapter"] = adapter
@@ -253,10 +236,8 @@ def run(config_path, out, adapter, samples, seed, lengths, sparsity, log_level) 
 @click.option("--run", "run_dir", type=click.Path(exists=True, file_okay=False),
               required=True)
 @click.option("--out", type=click.Path(file_okay=False), default=None)
-@_log_level
-def analyze(run_dir, out, log_level) -> None:
+def analyze(run_dir, out) -> None:
     """Aggregate a finished run into summary/error/frontier tables."""
-    _start_logging(log_level)
     tables = analyze_run(run_dir, out)
     target = Path(out) if out else Path(run_dir) / "analysis"
     for name, rows in tables.items():

@@ -85,8 +85,8 @@ def _load_existing(path: Path) -> dict[tuple, dict]:
 def run_suite(config: ExperimentConfig, out_root: str | Path, adapter=None) -> RunResult:
     """Executes the full grid, appending one record per (task, method,
     sparsity, length, sample). Completed records are skipped on rerun;
-    failed ones are retried. One INFO line on the ``sparselab`` logger
-    reports the grid's records done, resumed and failed."""
+    failed ones are retried. Each finished sample logs one INFO line of
+    progress on the ``sparselab`` logger."""
     fingerprint = config.fingerprint()
     run_dir = Path(out_root) / fingerprint
     run_dir.mkdir(parents=True, exist_ok=True)
@@ -108,10 +108,11 @@ def run_suite(config: ExperimentConfig, out_root: str | Path, adapter=None) -> R
 
     records: list[dict] = []
     new_records = failed = 0
+    grid = list(
+        product(config.tasks, config.seq_lengths, range(config.samples_per_config))
+    )
     with open(records_path, "a", encoding="utf-8") as sink:
-        for kind, seq_len, index in product(
-            config.tasks, config.seq_lengths, range(config.samples_per_config)
-        ):
+        for done, (kind, seq_len, index) in enumerate(grid, 1):
             for record, is_new in _sample_records(
                 adapter, config, existing, kind, seq_len, index
             ):
@@ -122,11 +123,11 @@ def run_suite(config: ExperimentConfig, out_root: str | Path, adapter=None) -> R
                     new_records += 1
                     failed += record["status"] != "ok"
                 records.append(record)
-    logger.info(
-        "run %s: %d/%d records done, %d resumed, %d failed",
-        fingerprint, len(records) - failed, len(records),
-        len(records) - new_records, failed,
-    )
+            logger.info(
+                "run %s: %d/%d samples done, %d records, %d resumed, %d failed",
+                fingerprint, done, len(grid), len(records),
+                len(records) - new_records, failed,
+            )
     return RunResult(
         run_dir=run_dir,
         records=records,

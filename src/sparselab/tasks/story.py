@@ -270,28 +270,10 @@ def _render_chapter(seed: int, protagonist: str, ch: Chapter) -> str:
     return f"Chapter {ch.index}:\n" + " ".join(parts)
 
 
-class _ChapterTexts(dict):
-    """Rendered chapters of one world, by ``Chapter``, each rendered on its
-    first lookup. Every build of one sample shares a seed and a protagonist,
-    so an equal chapter reads the same in all of them. The map lives as long
-    as the sample it serves."""
-
-    def __init__(self, seed: int, protagonist: str) -> None:
-        super().__init__()
-        self.seed = seed
-        self.protagonist = protagonist
-
-    def __missing__(self, ch: Chapter) -> str:
-        text = self[ch] = _render_chapter(self.seed, self.protagonist, ch)
-        return text
-
-
-def render_world(seed: int, world: StoryWorld, texts: _ChapterTexts | None = None) -> str:
-    """The world's chapters in order; ``texts`` supplies chapters already
-    rendered for the same seed and protagonist."""
-    if texts is None:
-        texts = _ChapterTexts(seed, world.protagonist)
-    return "\n\n".join(texts[ch] for ch in world.chapters)
+def render_world(world: StoryWorld, render) -> str:
+    """The world's chapters in order, each from ``render(protagonist,
+    chapter)``."""
+    return "\n\n".join(render(world.protagonist, ch) for ch in world.chapters)
 
 
 def scan_world(context: str) -> list[dict]:
@@ -339,17 +321,19 @@ def gen_story(
         "story_multihop": 2,
     }[kind]
 
-    # the protagonist is the world's first draw, the same for every count
-    rng = np.random.default_rng([seed, 1])
-    texts = _ChapterTexts(seed, _pick(rng, PROTAGONISTS))
+    # one rendered text per chapter for the whole call, freed with it
+    render = functools.cache(functools.partial(_render_chapter, seed))
 
     @functools.cache
     def build(count: int) -> TaskSample:
-        return _build_sample(seed, kind, count, target_tokens, num_no_purchase, texts)
+        return _build_sample(seed, kind, count, target_tokens, num_no_purchase, render)
 
     if num_chapters is None:
-        # the pass's world has no no-purchase beats
-        chapter_texts = (texts[ch] for ch in _chapter_stream(rng))
+        # the pass's world: the protagonist, then chapters without
+        # no-purchase beats
+        rng = np.random.default_rng([seed, 1])
+        protagonist = _pick(rng, PROTAGONISTS)
+        chapter_texts = (render(protagonist, ch) for ch in _chapter_stream(rng))
         num_chapters = _fit_chapter_count(
             build, chapter_texts, minimum, target_tokens, tokenizer
         )
@@ -361,7 +345,7 @@ def gen_story(
 
 
 def _build_sample(
-    seed, kind, num_chapters, target_tokens, num_no_purchase, texts
+    seed, kind, num_chapters, target_tokens, num_no_purchase, render
 ) -> TaskSample:
     if num_no_purchase:
         skip = frozenset(
@@ -374,7 +358,7 @@ def _build_sample(
         skip = frozenset()
     rng = np.random.default_rng([seed, 1])
     world = build_world(rng, num_chapters, no_purchase=skip)
-    context = render_world(seed, world, texts)
+    context = render_world(world, render)
     questions, gold, extras = _pose_questions(rng, world, kind)
     return TaskSample(
         id=f"{kind}-s{seed}-t{target_tokens}",
@@ -451,8 +435,8 @@ def _fit_chapter_count(
     The confirmation makes the result exact for any tokenizer, additive or
     not, and for no-purchase beats that ``chapter_texts`` does not carry.
     ``build`` should cache by count; the confirmed sample is built once.
-    ``gen_story`` gives the pass and the builds one rendered-chapter map, so
-    the confirmation renders no chapter the pass rendered. story_filtering
+    ``gen_story`` gives the pass and the builds one cached chapter renderer,
+    so the confirmation renders no chapter the pass rendered. story_filtering
     draws its no-purchase beats per count, so its builds share only the
     chapters before their first beat.
     """

