@@ -27,7 +27,8 @@ of FlashAttention.  Three producers read tiles from a mask's geometry:
   union of its rows' columns.  A hand-built ``CellMask`` runs these; a mask
   built from a plan carries its plan's producer and runs that.
 
-Dense prefill runs 32-row tiles over each tile's causal prefix.
+Dense prefill is the column plan that keeps every key column, so a measured
+sparse speedup compares one producer at two densities.
 
 Kernel time therefore grows with the cells a plan keeps, not with n².  The
 same pass gives each row's log-sum-exp, which ``AttentionInputs.causal_lse``
@@ -169,8 +170,12 @@ class AttentionInputs:
 
     @cached_property
     def causal_lse(self) -> np.ndarray:
-        """[num_q_heads, seq_len] log-sum-exp of each row's causal logits."""
-        return np.stack([row_logsumexp(self, head) for head in range(self.num_q_heads)])
+        """[num_q_heads, seq_len] log-sum-exp of each row's causal logits,
+        read from the tiles ``dense_prefill`` runs."""
+        every = np.arange(self.seq_len)
+        return np.stack(
+            [row_logsumexp(self, h, column_tiles(self, h, every)) for h in range(self.num_q_heads)]
+        )
 
     @cached_property
     def window_stats(self) -> WindowStats:
@@ -259,10 +264,6 @@ class CellMask:
 
     def num_cells(self) -> int:
         return int(np.count_nonzero(self.cells))
-
-    def dense(self, head: int) -> np.ndarray:
-        """Boolean [seq_len, seq_len] view of one head's mask."""
-        return self.cells[head]
 
 
 def _stable_softmax(logits: np.ndarray) -> np.ndarray:
@@ -532,22 +533,6 @@ def _tile_pass(inputs: AttentionInputs, tiles: Iterable[Tile], out: np.ndarray |
         return peaks + np.log(totals)
 
 
-def _causal_tiles(inputs: AttentionInputs, head: int) -> Iterator[Tile]:
-    """Tiles of 2 * TILE_ROWS rows over each tile's causal prefix; only the
-    diagonal block has holes.  Taller tiles hold more holes and shorter
-    ones pay numpy's per-call cost more often; 32 rows measured faster
-    than 16 at n = 512 and 2048 on a 2-vCPU VM with numpy 2.4.6."""
-    queries, keys, values = _head_arrays(inputs, head)
-    rows = 2 * TILE_ROWS
-    ahead = ~np.tri(rows, dtype=bool)
-    for start in range(0, inputs.seq_len, rows):
-        stop = min(start + rows, inputs.seq_len)
-        logits = queries[start:stop] @ keys[:stop].T
-        size = stop - start
-        np.copyto(logits[:, start:], -np.inf, where=ahead[:size, :size])
-        yield slice(start, stop), [_Part(logits, start, _times(values[:stop]))]
-
-
 def _prefill(inputs: AttentionInputs, tiles_of: Callable[[int], Iterable[Tile]]) -> AttentionOutput:
     h, n, d = inputs.num_q_heads, inputs.seq_len, inputs.head_dim
     out = np.empty((h, n, d))
@@ -557,8 +542,9 @@ def _prefill(inputs: AttentionInputs, tiles_of: Callable[[int], Iterable[Tile]])
 
 
 def dense_prefill(inputs: AttentionInputs) -> AttentionOutput:
-    """Exact causal attention over the full lower triangle."""
-    return _prefill(inputs, partial(_causal_tiles, inputs))
+    """Exact causal attention: the column plan that keeps every key column."""
+    every = np.arange(inputs.seq_len)
+    return _prefill(inputs, lambda head: column_tiles(inputs, head, every))
 
 
 def masked_attention(inputs: AttentionInputs, mask: CellMask) -> AttentionOutput:
@@ -576,13 +562,10 @@ def masked_attention(inputs: AttentionInputs, mask: CellMask) -> AttentionOutput
     return _prefill(inputs, lambda head: _bitmap_tiles(inputs, head, mask.cells[head]))
 
 
-def row_logsumexp(
-    inputs: AttentionInputs, head: int, tiles: Iterable[Tile] | None = None
-) -> np.ndarray:
+def row_logsumexp(inputs: AttentionInputs, head: int, tiles: Iterable[Tile]) -> np.ndarray:
     """[seq_len] log-sum-exp of one head's logits over each row's cells, as
-    read from that head's ``tiles`` (None means full causal).  An empty row
-    gives -inf."""
-    return _tile_pass(inputs, _causal_tiles(inputs, head) if tiles is None else tiles)
+    read from that head's ``tiles``.  An empty row gives -inf."""
+    return _tile_pass(inputs, tiles)
 
 
 def decode_step(

@@ -187,9 +187,9 @@ _METRICS = {
 def score_response(sample, response: str) -> float:
     """Scores a raw model response against a sample's gold answers: the
     answer block is read by the kind's reader and compared with the metric
-    the sample names. Accepts any object with kind/metric/gold attributes."""
+    of the sample's kind. Accepts any object with kind/gold attributes."""
     parsed = parse_answer(response)
     if not parsed.parse_ok:
         return 0.0
-    answers = TABLE[sample.kind].read(parsed.answer_block)
-    return _METRICS[sample.metric](answers, sample.gold)
+    kind = TABLE[sample.kind]
+    return _METRICS[kind.metric](kind.read(parsed.answer_block), sample.gold)

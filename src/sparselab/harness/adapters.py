@@ -29,10 +29,8 @@ class MockAdapter:
         if mode not in ("echo", "empty"):
             raise ValueError(f"unknown mock mode {mode!r}")
         self.mode = mode
-        self.calls = 0
 
     def generate(self, prompt: str, sample) -> str:
-        self.calls += 1
         if self.mode == "empty":
             return ""
         return format_reference_response(sample)
@@ -54,14 +52,12 @@ class RemoteAdapter:
         self.token = token or os.environ.get(ENV_TOKEN)
         self.model = model or os.environ.get(ENV_MODEL)
         self.timeout = timeout
-        self.calls = 0
         if not self.url:
             raise ValueError(f"remote adapter needs an endpoint ({ENV_URL})")
 
     def generate(self, prompt: str, sample) -> str:
         import requests
 
-        self.calls += 1
         headers = {}
         if self.token:
             headers["Authorization"] = f"Bearer {self.token}"

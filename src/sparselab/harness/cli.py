@@ -4,6 +4,8 @@ from __future__ import annotations
 
 import csv
 import json
+import logging
+from contextlib import contextmanager
 from pathlib import Path
 
 import click
@@ -24,9 +26,27 @@ from .demo import plan_demo
 from .runner import run_suite, sample_seed
 
 
+@contextmanager
+def _log_to_stderr():
+    """For the length of one command, the ``sparselab`` logger's progress
+    and warnings go to stderr; the logger is left as it was found."""
+    logger = logging.getLogger("sparselab")
+    handler, level = logging.StreamHandler(), logger.level
+    handler.setLevel(logging.INFO)
+    logger.addHandler(handler)
+    logger.setLevel(logging.INFO)
+    try:
+        yield
+    finally:
+        logger.removeHandler(handler)
+        logger.setLevel(level)
+
+
 @click.group()
-def main() -> None:
+@click.pass_context
+def main(ctx: click.Context) -> None:
     """Desk-scale laboratory for training-free sparse attention."""
+    ctx.with_resource(_log_to_stderr())
 
 
 @main.command()

@@ -66,7 +66,7 @@ class ExperimentConfig:
         if self.mock_mode not in _MOCK_MODES:
             raise ValueError(f"mock_mode must be one of {_MOCK_MODES}")
 
-    def canonical(self) -> dict:
+    def to_json(self) -> dict:
         """Set-like list fields are sorted so ordering cannot change the
         fingerprint."""
         payload = asdict(self)
@@ -77,11 +77,8 @@ class ExperimentConfig:
         return payload
 
     def fingerprint(self) -> str:
-        blob = json.dumps(self.canonical(), sort_keys=True, separators=(",", ":"))
+        blob = json.dumps(self.to_json(), sort_keys=True, separators=(",", ":"))
         return hashlib.sha256(blob.encode("utf-8")).hexdigest()[:16]
-
-    def to_json(self) -> dict:
-        return self.canonical()
 
     @classmethod
     def from_json(cls, payload: dict) -> "ExperimentConfig":

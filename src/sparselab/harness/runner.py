@@ -86,7 +86,8 @@ def run_suite(config: ExperimentConfig, out_root: str | Path, adapter=None) -> R
     """Executes the full grid, appending one record per (task, method,
     sparsity, length, sample). Completed records are skipped on rerun;
     failed ones are retried. Each finished sample logs one INFO line of
-    progress on the ``sparselab`` logger."""
+    progress on the ``sparselab`` logger. ``adapter_calls`` counts the
+    ``adapter.generate`` calls of this run, whether or not they raised."""
     fingerprint = config.fingerprint()
     run_dir = Path(out_root) / fingerprint
     run_dir.mkdir(parents=True, exist_ok=True)
@@ -104,7 +105,12 @@ def run_suite(config: ExperimentConfig, out_root: str | Path, adapter=None) -> R
 
     if adapter is None:
         adapter = make_adapter(config)
-    calls_before = getattr(adapter, "calls", 0)
+    calls = 0
+
+    def answer(prompt, sample):
+        nonlocal calls
+        calls += 1
+        return adapter.generate(prompt, sample)
 
     records: list[dict] = []
     new_records = failed = 0
@@ -114,7 +120,7 @@ def run_suite(config: ExperimentConfig, out_root: str | Path, adapter=None) -> R
     with open(records_path, "a", encoding="utf-8") as sink:
         for done, (kind, seq_len, index) in enumerate(grid, 1):
             for record, is_new in _sample_records(
-                adapter, config, existing, kind, seq_len, index
+                answer, config, existing, kind, seq_len, index
             ):
                 if is_new:
                     record["fingerprint"] = fingerprint
@@ -132,16 +138,17 @@ def run_suite(config: ExperimentConfig, out_root: str | Path, adapter=None) -> R
         run_dir=run_dir,
         records=records,
         new_records=new_records,
-        adapter_calls=getattr(adapter, "calls", 0) - calls_before,
+        adapter_calls=calls,
     )
 
 
-def _sample_records(adapter, config, existing, kind, seq_len, index):
+def _sample_records(answer, config, existing, kind, seq_len, index):
     """One sample's records over the (method, sparsity) cells in grid order,
-    each with whether it is new. The sample is generated and rendered at its
-    first pending cell and released when the last cell is done, so a run
-    holds one sample at a time. A sample its generator cannot produce fails
-    each pending cell without an adapter call, and resume retries them."""
+    each with whether it is new; ``answer(prompt, sample)`` calls the
+    adapter. The sample is generated and rendered at its first pending cell
+    and released when the last cell is done, so a run holds one sample at a
+    time. A sample its generator cannot produce fails each pending cell
+    without an adapter call, and resume retries them."""
     sample_id = f"{kind}-L{seq_len}-i{index}"
     seed = sample_seed(config.seed, kind, seq_len, index)
     sample = prompt = failure = None
@@ -161,7 +168,7 @@ def _sample_records(adapter, config, existing, kind, seq_len, index):
         response, status = "", failure
         if failure is None:
             try:
-                response, status = adapter.generate(prompt, sample), "ok"
+                response, status = answer(prompt, sample), "ok"
             except Exception as exc:  # adapter failure: record and continue
                 status = f"failed: {exc}"
         elapsed_ms = (time.monotonic() - started) * 1000.0

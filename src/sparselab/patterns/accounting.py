@@ -210,10 +210,8 @@ def attention_recall(plan: SparsePlan, inputs: AttentionInputs) -> float:
     row's lse computed from the row alone in O(n * head_dim).  A
     prefill-style plan's row covers exp(masked_lse - causal_lse), with the
     masked log-sum-exp taken over the plan's tiles (``plan_tiles``) and
-    the causal one read from ``AttentionInputs.causal_lse``."""
-    n = inputs.seq_len
-    if n > ORACLE_LIMIT:
-        raise ValueError(f"recall oracle limited to n <= {ORACLE_LIMIT}, got {n}")
+    the causal one read from ``AttentionInputs.causal_lse``; only these
+    O(n^2 * head_dim) plans are limited to n <= ORACLE_LIMIT."""
     heads, group_map = inputs.num_q_heads, inputs.group_map
     if isinstance(plan, PagePlan):
         pos = plan.position
@@ -226,6 +224,9 @@ def attention_recall(plan: SparsePlan, inputs: AttentionInputs) -> float:
             total += float(np.exp(logits[tokens] - dense).sum())
         return total / heads
 
+    n = inputs.seq_len
+    if n > ORACLE_LIMIT:
+        raise ValueError(f"recall oracle limited to n <= {ORACLE_LIMIT}, got {n}")
     masked = np.stack(
         [row_logsumexp(inputs, h, plan_tiles(plan, group_map, inputs, h)) for h in range(heads)]
     )

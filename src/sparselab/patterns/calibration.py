@@ -41,7 +41,6 @@ __all__ = [
     "predicted_sparsity",
     "build_plan",
     "check_params",
-    "densest_plan",
     "sparsity_check",
 ]
 
@@ -265,20 +264,13 @@ def build_plan(entry: CalibrationEntry, inputs: AttentionInputs) -> SparsePlan:
     return METHODS[entry.method].build(inputs, dict(entry.params))
 
 
-def densest_plan(entry: CalibrationEntry, num_heads: int = 1) -> SparsePlan:
-    """The maximum-coverage plan for a vertical-slash operating point."""
-    if entry.method != "vertical_slash":
-        raise TypeError("densest_plan applies to vertical_slash entries only")
-    return densest_vertical_slash_plan(num_heads, entry.seq_len, **dict(entry.params))
-
-
 def sparsity_check(entry: CalibrationEntry) -> SparsityReport | None:
     """predicted_sparsity cross-checked through plan_sparsity where a plan
     can be formed without inputs (vertical_slash via densest packing)."""
     report = predicted_sparsity(entry)
     if report is None or entry.method != "vertical_slash":
         return report
-    plan = densest_plan(entry)
+    plan = densest_vertical_slash_plan(1, entry.seq_len, **dict(entry.params))
     via_plan = plan_sparsity(plan, target_sparsity=entry.target_sparsity)
     if via_plan.computed_cells != report.computed_cells:
         raise AssertionError("densest-plan accounting disagrees with arithmetic")

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..attention import AttentionInputs, default_group_map
+from ..attention import AttentionInputs
 from .accounting import ranked_keep
 from .plans import PAGE_SIZE, PageIndex, PagePlan
 
@@ -54,16 +54,17 @@ def quest_select(
     query_rows: np.ndarray,
     token_budget: int,
     *,
-    position: int | None = None,
-    group_map: tuple[int, ...] | None = None,
+    position: int,
+    group_map: tuple[int, ...],
 ) -> PagePlan:
-    """Select the highest scoring pages for one decode step.
+    """Select the highest scoring pages for the decode step at ``position``.
 
     query_rows: [num_q_heads, head_dim], the current step's query for every
     query head.  Page scores are max-aggregated over each kv head's query
-    group.  floor(token_budget / PAGE_SIZE) pages are kept per kv head, the
-    current token's page forced; a budget covering every cached token keeps
-    all pages even when the final page is partial.
+    group, ``group_map`` naming each query head's kv head.
+    floor(token_budget / PAGE_SIZE) pages are kept per kv head, the current
+    token's page forced; a budget covering every cached token keeps all
+    pages even when the final page is partial.
     """
     if token_budget < PAGE_SIZE:
         raise ValueError(
@@ -71,14 +72,9 @@ def quest_select(
         )
     if query_rows.ndim != 2:
         raise ValueError("query_rows must be [num_q_heads, head_dim]")
-    if position is None:
-        position = index.seq_len - 1
     if not 0 <= position < index.seq_len:
         raise ValueError(f"position {position} outside cache of length {index.seq_len}")
-    num_q = query_rows.shape[0]
-    if group_map is None:
-        group_map = default_group_map(num_q, index.num_heads)
-    if len(group_map) != num_q:
+    if len(group_map) != query_rows.shape[0]:
         raise ValueError("group_map must assign every query head")
 
     current = position // PAGE_SIZE

@@ -32,7 +32,6 @@ class TaskSample:
     context: str
     questions: tuple[str, ...]
     gold: tuple[str, ...]
-    metric: str
     target_tokens: int
     seed: int
     extras: dict = field(default_factory=dict)
@@ -44,10 +43,6 @@ class TaskSample:
             raise ValueError("gold answers must be non-empty")
         if not self.questions:
             raise ValueError("questions must be non-empty")
-        if self.metric not in TABLE[self.kind].metrics:
-            raise ValueError(
-                f"metric {self.metric!r} not valid for kind {self.kind!r}"
-            )
         if self.target_tokens < 1:
             raise ValueError("target_tokens must be positive")
 
@@ -60,7 +55,7 @@ class TaskSample:
             "context": self.context,
             "questions": list(self.questions),
             "gold": list(self.gold),
-            "metric": self.metric,
+            "metric": TABLE[self.kind].metric,
             "target_tokens": self.target_tokens,
             "seed": self.seed,
             "extras": self.extras,
@@ -69,17 +64,23 @@ class TaskSample:
 
     @classmethod
     def from_json(cls, payload: dict) -> "TaskSample":
-        return cls(
+        """The sample a ``to_json`` payload holds; its ``metric`` must be
+        its kind's."""
+        sample = cls(
             id=payload["id"],
             kind=payload["kind"],
             context=payload["context"],
             questions=tuple(payload["questions"]),
             gold=tuple(payload["gold"]),
-            metric=payload["metric"],
             target_tokens=payload["target_tokens"],
             seed=payload["seed"],
             extras=payload.get("extras", {}),
         )
+        if payload["metric"] != TABLE[sample.kind].metric:
+            raise ValueError(
+                f"metric {payload['metric']!r} not valid for kind {sample.kind!r}"
+            )
+        return sample
 
 
 def write_samples(samples: Iterable[TaskSample], path: str | Path) -> None:

@@ -8,7 +8,6 @@ from collections import Counter
 import numpy as np
 
 from .base import GenerationError, TaskSample
-from .kinds import TABLE
 from .prompt import render_prompt
 from .tokenization import ApproxTokenizer, count_tokens, units_within
 from .vocab import load_words
@@ -66,7 +65,6 @@ def _sample(context, seed, target_tokens, gold) -> TaskSample:
         context=context,
         questions=(question,),
         gold=gold,
-        metric=TABLE["cwe"].metric,
         target_tokens=target_tokens,
         seed=seed,
         extras={"num_common": NUM_COMMON, "common_reps": COMMON_REPS, "rare_reps": RARE_REPS},

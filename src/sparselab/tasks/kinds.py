@@ -25,15 +25,15 @@ _NUMBERED = re.compile(r"^\s*(\d+)[.)]\s*(.*?)\s*$")
 class TaskKind:
     """What a task kind is.
 
-    ``metrics`` names the metrics a sample may be scored with; the first is
-    the default. ``plural`` words the prompt for several questions at
-    once and ``numbered`` also numbers them. ``answer_format`` and
+    ``metric`` names the metric every sample of the kind is scored with.
+    ``plural`` words the prompt for several questions at once and
+    ``numbered`` also numbers them. ``answer_format`` and
     ``extra_instructions`` may name ``{count}``, the number of gold answers.
     ``write`` gives the answer body that scores 1.0; ``read`` turns an
     answer body into the answer list the metric compares with the gold.
     """
 
-    metrics: tuple[str, ...]
+    metric: str
     intro: str
     answer_format: str
     extra_instructions: str
@@ -41,10 +41,6 @@ class TaskKind:
     read: Callable[[str], list[str]]
     plural: bool = False
     numbered: bool = False
-
-    @property
-    def metric(self) -> str:
-        return self.metrics[0]
 
 
 def _numbered(items) -> str:
@@ -109,10 +105,10 @@ _STORY_INTRO = (
 
 # Needle retrieval and factoid tasks score per-answer equality; set-valued
 # tasks (word selection, variable sets, chapter ids) score set overlap; only
-# open-ended QA uses token F1, and its caller may ask for exact match.
+# open-ended QA uses token F1.
 TABLE: dict[str, TaskKind] = {
     "niah": TaskKind(
-        metrics=("exact_match",),
+        metric="exact_match",
         intro=(
             "I will provide you with a document containing multiple key-value pairs.\n"
             "Your task is to extract specific values associated with given keys."
@@ -133,7 +129,7 @@ TABLE: dict[str, TaskKind] = {
         plural=True,
     ),
     "cwe": TaskKind(
-        metrics=("iou",),
+        metric="iou",
         intro=(
             "You will be given a numbered list of words. Your task is to identify "
             "the most frequently occurring words. You should solve this task by "
@@ -149,7 +145,7 @@ TABLE: dict[str, TaskKind] = {
         read=_numbered_items,
     ),
     "vt": TaskKind(
-        metrics=("iou",),
+        metric="iou",
         intro=(
             "I will provide you with a text containing variable assignments. "
             "The text contains two types of assignments:\n"
@@ -168,7 +164,7 @@ TABLE: dict[str, TaskKind] = {
         read=str.split,
     ),
     "story_retrieval": TaskKind(
-        metrics=("exact_match",),
+        metric="exact_match",
         intro=_STORY_INTRO,
         answer_format="1. ANSWER_ONE\n2. ANSWER_TWO\netc.",
         extra_instructions=(
@@ -182,7 +178,7 @@ TABLE: dict[str, TaskKind] = {
         numbered=True,
     ),
     "story_filtering": TaskKind(
-        metrics=("iou",),
+        metric="iou",
         intro=_STORY_INTRO,
         answer_format="chapter_id_1, chapter_id_2, ...",
         extra_instructions=(
@@ -192,7 +188,7 @@ TABLE: dict[str, TaskKind] = {
         read=lambda text: text.split(","),
     ),
     "story_multihop": TaskKind(
-        metrics=("exact_match",),
+        metric="exact_match",
         intro=_STORY_INTRO,
         answer_format="ITEM_NAME",
         extra_instructions=(
@@ -204,7 +200,7 @@ TABLE: dict[str, TaskKind] = {
         read=_read_one,
     ),
     "qa": TaskKind(
-        metrics=("f1", "exact_match"),
+        metric="f1",
         intro=(
             "I will provide you with multiple documents and ask you a question "
             "about one specific document."

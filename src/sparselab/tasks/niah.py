@@ -10,7 +10,6 @@ from __future__ import annotations
 import numpy as np
 
 from .base import GenerationError, TaskSample
-from .kinds import TABLE
 from .prompt import render_prompt
 from .tokenization import ApproxTokenizer, count_tokens, units_within
 from .vocab import load_words
@@ -84,7 +83,6 @@ def _sample_from(pairs, queried, context: str, seed: int, target_tokens: int) ->
         context=context,
         questions=(question,),
         gold=tuple(v for _, v in queried),
-        metric=TABLE["niah"].metric,
         target_tokens=target_tokens,
         seed=seed,
         extras={"keys": keys, "num_pairs": len(pairs)},

@@ -11,7 +11,6 @@ from __future__ import annotations
 import numpy as np
 
 from .base import GenerationError, TaskSample
-from .kinds import TABLE
 from .prompt import render_prompt
 from .tokenization import ApproxTokenizer, count_tokens
 from .vocab import load_words
@@ -32,7 +31,6 @@ def assemble_qa(
     gold: str,
     target_tokens: int = 16384,
     seed: int = 0,
-    metric: str = TABLE["qa"].metric,
     tokenizer: ApproxTokenizer | None = None,
 ) -> TaskSample:
     """Distractors that happen to contain the gold string are skipped so the
@@ -55,7 +53,7 @@ def assemble_qa(
     ]
     order = rng.permutation(len(distractors))
 
-    probe = _sample([answer_doc], 1, question, gold, seed, target_tokens, metric)
+    probe = _sample([answer_doc], 1, question, gold, seed, target_tokens)
     budget = target_tokens - count_tokens(render_prompt(probe), tokenizer)
     budget -= count_tokens(_render_doc(99, answer_doc), tokenizer)
     if budget < 0:
@@ -81,11 +79,10 @@ def assemble_qa(
     context = "\n\n".join(
         _render_doc(i, doc) for i, doc in enumerate(ordered, start=1)
     )
-    return _sample(ordered, answer_number, question, gold, seed, target_tokens,
-                   metric, context)
+    return _sample(ordered, answer_number, question, gold, seed, target_tokens, context)
 
 
-def _sample(docs, answer_number, question, gold, seed, target_tokens, metric,
+def _sample(docs, answer_number, question, gold, seed, target_tokens,
             context: str = "") -> TaskSample:
     return TaskSample(
         id=f"qa-s{seed}-t{target_tokens}",
@@ -93,7 +90,6 @@ def _sample(docs, answer_number, question, gold, seed, target_tokens, metric,
         context=context,
         questions=(f"Question about document {answer_number}:\n{question}",),
         gold=(gold,),
-        metric=metric,
         target_tokens=target_tokens,
         seed=seed,
         extras={"answer_document": answer_number, "num_documents": len(docs)},
@@ -103,21 +99,17 @@ def _sample(docs, answer_number, question, gold, seed, target_tokens, metric,
 def gen_qa(
     seed: int,
     target_tokens: int = 16384,
-    documents: list[dict] | None = None,
-    answer_doc_index: int = 0,
-    metric: str = TABLE["qa"].metric,
     tokenizer: ApproxTokenizer | None = None,
 ) -> TaskSample:
-    """Asks the answer document's own question. Without ``documents`` the
-    demo corpus is used, one document per 100 target tokens and at least 40;
-    a demo document renders to about 140 tokens, so the corpus holds about
-    1.4 times the distractor text the target needs."""
-    if not documents:
-        documents = make_demo_documents(max(40, target_tokens // 100), seed=seed)
-    doc = documents[answer_doc_index]
+    """Asks the first document's own question over the demo corpus, one
+    document per 100 target tokens and at least 40; a demo document renders
+    to about 140 tokens, so the corpus holds about 1.4 times the distractor
+    text the target needs.  ``assemble_qa`` takes caller-supplied documents."""
+    documents = make_demo_documents(max(40, target_tokens // 100), seed=seed)
+    doc = documents[0]
     return assemble_qa(
-        documents, answer_doc_index, doc["question"], doc["answer"],
-        target_tokens=target_tokens, seed=seed, metric=metric, tokenizer=tokenizer,
+        documents, 0, doc["question"], doc["answer"],
+        target_tokens=target_tokens, seed=seed, tokenizer=tokenizer,
     )
 
 

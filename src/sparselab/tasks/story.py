@@ -18,7 +18,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .base import GenerationError, TaskSample
-from .kinds import TABLE
 from .prompt import render_prompt
 from .tokenization import ApproxTokenizer, count_tokens
 
@@ -366,7 +365,6 @@ def _build_sample(
         context=context,
         questions=questions,
         gold=gold,
-        metric=TABLE[kind].metric,
         target_tokens=target_tokens,
         seed=seed,
         extras={"num_chapters": num_chapters, **extras},

@@ -7,7 +7,6 @@ import re
 import numpy as np
 
 from .base import GenerationError, TaskSample
-from .kinds import TABLE
 from .prompt import render_prompt
 from .tokenization import ApproxTokenizer, count_tokens, units_within
 
@@ -97,7 +96,6 @@ def _sample(context, seed, target_tokens, value, gold) -> TaskSample:
         context=context,
         questions=(question,),
         gold=gold,
-        metric=TABLE["vt"].metric,
         target_tokens=target_tokens,
         seed=seed,
         extras={"target_value": value, "num_chains": NUM_CHAINS,

@@ -432,6 +432,20 @@ def test_recall_oracle_limit(rng):
         attention_recall(plan, inputs)
 
 
+def test_page_plan_recall_beyond_the_oracle_limit():
+    """A page plan's recall reads its one decode row, so the limit on
+    prefill plans does not apply to it."""
+    inputs = make_inputs("clustered", 2 * ORACLE_LIMIT, seed=0)
+    plan = quest_plan(inputs, 256)
+    want = []
+    for h, tokens in enumerate(page_plan_rows(plan, inputs.group_map)):
+        g = inputs.group_map[h]
+        logits = inputs.keys[g] @ inputs.queries[h][-1] / np.sqrt(inputs.head_dim)
+        w = np.exp(logits - logits.max())
+        want.append(w[tokens].sum() / w.sum())
+    assert attention_recall(plan, inputs) == pytest.approx(float(np.mean(want)), abs=1e-12)
+
+
 def test_calibration_table_lookup():
     entry = lookup("snapkv", 16384, 0.8)
     assert entry.param("token_capacity") == 3276

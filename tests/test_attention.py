@@ -76,7 +76,7 @@ def test_masked_weights_renormalize_over_support(rng):
     assert np.abs(weights.sum(axis=2) - 1.0).max() <= 1e-6
     # nothing outside the permitted support
     for head in range(h):
-        off = weights[head][~mask.dense(head)]
+        off = weights[head][~mask.cells[head]]
         assert np.all(off == 0.0)
 
 
@@ -207,6 +207,27 @@ def test_tiled_kernels_match_full_matrix_reference(seed, n, kv):
         (masked_attention(inputs, CellMask(cells)), cells),
     ):
         assert np.abs(got.output - full_matrix_reference(inputs, support)).max() <= 1e-12
+
+
+S = attention.SPAN_ROWS
+
+
+@pytest.mark.parametrize("n", [1, 2, S - 1, S, S + 1, 2 * S - 1, 2 * S, 2 * S + 1, 300])
+def test_dense_prefill_and_causal_lse_at_tile_edges(n):
+    """The every-column plan against the full-matrix softmax on both sides
+    of each SPAN_ROWS tile edge."""
+    rng = np.random.default_rng(n)
+    inputs = random_inputs(rng, n)
+    causal = np.broadcast_to(np.tri(n, dtype=bool), (inputs.num_q_heads, n, n))
+    want = full_matrix_reference(inputs, causal)
+    assert np.abs(dense_prefill(inputs).output - want).max() <= 1e-12
+    for head in range(inputs.num_q_heads):
+        g = inputs.group_map[head]
+        logits = inputs.queries[head] @ inputs.keys[g].T / np.sqrt(inputs.head_dim)
+        logits[~causal[head]] = -np.inf
+        peak = logits.max(axis=1)
+        lse = peak + np.log(np.exp(logits - peak[:, None]).sum(axis=1))
+        assert np.abs(inputs.causal_lse[head] - lse).max() <= 1e-12
 
 
 def full_matrix_recall(inputs, cells):

@@ -201,13 +201,10 @@ def test_reference_without_last_item_scores_partial_credit(kind):
         assert score_response(sample, response) == pytest.approx((k - 1) / k)
 
 
-@pytest.mark.parametrize("metric, expected", [("f1", 2 / 3), ("exact_match", 0.0)])
-def test_qa_scores_with_the_callers_metric(metric, expected):
-    sample = generate("qa", seed=4, target_tokens=3000, metric=metric)
-    assert sample.metric == metric
-    assert score_response(sample, format_reference_response(sample)) == 1.0
+def test_qa_scores_with_token_f1():
+    sample = generate("qa", seed=4, target_tokens=3000)
     padded = f"<answer>{sample.gold[0]} AD</answer>"
-    assert score_response(sample, padded) == pytest.approx(expected)
+    assert score_response(sample, padded) == pytest.approx(2 / 3)
 
 
 def test_score_response_partial_credit_iou():

@@ -160,6 +160,21 @@ def test_resume_skips_completed_records(tmp_path):
     }
 
 
+class EchoOnlyAdapter:
+    """An adapter with nothing but ``generate``."""
+
+    def generate(self, prompt, sample):
+        return format_reference_response(sample)
+
+
+def test_runner_counts_the_calls_of_any_adapter(tmp_path):
+    config = small_config()
+    first = run_suite(config, tmp_path, adapter=EchoOnlyAdapter())
+    assert first.adapter_calls == first.new_records == 8
+    again = run_suite(config, tmp_path, adapter=EchoOnlyAdapter())
+    assert again.adapter_calls == again.new_records == 0
+
+
 class DownAdapter:
     def generate(self, prompt, sample):
         raise RuntimeError("endpoint down")
@@ -168,6 +183,8 @@ class DownAdapter:
 def test_failed_records_are_retried(tmp_path):
     config = small_config()
     broken = run_suite(config, tmp_path, adapter=DownAdapter())
+    # a call that raises is still a call
+    assert broken.adapter_calls == 8
     assert all(r["status"] == "failed: endpoint down" for r in broken.records)
     assert all(r["score"] is None for r in broken.records)
     healed = run_suite(config, tmp_path)
@@ -262,6 +279,23 @@ def test_cli_run_reports_failed_records(tmp_path):
     assert "32 total, 16 adapter call(s), 16 failed" in result.output
 
 
+def test_cli_run_shows_progress_per_sample(tmp_path):
+    config_path = tmp_path / "config.json"
+    config = small_config()
+    config_path.write_text(json.dumps(config.to_json()))
+    args = ["run", "--config", str(config_path), "--out", str(tmp_path / "runs")]
+    runner = CliRunner()
+    # the second invocation resumes every record and logs each line once
+    for resumed in (0, 4):
+        result = runner.invoke(cli, args)
+        assert result.exit_code == 0, result.output
+        assert result.stderr.splitlines() == [
+            f"run {config.fingerprint()}: {done}/2 samples done, {4 * done} records, "
+            f"{resumed * done} resumed, 0 failed"
+            for done in (1, 2)
+        ]
+
+
 def test_run_suite_logs_progress_per_sample(tmp_path, caplog):
     config = small_config(seq_lengths=(100, 2000))
     fingerprint = config.fingerprint()
@@ -327,7 +361,7 @@ def test_remote_adapter_posts_the_prompt(monkeypatch):
     sample = generate("niah", seed=1, target_tokens=2000)
     assert adapter.generate("the prompt", sample) == "plain"
     assert adapter.generate("the prompt", sample) == "wrapped"
-    assert adapter.calls == 2
+    assert len(posts) == 2
     assert posts[0] == posts[1] == (
         "http://endpoint.test/v1/completions",
         {

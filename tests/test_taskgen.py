@@ -15,6 +15,7 @@ from sparselab.tasks import (
     GenerationError,
     TABLE,
     TASK_KINDS,
+    TaskSample,
     assemble_qa,
     count_listed_words,
     count_tokens,
@@ -309,7 +310,7 @@ def test_prompt_structure(kind):
     assert "<answer>" in prompt
     for question in sample.questions:
         assert prompt.count(question) == 2
-    assert sample.metric == TABLE[kind].metric
+    assert sample.to_json()["metric"] == TABLE[kind].metric
     assert sample.gold
 
 
@@ -386,3 +387,6 @@ def test_sample_round_trip(tmp_path):
         assert back.context == orig.context
         assert back.questions == orig.questions
         assert back.gold == orig.gold
+    payload = samples[TASK_KINDS.index("qa")].to_json()
+    with pytest.raises(ValueError, match="metric 'exact_match' not valid for kind 'qa'"):
+        TaskSample.from_json({**payload, "metric": "exact_match"})
