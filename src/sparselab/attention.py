@@ -119,6 +119,8 @@ class AttentionInputs:
                 raise ValueError(f"{name} must be a 3-d ndarray [heads, seq, head_dim]")
             if not np.isfinite(arr).all():
                 raise ValueError(f"{name} contains non-finite values")
+        if q.shape[1] < 1:
+            raise ValueError(f"seq_len must be at least 1, got {q.shape[1]}")
         if k.shape != v.shape:
             raise ValueError(f"keys {k.shape} and values {v.shape} must match")
         if q.shape[1:] != k.shape[1:]:
@@ -174,7 +176,7 @@ class AttentionInputs:
         read from the tiles ``dense_prefill`` runs."""
         every = np.arange(self.seq_len)
         return np.stack(
-            [row_logsumexp(self, h, column_tiles(self, h, every)) for h in range(self.num_q_heads)]
+            [row_logsumexp(self, column_tiles(self, h, every)) for h in range(self.num_q_heads)]
         )
 
     @cached_property
@@ -494,9 +496,11 @@ def _batched_values(values: np.ndarray, weights: np.ndarray) -> np.ndarray:
     return (weights.reshape(batch, -1, width) @ values).reshape(-1, d)
 
 
-def _tile_pass(inputs: AttentionInputs, tiles: Iterable[Tile], out: np.ndarray | None = None):
-    """[seq_len] log-sum-exp of each row over its tiles' permitted cells,
-    with ``out`` ([seq_len, head_dim]) also filled with the attention output.
+def row_logsumexp(
+    inputs: AttentionInputs, tiles: Iterable[Tile], out: np.ndarray | None = None
+) -> np.ndarray:
+    """[seq_len] log-sum-exp of each row over one head's ``tiles``, with
+    ``out`` ([seq_len, head_dim]) also filled with the attention output.
 
     The parts of a tile share one row peak, the largest permitted logit.
     Holes are raised to a finite floor before exp and zeroed after it, so no
@@ -537,7 +541,7 @@ def _prefill(inputs: AttentionInputs, tiles_of: Callable[[int], Iterable[Tile]])
     h, n, d = inputs.num_q_heads, inputs.seq_len, inputs.head_dim
     out = np.empty((h, n, d))
     for head in range(h):
-        _tile_pass(inputs, tiles_of(head), out[head])
+        row_logsumexp(inputs, tiles_of(head), out[head])
     return AttentionOutput(out)
 
 
@@ -560,12 +564,6 @@ def masked_attention(inputs: AttentionInputs, mask: CellMask) -> AttentionOutput
     if mask.tiles is not None:
         return _prefill(inputs, partial(mask.tiles, inputs))
     return _prefill(inputs, lambda head: _bitmap_tiles(inputs, head, mask.cells[head]))
-
-
-def row_logsumexp(inputs: AttentionInputs, head: int, tiles: Iterable[Tile]) -> np.ndarray:
-    """[seq_len] log-sum-exp of one head's logits over each row's cells, as
-    read from that head's ``tiles``.  An empty row gives -inf."""
-    return _tile_pass(inputs, tiles)
 
 
 def decode_step(

@@ -62,20 +62,12 @@ def canonicalize(text: str) -> str:
     return " ".join(words)
 
 
-def exact_match(pred: str | Sequence[str], gold: str | Sequence[str]) -> float:
-    """Per-question canonical equality, averaged for multi-question samples.
-    Missing predictions count as wrong."""
-    if isinstance(pred, str) and isinstance(gold, str):
-        return float(canonicalize(pred) == canonicalize(gold))
-    preds = [pred] if isinstance(pred, str) else list(pred)
-    golds = [gold] if isinstance(gold, str) else list(gold)
+def exact_match(preds: Sequence[str], golds: Sequence[str]) -> float:
+    """Per-question canonical equality of two answer lists, averaged over
+    the gold answers. Missing predictions count as wrong."""
     if not golds:
         raise ValueError("gold answers must be non-empty")
-    hits = sum(
-        canonicalize(preds[i]) == canonicalize(golds[i])
-        for i in range(len(golds))
-        if i < len(preds)
-    )
+    hits = sum(canonicalize(p) == canonicalize(g) for p, g in zip(preds, golds))
     return hits / len(golds)
 
 

@@ -53,7 +53,7 @@ def main(ctx: click.Context) -> None:
 @click.option("--kind", type=click.Choice(TASK_KINDS), required=True)
 @click.option("--seed", default=0, show_default=True)
 @click.option("--samples", type=click.IntRange(min=1), default=1, show_default=True)
-@click.option("--target-tokens", default=16384, show_default=True)
+@click.option("--target-tokens", type=click.IntRange(min=1), default=16384, show_default=True)
 @click.option("--out", type=click.Path(dir_okay=False), required=True)
 def gen(kind, seed, samples, target_tokens, out) -> None:
     """Emit task samples as line-delimited JSON."""
@@ -89,7 +89,7 @@ def _parse_params(pairs) -> dict:
 
 @main.command()
 @click.option("--method", type=click.Choice(METHOD_NAMES), required=True)
-@click.option("--length", "seq_len", default=1024, show_default=True)
+@click.option("--length", "seq_len", type=click.IntRange(min=1), default=1024, show_default=True)
 @click.option("--level", type=float, default=None,
               help="Calibrated target sparsity from the bundled table.")
 @click.option("--param", "params", multiple=True,
@@ -258,7 +258,10 @@ def run(config_path, out, adapter, samples, seed, lengths, sparsity) -> None:
 @click.option("--out", type=click.Path(file_okay=False), default=None)
 def analyze(run_dir, out) -> None:
     """Aggregate a finished run into summary/error/frontier tables."""
-    tables = analyze_run(run_dir, out)
+    try:
+        tables = analyze_run(run_dir, out)
+    except (FileNotFoundError, ValueError) as exc:  # no config.json, nothing scored
+        raise click.UsageError(str(exc)) from None
     target = Path(out) if out else Path(run_dir) / "analysis"
     for name, rows in tables.items():
         click.echo(f"{name}: {len(rows)} row(s)")

@@ -17,6 +17,39 @@ _ADAPTERS = ("mock", "remote")
 _MOCK_MODES = ("echo", "empty")
 
 
+def _is_str(value) -> bool:
+    return isinstance(value, str)
+
+
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _is_number(value) -> bool:
+    return _is_int(value) or isinstance(value, float)
+
+
+def _is_whole(value) -> bool:
+    return _is_int(value) or (isinstance(value, float) and value.is_integer())
+
+
+# The JSON type of every field, so a config file of the wrong shape fails
+# with the field's name. A grid list's entries are checked, then converted.
+_GRID_LISTS = {
+    "tasks": (_is_str, "strings", str),
+    "methods": (_is_str, "strings", str),
+    "sparsity_levels": (_is_number, "numbers", float),
+    "seq_lengths": (_is_whole, "whole numbers", int),
+}
+_SCALARS = {
+    "model_dims": (_is_str, "a string"),
+    "samples_per_config": (_is_int, "an integer"),
+    "seed": (_is_int, "an integer"),
+    "adapter": (_is_str, "a string"),
+    "mock_mode": (_is_str, "a string"),
+}
+
+
 @dataclass(frozen=True)
 class ExperimentConfig:
     tasks: tuple[str, ...]
@@ -30,14 +63,18 @@ class ExperimentConfig:
     mock_mode: str = "echo"
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "tasks", tuple(self.tasks))
-        object.__setattr__(self, "methods", tuple(self.methods))
-        object.__setattr__(
-            self, "sparsity_levels", tuple(float(s) for s in self.sparsity_levels)
-        )
-        object.__setattr__(
-            self, "seq_lengths", tuple(int(n) for n in self.seq_lengths)
-        )
+        for name, (check, what, convert) in _GRID_LISTS.items():
+            values = getattr(self, name)
+            if not isinstance(values, (list, tuple)):
+                raise ValueError(f"{name} must be a list, got {values!r}")
+            for value in values:
+                if not check(value):
+                    raise ValueError(f"{name} must hold {what}, got {value!r}")
+            object.__setattr__(self, name, tuple(map(convert, values)))
+        for name, (check, what) in _SCALARS.items():
+            value = getattr(self, name)
+            if not check(value):
+                raise ValueError(f"{name} must be {what}, got {value!r}")
         for name in ("tasks", "methods", "sparsity_levels", "seq_lengths"):
             values = getattr(self, name)
             repeated = next((v for i, v in enumerate(values) if v in values[:i]), None)
@@ -82,6 +119,8 @@ class ExperimentConfig:
 
     @classmethod
     def from_json(cls, payload: dict) -> "ExperimentConfig":
+        if not isinstance(payload, dict):
+            raise ValueError(f"a config must be a JSON object, got {type(payload).__name__}")
         known = {f for f in cls.__dataclass_fields__}
         unknown = set(payload) - known
         if unknown:

@@ -228,7 +228,7 @@ def attention_recall(plan: SparsePlan, inputs: AttentionInputs) -> float:
     if n > ORACLE_LIMIT:
         raise ValueError(f"recall oracle limited to n <= {ORACLE_LIMIT}, got {n}")
     masked = np.stack(
-        [row_logsumexp(inputs, h, plan_tiles(plan, group_map, inputs, h)) for h in range(heads)]
+        [row_logsumexp(inputs, plan_tiles(plan, group_map, inputs, h)) for h in range(heads)]
     )
     return float(np.exp(masked - inputs.causal_lse).mean())
 

@@ -32,6 +32,8 @@ def make_inputs(
     needle_positions: tuple[int, ...] | None = None,
     needle_gain: float = 12.0,
 ) -> AttentionInputs:
+    if seq_len < 1:  # before the planted generator indexes its needles
+        raise ValueError(f"seq_len must be at least 1, got {seq_len}")
     rng = np.random.default_rng(seed)
     shape_kv = (num_kv_heads, seq_len, head_dim)
     keys = rng.standard_normal(shape_kv)

@@ -15,14 +15,12 @@ from .niah import gen_niah, scan_pairs
 from .prompt import format_reference_response, question_block, render_prompt
 from .qa import assemble_qa, gen_qa, make_demo_documents
 from .story import Chapter, StoryWorld, gen_story, scan_world
-from .tokenization import DEFAULT_TOKENIZER, ApproxTokenizer, count_tokens
+from .tokenization import count_tokens
 from .vocab import load_words
 from .vt import gen_vt, resolve_variables
 
 __all__ = [
-    "ApproxTokenizer",
     "Chapter",
-    "DEFAULT_TOKENIZER",
     "GenerationError",
     "StoryWorld",
     "TABLE",
@@ -61,14 +59,13 @@ _GENERATORS = {
 }
 
 
-def generate(kind: str, seed: int, target_tokens: int, **kwargs):
-    """One sample of ``kind`` from its generator, with that generator's
-    defaults for anything ``kwargs`` leaves out."""
+def generate(kind: str, seed: int, target_tokens: int):
+    """One sample of ``kind`` from its generator."""
     try:
         generator = _GENERATORS[kind]
     except KeyError:
         raise ValueError(f"unknown task kind {kind!r}") from None
-    return generator(seed, target_tokens=target_tokens, **kwargs)
+    return generator(seed, target_tokens=target_tokens)
 
 
 __all__.append("generate")

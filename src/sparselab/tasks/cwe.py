@@ -9,7 +9,7 @@ import numpy as np
 
 from .base import GenerationError, TaskSample
 from .prompt import render_prompt
-from .tokenization import ApproxTokenizer, count_tokens, units_within
+from .tokenization import count_tokens, units_within
 from .vocab import load_words
 
 __all__ = ["count_listed_words", "gen_cwe"]
@@ -21,15 +21,13 @@ COMMON_REPS = 30
 RARE_REPS = 3
 
 
-def gen_cwe(
-    seed: int, target_tokens: int = 16384, tokenizer: ApproxTokenizer | None = None
-) -> TaskSample:
+def gen_cwe(seed: int, target_tokens: int = 16384) -> TaskSample:
     rng = np.random.default_rng(seed)
     words = load_words()
 
     probe = _sample("", seed, target_tokens, ("placeholder",) * NUM_COMMON)
-    overhead = count_tokens(render_prompt(probe), tokenizer)
-    budget_lines = units_within(target_tokens - overhead, f"1. {words[0]}", tokenizer)
+    overhead = count_tokens(render_prompt(probe))
+    budget_lines = units_within(target_tokens - overhead, f"1. {words[0]}")
     num_rare = (budget_lines - NUM_COMMON * COMMON_REPS) // RARE_REPS
     if num_rare < 1:
         raise GenerationError(

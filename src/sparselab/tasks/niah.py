@@ -11,7 +11,7 @@ import numpy as np
 
 from .base import GenerationError, TaskSample
 from .prompt import render_prompt
-from .tokenization import ApproxTokenizer, count_tokens, units_within
+from .tokenization import count_tokens, units_within
 from .vocab import load_words
 
 __all__ = ["NUM_QUERIES", "gen_niah", "scan_pairs"]
@@ -33,11 +33,7 @@ def _pair_line(key: str, value: str) -> str:
     return f"The value for {key} is: {value}."
 
 
-def gen_niah(
-    seed: int,
-    target_tokens: int = 16384,
-    tokenizer: ApproxTokenizer | None = None,
-) -> TaskSample:
+def gen_niah(seed: int, target_tokens: int = 16384) -> TaskSample:
     """Key-value pairs are added until the rendered prompt reaches the token
     target; ``NUM_QUERIES`` of them are queried, so the target must hold at
     least that many."""
@@ -53,8 +49,8 @@ def gen_niah(
     # Overhead is constant: every key/value is three words and two hyphens,
     # so a same-shape probe measures the non-context template exactly.
     probe = _sample_from(pairs, pairs[:NUM_QUERIES], "", seed, target_tokens)
-    overhead = count_tokens(render_prompt(probe), tokenizer)
-    capacity = units_within(target_tokens - overhead, _pair_line(*pairs[0]), tokenizer)
+    overhead = count_tokens(render_prompt(probe))
+    capacity = units_within(target_tokens - overhead, _pair_line(*pairs[0]))
     if capacity < NUM_QUERIES:
         raise GenerationError(
             f"target_tokens={target_tokens} cannot hold {NUM_QUERIES} pairs"

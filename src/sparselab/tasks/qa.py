@@ -12,7 +12,7 @@ import numpy as np
 
 from .base import GenerationError, TaskSample
 from .prompt import render_prompt
-from .tokenization import ApproxTokenizer, count_tokens
+from .tokenization import count_tokens
 from .vocab import load_words
 
 __all__ = ["ANSWER_DOC_TOKEN_LIMIT", "assemble_qa", "gen_qa", "make_demo_documents"]
@@ -31,14 +31,13 @@ def assemble_qa(
     gold: str,
     target_tokens: int = 16384,
     seed: int = 0,
-    tokenizer: ApproxTokenizer | None = None,
 ) -> TaskSample:
     """Distractors that happen to contain the gold string are skipped so the
     answer occurs in exactly one document."""
     if not 0 <= answer_doc_index < len(documents):
         raise ValueError("answer_doc_index out of range")
     answer_doc = documents[answer_doc_index]
-    if count_tokens(answer_doc["text"], tokenizer) > ANSWER_DOC_TOKEN_LIMIT:
+    if count_tokens(answer_doc["text"]) > ANSWER_DOC_TOKEN_LIMIT:
         raise GenerationError(
             f"answer document exceeds {ANSWER_DOC_TOKEN_LIMIT} tokens"
         )
@@ -54,8 +53,8 @@ def assemble_qa(
     order = rng.permutation(len(distractors))
 
     probe = _sample([answer_doc], 1, question, gold, seed, target_tokens)
-    budget = target_tokens - count_tokens(render_prompt(probe), tokenizer)
-    budget -= count_tokens(_render_doc(99, answer_doc), tokenizer)
+    budget = target_tokens - count_tokens(render_prompt(probe))
+    budget -= count_tokens(_render_doc(99, answer_doc))
     if budget < 0:
         raise GenerationError(
             f"target_tokens={target_tokens} cannot hold the answer document"
@@ -63,7 +62,7 @@ def assemble_qa(
     chosen = [answer_doc]
     for idx in order:
         doc = distractors[int(idx)]
-        cost = count_tokens(_render_doc(99, doc), tokenizer)
+        cost = count_tokens(_render_doc(99, doc))
         if cost > budget:
             continue
         chosen.append(doc)
@@ -96,11 +95,7 @@ def _sample(docs, answer_number, question, gold, seed, target_tokens,
     )
 
 
-def gen_qa(
-    seed: int,
-    target_tokens: int = 16384,
-    tokenizer: ApproxTokenizer | None = None,
-) -> TaskSample:
+def gen_qa(seed: int, target_tokens: int = 16384) -> TaskSample:
     """Asks the first document's own question over the demo corpus, one
     document per 100 target tokens and at least 40; a demo document renders
     to about 140 tokens, so the corpus holds about 1.4 times the distractor
@@ -109,7 +104,7 @@ def gen_qa(
     doc = documents[0]
     return assemble_qa(
         documents, 0, doc["question"], doc["answer"],
-        target_tokens=target_tokens, seed=seed, tokenizer=tokenizer,
+        target_tokens=target_tokens, seed=seed
     )
 
 

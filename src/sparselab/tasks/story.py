@@ -19,7 +19,7 @@ import numpy as np
 
 from .base import GenerationError, TaskSample
 from .prompt import render_prompt
-from .tokenization import ApproxTokenizer, count_tokens
+from .tokenization import count_tokens
 
 __all__ = [
     "Chapter",
@@ -307,7 +307,6 @@ def gen_story(
     kind: str = "story_retrieval",
     num_chapters: int | None = None,
     target_tokens: int = 16384,
-    tokenizer: ApproxTokenizer | None = None,
 ) -> TaskSample:
     """When ``num_chapters`` is None the chapter count is chosen to land the
     rendered prompt inside the token target."""
@@ -333,9 +332,7 @@ def gen_story(
         rng = np.random.default_rng([seed, 1])
         protagonist = _pick(rng, PROTAGONISTS)
         chapter_texts = (render(protagonist, ch) for ch in _chapter_stream(rng))
-        num_chapters = _fit_chapter_count(
-            build, chapter_texts, minimum, target_tokens, tokenizer
-        )
+        num_chapters = _fit_chapter_count(build, chapter_texts, minimum, target_tokens)
     if num_chapters < minimum:
         raise GenerationError(
             f"{kind} needs at least {minimum} chapters, got {num_chapters}"
@@ -420,18 +417,18 @@ def _pose_questions(rng, world: StoryWorld, kind: str):
     )
 
 
-def _fit_chapter_count(
-    build, chapter_texts, minimum: int, target_tokens: int, tokenizer
-) -> int:
+def _fit_chapter_count(build, chapter_texts, minimum: int, target_tokens: int) -> int:
     """Largest chapter count whose rendered prompt fits the token target.
 
-    Story text is prefix-stable, so each chapter after ``minimum`` adds
-    about its own token count to the prompt. One pass adds those counts to
-    the measured prompt of the ``minimum``-chapter sample and stops before
-    the target. Exact counts of full prompts then confirm the estimate:
-    step down while it overshoots, step up while one more chapter fits.
-    The confirmation makes the result exact for any tokenizer, additive or
-    not, and for no-purchase beats that ``chapter_texts`` does not carry.
+    Story text is prefix-stable and token counts add over the blank lines
+    that join chapters, so each chapter after ``minimum`` adds its own token
+    count to the prompt. One pass adds those counts to the measured prompt
+    of the ``minimum``-chapter sample and stops before the target. Exact
+    counts of full prompts then confirm the estimate: step down while it
+    overshoots, step up while one more chapter fits. The confirmation is
+    for story_filtering's no-purchase beats, which ``chapter_texts`` does
+    not carry, and for questions drawn per count, such as story_multihop's
+    target item.
     ``build`` should cache by count; the confirmed sample is built once.
     ``gen_story`` gives the pass and the builds one cached chapter renderer,
     so the confirmation renders no chapter the pass rendered. story_filtering
@@ -440,7 +437,7 @@ def _fit_chapter_count(
     """
 
     def total(count: int) -> int:
-        return count_tokens(render_prompt(build(count)), tokenizer)
+        return count_tokens(render_prompt(build(count)))
 
     used = total(minimum)
     if used > target_tokens:
@@ -449,7 +446,7 @@ def _fit_chapter_count(
         )
     count = minimum
     for text in itertools.islice(chapter_texts, minimum, None):
-        used += count_tokens(text, tokenizer)
+        used += count_tokens(text)
         if used > target_tokens:
             break
         count += 1

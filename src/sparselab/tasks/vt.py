@@ -8,7 +8,7 @@ import numpy as np
 
 from .base import GenerationError, TaskSample
 from .prompt import render_prompt
-from .tokenization import ApproxTokenizer, count_tokens, units_within
+from .tokenization import count_tokens, units_within
 
 __all__ = ["CHAIN_DEPTH", "FILLER", "NUM_CHAINS", "gen_vt", "resolve_variables"]
 
@@ -34,11 +34,7 @@ def _fresh_name(rng: np.random.Generator, used: set) -> str:
             return name
 
 
-def gen_vt(
-    seed: int,
-    target_tokens: int = 16384,
-    tokenizer: ApproxTokenizer | None = None,
-) -> TaskSample:
+def gen_vt(seed: int, target_tokens: int = 16384) -> TaskSample:
     """``NUM_CHAINS`` chains are trees: each has one numeric root and
     ``CHAIN_DEPTH - 1`` copy assignments pointing at earlier members of the
     same chain. The first chain's value is queried; gold is that chain's full
@@ -65,14 +61,14 @@ def gen_vt(
     lines = [lines[int(i)] for i in order]
 
     probe = _sample("", seed, target_tokens, target_value, tuple(sorted(target_members)))
-    overhead = count_tokens(render_prompt(probe), tokenizer)
-    line_tokens = count_tokens("\n".join(lines), tokenizer)
+    overhead = count_tokens(render_prompt(probe))
+    line_tokens = count_tokens("\n".join(lines))
     budget = target_tokens - overhead - line_tokens
     if budget < 0:
         raise GenerationError(
             f"target_tokens={target_tokens} too small for {len(lines)} assignments"
         )
-    chunks = units_within(budget, FILLER, tokenizer)
+    chunks = units_within(budget, FILLER)
     gaps = len(lines) + 1
     base, extra = divmod(chunks, gaps)
     parts: list[str] = []

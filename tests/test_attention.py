@@ -299,7 +299,7 @@ def test_plan_tiles_match_full_matrix_reference(seed, n, kv):
         for plan in random_prefill_plans(rng, n, heads, kv, with_first=False):
             for head in range(heads):
                 tiles = accounting.plan_tiles(plan, inputs.group_map, inputs, head)
-                lse = attention.row_logsumexp(inputs, head, tiles)
+                lse = attention.row_logsumexp(inputs, tiles)
                 assert lse[0] == -np.inf
                 assert np.isfinite(lse[n - 1])
             assert np.isfinite(attention_recall(plan, inputs))
@@ -320,7 +320,7 @@ def test_rows_before_a_plans_first_cell_read_nothing(rng):
     for plan, first, want in ((vs, 200, with_slash), (eviction, n - 1, last)):
         for head in range(2):
             tiles = accounting.plan_tiles(plan, inputs.group_map, inputs, head)
-            lse = attention.row_logsumexp(inputs, head, tiles)
+            lse = attention.row_logsumexp(inputs, tiles)
             assert (lse[:first] == -np.inf).all() and np.isfinite(lse[first:]).all()
         assert attention_recall(plan, inputs) == pytest.approx(
             full_matrix_recall(inputs, want), abs=1e-12
@@ -357,6 +357,16 @@ def test_inputs_validation():
         default_group_map(3, 2)
     with pytest.raises(ValueError):
         AttentionInputs.from_arrays(np.zeros((3, 4, 3)), ok, ok, group_map=(0, 0, 0))
+    empty = np.zeros((2, 0, 3))
+    with pytest.raises(ValueError, match="seq_len must be at least 1, got 0"):
+        AttentionInputs.from_arrays(empty, empty, empty)
+
+
+@pytest.mark.parametrize("generator", ["uniform", "planted", "clustered"])
+@pytest.mark.parametrize("n", [0, -3])
+def test_inputs_reject_an_empty_sequence(generator, n):
+    with pytest.raises(ValueError, match=f"seq_len must be at least 1, got {n}"):
+        make_inputs(generator, n)
 
 
 def test_cell_mask_validation():

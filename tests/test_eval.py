@@ -56,8 +56,8 @@ def test_canonicalize_case_articles_punctuation():
 
 
 def test_exact_match_article_stripping():
-    assert exact_match("The Golden Vase", "Golden Vase") == 1.0
-    assert exact_match("silver vase", "golden vase") == 0.0
+    assert exact_match(["The Golden Vase"], ["Golden Vase"]) == 1.0
+    assert exact_match(["silver vase"], ["golden vase"]) == 0.0
 
 
 def test_exact_match_sixteen_question_mean():

@@ -92,6 +92,12 @@ def test_config_validation():
         ExperimentConfig.from_json({**small_config().to_json(), "extra_field": 1})
 
 
+def test_config_takes_integral_float_lengths():
+    config = small_config(seq_lengths=(2000.0,))
+    assert config.seq_lengths == (2000,) and type(config.seq_lengths[0]) is int
+    assert config.fingerprint() == small_config().fingerprint()
+
+
 @pytest.mark.parametrize(
     "field, values, repeated",
     [
@@ -115,13 +121,34 @@ def test_config_rejects_repeated_grid_entries(field, values, repeated):
         ({"methods": ["dense", "snapkv", "dense"]}, [], "methods lists 'dense' more than once"),
         ({}, ["--lengths", "2000", "--lengths", "2000"], "seq_lengths lists 2000 more than once"),
         ({"seq_lengths": None}, [], "missing config fields: ['seq_lengths']"),
+        ({"samples_per_config": "2"}, [], "samples_per_config must be an integer, got '2'"),
+        ({"samples_per_config": True}, [], "samples_per_config must be an integer, got True"),
+        ({"seed": "1"}, [], "seed must be an integer, got '1'"),
+        ({"seed": 1.5}, [], "seed must be an integer, got 1.5"),
+        ({"seq_lengths": [4000.7]}, [], "seq_lengths must hold whole numbers, got 4000.7"),
+        ({"seq_lengths": ["abc"]}, [], "seq_lengths must hold whole numbers, got 'abc'"),
+        ({"sparsity_levels": ["0.8"]}, [], "sparsity_levels must hold numbers, got '0.8'"),
+        ({"sparsity_levels": [False]}, [], "sparsity_levels must hold numbers, got False"),
+        ({"tasks": "niah"}, [], "tasks must be a list, got 'niah'"),
+        ({"model_dims": ["qwen2.5-7b"]}, [], "model_dims must be a string, got ['qwen2.5-7b']"),
+        ([], [], "a config must be a JSON object, got list"),
+        ("x", [], "a config must be a JSON object, got str"),
     ],
-    ids=["unknown_kind", "repeated_method", "repeated_length_option", "missing_field"],
+    ids=[
+        "unknown_kind", "repeated_method", "repeated_length_option", "missing_field",
+        "string_samples", "bool_samples", "string_seed", "float_seed",
+        "fractional_length", "string_length", "string_level", "bool_level",
+        "string_tasks", "list_model", "list_payload", "string_payload",
+    ],
 )
 def test_cli_run_reports_config_errors_as_usage_errors(tmp_path, config, args, message):
+    """``config`` overrides fields of a valid payload, or, if it is not a
+    dict, is the whole payload."""
     config_path = tmp_path / "config.json"
-    payload = {**small_config().to_json(), **config}
-    config_path.write_text(json.dumps({k: v for k, v in payload.items() if v is not None}))
+    if isinstance(config, dict):
+        payload = {**small_config().to_json(), **config}
+        config = {k: v for k, v in payload.items() if v is not None}
+    config_path.write_text(json.dumps(config))
     result = CliRunner().invoke(
         cli, ["run", "--config", str(config_path), "--out", str(tmp_path / "runs"), *args]
     )
@@ -676,6 +703,44 @@ def test_cli_plan_rejects_uncalibrated_level(method, length, level, message):
     )
     assert result.exit_code == 2, result.output
     assert message in result.output
+    assert "Traceback" not in result.output
+
+
+@pytest.mark.parametrize("target", ["0", "-5"])
+def test_cli_gen_rejects_target_tokens_below_one(tmp_path, target):
+    out = tmp_path / "samples.jsonl"
+    result = CliRunner().invoke(
+        cli, ["gen", "--kind", "niah", "--target-tokens", target, "--out", str(out)]
+    )
+    assert result.exit_code == 2, result.output
+    assert "--target-tokens" in result.output
+    assert "Traceback" not in result.output
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("length", ["0", "-3"])
+def test_cli_plan_rejects_length_below_one(length):
+    result = CliRunner().invoke(
+        cli, ["plan", "--method", "snapkv", "--length", length, "--param", "token_capacity=132"]
+    )
+    assert result.exit_code == 2, result.output
+    assert "--length" in result.output
+    assert "Traceback" not in result.output
+
+
+def test_cli_analyze_rejects_a_directory_without_a_run(tmp_path):
+    result = CliRunner().invoke(cli, ["analyze", "--run", str(tmp_path)])
+    assert result.exit_code == 2, result.output
+    assert "config.json" in result.output
+    assert "Traceback" not in result.output
+
+
+def test_cli_analyze_rejects_a_run_with_no_scored_record(tmp_path):
+    result = run_suite(small_config(tasks=("vt",), seq_lengths=(100,)), tmp_path)
+    assert result.records and all(r["status"] != "ok" for r in result.records)
+    result = CliRunner().invoke(cli, ["analyze", "--run", str(result.run_dir)])
+    assert result.exit_code == 2, result.output
+    assert "no scored records to analyze" in result.output
     assert "Traceback" not in result.output
 
 

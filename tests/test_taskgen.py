@@ -1,6 +1,5 @@
 import hashlib
 import json
-import math
 import re
 from collections import Counter
 
@@ -10,8 +9,6 @@ from hypothesis import strategies as st
 
 from sparselab.tasks import story
 from sparselab.tasks import (
-    ApproxTokenizer,
-    DEFAULT_TOKENIZER,
     GenerationError,
     TABLE,
     TASK_KINDS,
@@ -187,30 +184,15 @@ def test_story_text_is_prefix_stable(kind):
         assert long.context.split("\n\n")[:40] == short.context.split("\n\n")
 
 
-def _assert_largest_fit(sample, target, tokenizer=None):
-    count = sample.extras["num_chapters"]
-    longer = gen_story(
-        sample.seed, sample.kind, num_chapters=count + 1, target_tokens=target
-    )
-    assert count_tokens(render_prompt(sample), tokenizer) <= target
-    assert count_tokens(render_prompt(longer), tokenizer) > target
-
-
 @pytest.mark.parametrize("kind", STORY_KINDS)
 @pytest.mark.parametrize("target", [4500, 16000])
 def test_story_fit_is_largest_that_fits(kind, target):
     for seed in range(10):
-        _assert_largest_fit(gen_story(seed, kind, target_tokens=target), target)
-
-
-@pytest.mark.parametrize("kind", STORY_KINDS)
-def test_story_fit_exact_for_non_additive_tokenizer(kind):
-    # rounding up per chapter makes the one-pass estimate fall short for some
-    # seeds, so the exact confirmation has to step up
-    tokenizer = ApproxTokenizer(factor=1.3)
-    for seed in range(10):
-        sample = gen_story(seed, kind, target_tokens=6000, tokenizer=tokenizer)
-        _assert_largest_fit(sample, 6000, tokenizer)
+        sample = gen_story(seed, kind, target_tokens=target)
+        count = sample.extras["num_chapters"]
+        longer = gen_story(seed, kind, num_chapters=count + 1, target_tokens=target)
+        assert count_tokens(render_prompt(sample)) <= target
+        assert count_tokens(render_prompt(longer)) > target
 
 
 def _count_renders(monkeypatch) -> Counter:
@@ -285,20 +267,11 @@ def test_generation_deterministic(kind):
     assert c.context != a.context
 
 
-# the default tokenizer keeps the bare kind as its case id
-@pytest.mark.parametrize(
-    "kind, tokenizer",
-    [pytest.param(kind, None, id=kind) for kind in TASK_KINDS]
-    + [
-        pytest.param(kind, ApproxTokenizer(f), id=f"{kind}-{f}")
-        for f in (0.8, 1.3)
-        for kind in TASK_KINDS
-    ],
-)
-def test_prompt_length_band(kind, tokenizer):
+@pytest.mark.parametrize("kind", TASK_KINDS)
+def test_prompt_length_band(kind):
     for target in (4500, 8000, 16000):
-        sample = generate(kind, seed=2, target_tokens=target, tokenizer=tokenizer)
-        tokens = count_tokens(render_prompt(sample), tokenizer)
+        sample = generate(kind, seed=2, target_tokens=target)
+        tokens = count_tokens(render_prompt(sample))
         assert 0.95 * target <= tokens <= target
 
 
@@ -334,22 +307,22 @@ def _reference_units(text: str) -> int:
     return len(re.findall(r"\w+|[^\w\s]", text))
 
 
+# text from every code point, or from ASCII, which takes the regex-free path
+TEXT = st.text() | st.text(st.characters(max_codepoint=127))
+
+
 @settings(deadline=None, max_examples=300)
-@given(
-    text=st.text() | st.text(st.characters(max_codepoint=127)),
-    factor=st.sampled_from([0.8, 1.0, 1.3]) | st.floats(0.01, 10.0),
-)
-@example(text="", factor=1.0)
-@example(text="\x1c\x1d\x1e\x1f", factor=1.0)
-@example(text="a\x1cb\x1f.c", factor=1.0)
-@example(text=" ", factor=1.0)
-@example(text="\xa0\u2003 x", factor=1.0)
-@example(text="café naïve, Zoë!", factor=1.3)
-@example(text="ab12 3.5 __init__ x_y-z", factor=1.0)
-@example(text="snake_case_2 _ __", factor=0.8)
-def test_tokenizer_count_matches_general_pattern(text, factor):
-    expected = math.ceil(_reference_units(text) * factor)
-    assert ApproxTokenizer(factor).count(text) == expected
+@given(text=TEXT)
+@example(text="")
+@example(text="\x1c\x1d\x1e\x1f")
+@example(text="a\x1cb\x1f.c")
+@example(text=" ")
+@example(text="\xa0\u2003 x")
+@example(text="café naïve, Zoë!")
+@example(text="ab12 3.5 __init__ x_y-z")
+@example(text="snake_case_2 _ __")
+def test_tokenizer_count_matches_general_pattern(text):
+    assert count_tokens(text) == _reference_units(text)
 
 
 # sha256 over every kind at seeds 0-2 and 4000/16000 tokens, computed on the
@@ -369,10 +342,21 @@ def test_samples_byte_identical():
     assert digest.hexdigest() == SAMPLES_DIGEST
 
 
-def test_tokenizer_additivity():
-    a, b = "the quick brown fox", "jumps over it"
-    assert count_tokens(a + " " + b) == count_tokens(a) + count_tokens(b)
-    assert DEFAULT_TOKENIZER.count("hello, world.") == 4
+@settings(deadline=None, max_examples=300)
+@given(a=TEXT, b=TEXT, join=st.sampled_from(["\n", " "]))
+@example(a="hello,", b="world.", join=" ")
+@example(a="ab", b="cd", join="\n")
+@example(a="x", b="é", join=" ")
+def test_tokenizer_additivity(a, b, join):
+    """units_within and the story chapter estimate price joined texts as the
+    sum of their parts."""
+    assert count_tokens(a + join + b) == count_tokens(a) + count_tokens(b)
+
+
+def test_token_is_a_word_or_punctuation_unit():
+    assert count_tokens("hello, world.") == 4
+    assert count_tokens("VAR ABC = VAR XYZ") == 5
+    assert count_tokens("The value for red-fox is: 12.") == 10
 
 
 def test_sample_round_trip(tmp_path):
