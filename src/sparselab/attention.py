@@ -38,7 +38,9 @@ cell set is ``exp(masked_lse - causal_lse)`` without holding n x n weights.
 The window-scored pattern builders read ``AttentionInputs.window_stats``:
 per head, the column sums and maxima, the diagonal sums and the total of the
 observation window's softmax, computed once per input and cached the same
-way.
+way.  The block-sparse builder reads ``AttentionInputs.block_rank``: each
+causal key block's place in its query block's order by pooled logit, also
+filled once per input, so a build at any budget is one threshold.
 """
 from __future__ import annotations
 
@@ -76,6 +78,10 @@ TILE_ROWS = 16
 # take 4 MiB each at n = 2048.
 SPAN_ROWS = 128
 
+# Query blocks whose pooled logits one step of the block-rank fill takes,
+# each group over its causal prefix of key blocks only.
+ROW_GROUP = 64
+
 # Query rows of the observation window that every window-scored builder
 # (vertical-slash, flexprefill, snapkv, ada_snapkv) reads; a shorter
 # sequence is read whole.
@@ -102,9 +108,10 @@ class AttentionInputs:
     group_map: query head -> kv head, partitioning query heads into equal groups.
 
     The three arrays are stored as read-only views (the caller's arrays stay
-    writeable), so the two cached properties cannot go stale: ``causal_lse``
-    for the recall oracle and ``window_stats`` for the window-scored
-    builders, each computed on first use.
+    writeable), so the three cached properties cannot go stale:
+    ``causal_lse`` for the recall oracle, ``window_stats`` for the
+    window-scored builders and ``block_rank`` for the block-sparse builder,
+    each computed on first use.
     """
 
     queries: np.ndarray
@@ -183,6 +190,13 @@ class AttentionInputs:
     def window_stats(self) -> WindowStats:
         """Observation-window reductions of every query head (``WindowStats``)."""
         return _window_stats(self)
+
+    @cached_property
+    def block_rank(self) -> np.ndarray:
+        """Read-only [num_q_heads, nb, nb] place of each causal key block in
+        its query block's order over ``TILE_ROWS``-token blocks
+        (``_block_rank``); non-causal cells hold nb."""
+        return _block_rank(self)
 
 
 @dataclass(frozen=True)
@@ -312,9 +326,69 @@ def _window_stats(inputs: AttentionInputs) -> WindowStats:
             # cell (i, j) sits on offset i - j; reversing the row aligns offsets 0..i
             slash_mass[head, : i + 1] += weights[r, : i + 1][::-1]
         total[head] = weights.sum()
+        del weights  # free this head's window before the next is scored
     for arr in (column_sum, column_max, slash_mass, total):
         arr.flags.writeable = False
     return WindowStats(column_sum, column_max, slash_mass, total)
+
+
+def _pool_blocks(x: np.ndarray) -> np.ndarray:
+    """Arithmetic mean over each ``TILE_ROWS``-row block of every head of
+    ``x`` ([heads, n, d]); the last block may be short.
+
+    Each block's rows are summed in order, so the means equal a per-block
+    ``mean(axis=0)`` bit for bit."""
+    heads, n, d = x.shape
+    full = n // TILE_ROWS
+    nb = -(-n // TILE_ROWS)
+    sums = np.empty((heads, nb, d))
+    sums[:, :full] = x[:, : full * TILE_ROWS].reshape(heads, full, TILE_ROWS, d).sum(axis=2)
+    if nb > full:
+        sums[:, full] = x[:, full * TILE_ROWS :].sum(axis=1)
+    return sums / np.minimum(TILE_ROWS, n - TILE_ROWS * np.arange(nb))[:, None]
+
+
+def _block_rank(inputs: AttentionInputs) -> np.ndarray:
+    """Each causal key block's place in its query block's order, as a
+    read-only array of the smallest signed integer type that holds nb.
+
+    Query block b orders its key blocks 0..b as block 0, then block b, then
+    the rest by descending scaled dot product of pooled queries and keys,
+    ties to the lower block: the order of ``accounting.ranked_keep`` with
+    block 0 and the diagonal forced.  Non-causal cells hold nb, so the first
+    k blocks of every query block are ``rank < k``.  Logits are taken
+    ``ROW_GROUP`` query blocks at a time over their causal prefix; rows whose
+    finite scores tie are re-sorted stably, the rest by the default sort.
+    """
+    n, heads = inputs.seq_len, inputs.num_q_heads
+    nb = -(-n // TILE_ROWS)
+    dtype = next(t for t in (np.int8, np.int16, np.int32, np.int64) if np.iinfo(t).max >= nb)
+    qp = _pool_blocks(inputs.queries)
+    kp = _pool_blocks(inputs.keys)[list(inputs.group_map)].transpose(0, 2, 1)
+    ids = np.arange(nb)
+    rank = np.full((heads, nb, nb), nb, dtype=dtype)
+    rank[:, ids[1:], ids[1:]] = 1
+    rank[:, :, 0] = 0
+    # the blocks between block 0 and the diagonal take the places from 2 on;
+    # places past a row's last such block are discarded, so they may clip at nb
+    places = np.minimum(ids + 2, nb).astype(dtype)
+    for lo in range(0, nb, ROW_GROUP):
+        hi = min(lo + ROW_GROUP, nb)
+        interior = (ids[None, :hi] > 0) & (ids[None, :hi] < ids[lo:hi, None])
+        # ascending key is rank order, with every other block sorted last
+        key = qp[:, lo:hi] @ kp[:, :, :hi]
+        key /= -np.sqrt(inputs.head_dim)
+        np.copyto(key, np.inf, where=~interior)
+        order = np.argsort(key, axis=-1)
+        ranked = np.take_along_axis(key, order, axis=-1)
+        tied = ((ranked[..., 1:] == ranked[..., :-1]) & (ranked[..., 1:] < np.inf)).any(axis=-1)
+        if tied.any():
+            order[tied] = np.argsort(key[tied], axis=-1, kind="stable")
+        group = np.empty(key.shape, dtype=dtype)
+        np.put_along_axis(group, order, places[:hi], axis=-1)
+        np.copyto(rank[:, lo:hi, :hi], group, where=interior)
+    rank.flags.writeable = False
+    return rank
 
 
 class _Part(NamedTuple):

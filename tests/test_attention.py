@@ -436,6 +436,19 @@ def test_window_scoring_holds_one_window_array():
     assert peak < 1.5 * weights.nbytes
 
 
+def test_window_stats_holds_one_window_at_a_time():
+    """Filling ``window_stats`` frees each head's [window, n] weights before
+    the next head is scored, so its peak stays near one window."""
+    inputs = make_inputs("planted", 4096, seed=0)
+    tracemalloc.start()
+    try:
+        inputs.window_stats
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.5 * 256 * 4096 * 8
+
+
 @pytest.mark.parametrize("n", [1, 2, 3])
 def test_planted_inputs_at_tiny_lengths(n):
     """The default needle is drawn from the first max(1, n // 2) positions,

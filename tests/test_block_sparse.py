@@ -1,6 +1,12 @@
+import hashlib
+
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+from sparselab import attention
+from sparselab.attention import ROW_GROUP, AttentionInputs
 from sparselab.patterns import (
     BlockPlan,
     attention_recall,
@@ -12,7 +18,6 @@ from sparselab.patterns import (
 )
 from sparselab.patterns import block_sparse
 from sparselab.patterns.accounting import _smallest_budget
-from sparselab.patterns.block_sparse import ROW_GROUP, pooled_block_logits
 from sparselab.synthetic import make_inputs
 
 from conftest import random_inputs, tied_inputs
@@ -158,13 +163,14 @@ def pooled_means(x, block_size=16):
     return np.stack([x[i : i + block_size].mean(axis=0) for i in range(0, len(x), block_size)])
 
 
-def test_pooled_logits_shape(rng):
+def test_pooled_blocks_are_block_means(rng):
+    # 100 = 6 * 16 + 4 leaves a short final block
     inputs = random_inputs(rng, 100)
-    logits = pooled_block_logits(inputs)
-    assert logits.shape == (4, 7, 7)
-    for h, g in enumerate(inputs.group_map):
-        qp, kp = pooled_means(inputs.queries[h]), pooled_means(inputs.keys[g])
-        assert np.array_equal(logits[h], (qp @ kp.T) / np.sqrt(inputs.head_dim))
+    for x in (inputs.queries, inputs.keys):
+        pooled = attention._pool_blocks(x)
+        assert pooled.shape == (x.shape[0], 7, x.shape[2])
+        for head in range(x.shape[0]):
+            assert np.array_equal(pooled[head], pooled_means(x[head]))
 
 
 def stable_sort_selection(inputs, top_k):
@@ -190,7 +196,7 @@ def stable_sort_selection(inputs, top_k):
     return keep
 
 
-# the last length ranks query blocks 2..nb-1 at k = 2: four row groups
+# the last length's block rank fills in four row groups, the last one short
 STABLE_SORT_LENGTHS = (1, 15, 16, 17, 200, 16 * (3 * ROW_GROUP + 5) + 7)
 
 
@@ -198,7 +204,7 @@ STABLE_SORT_LENGTHS = (1, 15, 16, 17, 200, 16 * (3 * ROW_GROUP + 5) + 7)
 @pytest.mark.parametrize("make", [random_inputs, tied_inputs], ids=["random", "ties"])
 def test_selection_matches_stable_sort_reference(make, heads):
     rng = np.random.default_rng(17)
-    assert -(-STABLE_SORT_LENGTHS[-1] // 16) - 2 > 2 * ROW_GROUP
+    assert 3 * ROW_GROUP < -(-STABLE_SORT_LENGTHS[-1] // 16) < 4 * ROW_GROUP
     for n in STABLE_SORT_LENGTHS:
         inputs = make(rng, n, num_q_heads=heads[0], num_kv_heads=heads[1])
         nb = -(-n // 16)
@@ -235,5 +241,100 @@ def test_calibration_follows_the_build_without_building(rng, monkeypatch, n):
         raise AssertionError("calibration built a plan")
 
     monkeypatch.setattr(block_sparse, "build_block_sparse", no_build)
-    monkeypatch.setattr(block_sparse, "ranked_keep", no_build)
-    assert [calibrate_block_topk(inputs, target) for target in targets] == want
+    monkeypatch.setattr(attention, "_block_rank", no_build)
+    # the same arrays without the block rank the builds above filled
+    fresh = AttentionInputs.from_arrays(inputs.queries, inputs.keys, inputs.values)
+    assert [calibrate_block_topk(fresh, target) for target in targets] == want
+
+
+def repeated_key_blocks(rng, n):
+    """Random queries against one block of keys repeated along the sequence:
+    every full key block pools to the same mean, so a query block's pooled
+    logits over them tie exactly."""
+    inputs = random_inputs(rng, n)
+    keys = np.tile(inputs.keys[:, :16], (1, -(-n // 16), 1))[:, :n]
+    return AttentionInputs.from_arrays(inputs.queries, keys, inputs.values)
+
+
+@settings(deadline=None, max_examples=40)
+@given(
+    n=st.integers(1, 300),
+    seed=st.integers(0, 2**32 - 1),
+    make=st.sampled_from([random_inputs, repeated_key_blocks]),
+)
+@example(n=1, seed=0, make=random_inputs)
+@example(n=15, seed=0, make=random_inputs)
+@example(n=16, seed=0, make=random_inputs)
+@example(n=17, seed=0, make=random_inputs)
+@example(n=255, seed=0, make=random_inputs)
+@example(n=256, seed=0, make=random_inputs)
+@example(n=257, seed=0, make=random_inputs)
+@example(n=257, seed=0, make=repeated_key_blocks)
+def test_every_budget_is_a_threshold_of_one_rank(n, seed, make):
+    """At every k the plan is the stable-sort reference, and a larger k
+    keeps every block a smaller one keeps."""
+    inputs = make(np.random.default_rng(seed), n)
+    nb = -(-n // 16)
+    previous = None
+    for k in range(2, nb + 1):
+        selections = build_block_sparse(inputs, k).selections
+        assert np.array_equal(selections, stable_sort_selection(inputs, k)), k
+        if previous is not None:
+            assert not (previous & ~selections).any(), k
+        previous = selections
+
+
+def test_exact_ties_rank_to_the_lower_block():
+    """Repeated key blocks tie every interior block of a query block, so the
+    rank keeps them in block order after block 0 and the diagonal."""
+    inputs = repeated_key_blocks(np.random.default_rng(3), 16 * 40)
+    nb = 40
+    ids = np.arange(nb)
+    rank = inputs.block_rank
+    assert rank.dtype == np.int8
+    for b in range(1, nb):
+        want = np.full(nb, nb)
+        want[0], want[b], want[1:b] = 0, 1, ids[1:b] + 1
+        assert np.array_equal(rank[:, b], np.broadcast_to(want, (inputs.num_q_heads, nb)))
+
+
+def test_block_rank_fills_once_per_input(monkeypatch):
+    """Builds at several budgets pool the input's blocks once; the rank is
+    read-only, and a fresh input fills its own."""
+    pooled = []
+    real = attention._pool_blocks
+
+    def counted(x):
+        pooled.append(x.shape)
+        return real(x)
+
+    monkeypatch.setattr(attention, "_pool_blocks", counted)
+    inputs = make_inputs("clustered", 2048, seed=0)
+    for k in (8, 38, 53):
+        build_block_sparse(inputs, k)
+    assert pooled == [inputs.queries.shape, inputs.keys.shape]
+    rank = inputs.block_rank
+    assert rank.dtype == np.int16  # 128 query blocks: the sentinel 128 needs int16
+    with pytest.raises(ValueError):
+        rank[0, 0, 0] = 1
+    fresh = AttentionInputs.from_arrays(inputs.queries, inputs.keys, inputs.values)
+    build_block_sparse(fresh, 8)
+    assert len(pooled) == 4
+    assert np.array_equal(fresh.block_rank, rank)
+
+
+# sha256 of the selections of every build in the test below, pinned from the
+# builder that pooled and ranked the block logits anew on every call
+BLOCK_PLANS_DIGEST = "57ac893ba722701537d9b5ace12d111b3dbe17529a39aac39fb1fa2b42218bed"
+
+
+def test_block_plans_byte_identical():
+    digest = hashlib.sha256()
+    for n in (300, 2048, 16384):
+        for kind in ("planted", "clustered", "uniform"):
+            for seed in (0, 7):
+                inputs = make_inputs(kind, n, seed=seed)
+                # the budgets oracle_2k and select_16k build at
+                for k in (8, 38, 53, 108, 300):
+                    digest.update(build_block_sparse(inputs, k).selections.tobytes())
+    assert digest.hexdigest() == BLOCK_PLANS_DIGEST
