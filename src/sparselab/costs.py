@@ -25,7 +25,6 @@ __all__ = [
     "spec_from_preset",
     "prefill_flops",
     "decode_memory",
-    "memory_in_bytes",
     "vs_indexing_flops",
     "quest_indexing_memory",
     "prefill_speedup",
@@ -56,7 +55,6 @@ class CostSpec:
     batch_size: int = 1
     density: float = 1.0
     layer_kinds: tuple[int | None, ...] | None = None
-    bytes_per_element: int = 2
 
     def __post_init__(self) -> None:
         for name in (
@@ -69,7 +67,6 @@ class CostSpec:
             "mlp_dim",
             "vocab_size",
             "batch_size",
-            "bytes_per_element",
         ):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be positive")
@@ -109,11 +106,7 @@ def model_presets() -> dict[str, dict]:
 
 
 def spec_from_preset(
-    name: str,
-    seq_len: int,
-    batch_size: int = 1,
-    density: float = 1.0,
-    bytes_per_element: int = 2,
+    name: str, seq_len: int, batch_size: int = 1, density: float = 1.0
 ) -> CostSpec:
     presets = model_presets()
     if name not in presets:
@@ -138,7 +131,6 @@ def spec_from_preset(
         batch_size=batch_size,
         density=density,
         layer_kinds=kinds,
-        bytes_per_element=bytes_per_element,
     )
 
 
@@ -217,19 +209,6 @@ def decode_memory(spec: CostSpec) -> CostReport:
         components=components,
         attention_share=components["kv_cache"] / total,
         units="elements",
-    )
-
-
-def memory_in_bytes(report: CostReport, spec: CostSpec) -> CostReport:
-    """The same memory report scaled to bytes at spec.bytes_per_element."""
-    if report.units != "elements":
-        raise ValueError("only element-unit reports convert to bytes")
-    scale = spec.bytes_per_element
-    return CostReport(
-        total=report.total * scale,
-        components={k: v * scale for k, v in report.components.items()},
-        attention_share=report.attention_share,
-        units="bytes",
     )
 
 

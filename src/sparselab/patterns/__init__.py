@@ -2,7 +2,6 @@
 
 from .accounting import (
     ORACLE_LIMIT,
-    CalibrationSearch,
     attention_recall,
     block_budget_cells,
     block_plan_cells,
@@ -11,15 +10,16 @@ from .accounting import (
     to_cell_mask,
     vertical_slash_cells,
 )
-from .block_sparse import BLOCK_SIZE, build_block_sparse, calibrate_block_topk
+from .block_sparse import BLOCK_SIZE, build_block_sparse
 from .calibration import (
     METHOD_NAMES,
     CalibrationEntry,
+    CalibrationSearch,
     build_plan,
     calibration_entries,
     lookup,
     predicted_sparsity,
-    sparsity_check,
+    smallest_budget,
 )
 from .eviction import (
     FORCED_FIRST,
@@ -43,8 +43,6 @@ from .vertical_slash import (
     FlexPrefillConfig,
     build_flexprefill,
     build_vertical_slash,
-    calibrate_vertical_slash,
-    densest_vertical_slash_plan,
 )
 
 __all__ = [
@@ -74,10 +72,7 @@ __all__ = [
     "build_flexprefill",
     "build_plan",
     "build_vertical_slash",
-    "calibrate_block_topk",
-    "calibrate_vertical_slash",
     "calibration_entries",
-    "densest_vertical_slash_plan",
     "lookup",
     "page_plan_rows",
     "plan_sparsity",
@@ -85,8 +80,8 @@ __all__ = [
     "quest_index",
     "quest_plan",
     "quest_select",
+    "smallest_budget",
     "snapkv_compress",
-    "sparsity_check",
     "to_cell_mask",
     "vertical_slash_cells",
 ]

@@ -9,7 +9,7 @@ decode step.
 from __future__ import annotations
 
 from functools import partial
-from typing import Callable, Iterator, NamedTuple
+from typing import Iterator
 
 import numpy as np
 from numpy.lib.stride_tricks import as_strided
@@ -35,7 +35,6 @@ from .plans import (
 )
 
 __all__ = [
-    "CalibrationSearch",
     "plan_sparsity",
     "attention_recall",
     "to_cell_mask",
@@ -278,28 +277,3 @@ def _first_k(key: np.ndarray, k: int) -> np.ndarray:
         rank = np.cumsum(tied[crowded], axis=-1)
         tied[crowded] &= rank <= room[crowded, None]
     return keep | tied
-
-
-class CalibrationSearch(NamedTuple):
-    count: int
-    target_reachable: bool
-
-
-def _smallest_budget(
-    lo: int, hi: int, sparsity_of_k: Callable[[int], float], target: float
-) -> CalibrationSearch:
-    """Smallest k in [lo, hi] whose achieved sparsity is at or below the
-    target, by binary search over a sparsity non-increasing in k.  When even
-    k = lo sits below the target, the target is unreachable and lo is
-    returned flagged."""
-    if not 0.0 <= target < 1.0:
-        raise ValueError("target_sparsity must lie in [0, 1)")
-    if sparsity_of_k(lo) < target:
-        return CalibrationSearch(lo, False)
-    while lo < hi:
-        mid = (lo + hi) // 2
-        if sparsity_of_k(mid) <= target:
-            hi = mid
-        else:
-            lo = mid + 1
-    return CalibrationSearch(lo, True)

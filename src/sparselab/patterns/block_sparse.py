@@ -8,10 +8,9 @@ from __future__ import annotations
 import numpy as np
 
 from ..attention import AttentionInputs
-from .accounting import CalibrationSearch, _smallest_budget, block_budget_cells
 from .plans import BLOCK_SIZE, BlockPlan
 
-__all__ = ["build_block_sparse", "calibrate_block_topk"]
+__all__ = ["build_block_sparse"]
 
 
 def build_block_sparse(inputs: AttentionInputs, top_k_blocks: int) -> BlockPlan:
@@ -27,21 +26,3 @@ def build_block_sparse(inputs: AttentionInputs, top_k_blocks: int) -> BlockPlan:
         selections = np.tri(nb, dtype=bool)[None].repeat(inputs.num_q_heads, axis=0)
         return BlockPlan(selections=selections, seq_len=n)
     return BlockPlan(selections=inputs.block_rank < top_k_blocks, seq_len=n)
-
-
-def calibrate_block_topk(inputs: AttentionInputs, target_sparsity: float) -> CalibrationSearch:
-    """Smallest k whose achieved sparsity is at or below the target.
-
-    A block plan's cell count depends on k and the length alone
-    (``block_budget_cells``), so the search builds no plan.  Achieved
-    sparsity is non-increasing in k, so binary search applies.  When even
-    the forced-only selection (k = 2) sits below the target, the target is
-    unreachable and the minimal k is returned flagged.
-    """
-    n = inputs.seq_len
-    causal = n * (n + 1) // 2
-
-    def sparsity(k: int) -> float:
-        return 1.0 - block_budget_cells(n, k) / causal
-
-    return _smallest_budget(2, -(-n // BLOCK_SIZE), sparsity, target_sparsity)

@@ -2,10 +2,13 @@
 
 The shipped table maps (method, sequence length, target sparsity) to the
 parameter that realizes it.  Eviction, page, and block budgets translate to
-sparsity by pure arithmetic; vertical-slash budgets are checked against the
-densest geometric packing.  Rows with seven entries cover only the seven
-densest sparsity levels; the block-sparse alignment follows the conservative
-largest-count-to-lowest-sparsity pairing and is flagged unverified.
+sparsity by pure arithmetic; a vertical-slash budget's arithmetic is the
+densest geometric packing, an upper bound on a built plan's cells.  Rows with
+seven entries cover only the seven densest sparsity levels; the block-sparse
+rows follow the conservative largest-count-to-lowest-sparsity pairing, and
+the rows it misses are criterion 05's strict xfails and show in
+``sparselab calibration``.  ``smallest_budget`` finds a one-count row's value
+for a given input by measuring built plans.
 """
 
 from __future__ import annotations
@@ -21,27 +24,23 @@ import numpy as np
 from ..attention import AttentionInputs
 from .accounting import block_budget_cells, plan_sparsity, vertical_slash_cells
 from .block_sparse import build_block_sparse
-from .eviction import ada_snapkv_compress, snapkv_compress
+from .eviction import FORCED_FIRST, FORCED_RECENT, ada_snapkv_compress, snapkv_compress
 from .plans import SparsePlan, SparsityReport
 from .quest import PAGE_SIZE, quest_plan
-from .vertical_slash import (
-    FlexPrefillConfig,
-    build_flexprefill,
-    build_vertical_slash,
-    densest_vertical_slash_plan,
-)
+from .vertical_slash import FORCED_LOCAL, FlexPrefillConfig, build_flexprefill, build_vertical_slash
 
 __all__ = [
     "METHODS",
     "METHOD_NAMES",
     "Method",
     "CalibrationEntry",
+    "CalibrationSearch",
     "calibration_entries",
     "lookup",
     "predicted_sparsity",
     "build_plan",
     "check_params",
-    "sparsity_check",
+    "smallest_budget",
 ]
 
 
@@ -51,7 +50,12 @@ class Method(NamedTuple):
     build: plan from the inputs and explicit builder keyword arguments.
     calibrated: a calibration.json value turned into those keyword arguments.
     cells: (computed, causal) cells at length n from the keyword arguments
-        alone, or None where the count depends on the inputs.
+        alone, or None where the count depends on the inputs.  For
+        vertical_slash this is the densest-packing upper bound, not the count
+        of a built plan, whose units may sit further out; that is why
+        ``smallest_budget`` measures built plans.
+    smallest: the least one-count table value the build accepts at length
+        n, or None where the table value is not one count.
     required, optional: the explicit keys ``check_params`` accepts.  ``build``
         reads these and ignores any other key.
     """
@@ -59,13 +63,15 @@ class Method(NamedTuple):
     build: Callable[[AttentionInputs, dict], SparsePlan]
     calibrated: Callable[[Any], dict]
     cells: Callable[[int, dict], tuple[int, int] | None]
+    smallest: Callable[[int], int] | None
     required: tuple[str, ...]
     optional: tuple[str, ...] = ()
 
 
 def _uniform_vs_cells(n: int, num_verticals: int, num_slashes: int) -> tuple[int, int]:
-    """Densest-packing cells of a vertical-slash budget: the geometric
-    maximum coverage, hence the minimum sparsity."""
+    """Densest-packing cells of a vertical-slash budget: columns and offsets
+    0..k-1.  Whenever num_verticals + num_slashes <= n, as in every shipped
+    row, no selection of that budget computes more cells."""
     cells = vertical_slash_cells(np.arange(num_verticals), np.arange(num_slashes), n)
     return cells, n * (n + 1) // 2
 
@@ -107,12 +113,14 @@ METHODS: dict[str, Method] = {
         ),
         calibrated=lambda v: {"num_verticals": int(v), "num_slashes": int(v)},
         cells=lambda n, kw: _uniform_vs_cells(n, kw["num_verticals"], kw["num_slashes"]),
+        smallest=lambda n: min(FORCED_LOCAL, n),
         required=("num_verticals", "num_slashes"),
     ),
     "flexprefill": Method(
         build=lambda inputs, kw: build_flexprefill(inputs, _flexprefill_config(kw)),
         calibrated=lambda v: {"alpha": float(v[0]), "min_budget": int(v[1])},
         cells=_flexprefill_cells,
+        smallest=None,
         required=("alpha",),
         optional=("min_budget",),
     ),
@@ -120,12 +128,14 @@ METHODS: dict[str, Method] = {
         build=lambda inputs, kw: build_block_sparse(inputs, kw["top_k_blocks"]),
         calibrated=lambda v: {"top_k_blocks": int(v)},
         cells=lambda n, kw: (block_budget_cells(n, kw["top_k_blocks"]), n * (n + 1) // 2),
+        smallest=lambda n: 2,
         required=("top_k_blocks",),
     ),
     "snapkv": Method(
         build=lambda inputs, kw: snapkv_compress(inputs, kw["token_capacity"]),
         calibrated=lambda v: {"token_capacity": int(v)},
         cells=lambda n, kw: (min(kw["token_capacity"], n), n),
+        smallest=lambda n: FORCED_FIRST + FORCED_RECENT,
         required=("token_capacity",),
     ),
     "ada_snapkv": Method(
@@ -134,6 +144,7 @@ METHODS: dict[str, Method] = {
         ),
         calibrated=lambda v: {"token_capacity": int(v)},
         cells=lambda n, kw: (min(kw["token_capacity"], n), n),
+        smallest=lambda n: FORCED_FIRST + FORCED_RECENT,
         required=("token_capacity",),
         optional=("min_head_fraction",),
     ),
@@ -141,6 +152,7 @@ METHODS: dict[str, Method] = {
         build=lambda inputs, kw: quest_plan(inputs, kw["token_budget"]),
         calibrated=lambda v: {"token_budget": int(v)},
         cells=_quest_cells,
+        smallest=lambda n: PAGE_SIZE,
         required=("token_budget",),
     ),
 }
@@ -155,7 +167,6 @@ class CalibrationEntry:
     seq_len: int
     target_sparsity: float
     params: tuple[tuple[str, Any], ...]
-    alignment_verified: bool = True
 
     def param(self, name: str) -> Any:
         for key, value in self.params:
@@ -176,7 +187,6 @@ def _all_entries() -> tuple[CalibrationEntry, ...]:
     levels = raw["levels"]
     entries = []
     for method, block in raw["methods"].items():
-        verified = bool(block["alignment_verified"])
         for length, values in block["rows"].items():
             # shorter rows pair with the densest (leading) sparsity levels
             for level, value in zip(levels, values):
@@ -186,7 +196,6 @@ def _all_entries() -> tuple[CalibrationEntry, ...]:
                         seq_len=int(length),
                         target_sparsity=float(level),
                         params=tuple(METHODS[method].calibrated(value).items()),
-                        alignment_verified=verified,
                     )
                 )
     return tuple(entries)
@@ -264,14 +273,42 @@ def build_plan(entry: CalibrationEntry, inputs: AttentionInputs) -> SparsePlan:
     return METHODS[entry.method].build(inputs, dict(entry.params))
 
 
-def sparsity_check(entry: CalibrationEntry) -> SparsityReport | None:
-    """predicted_sparsity cross-checked through plan_sparsity where a plan
-    can be formed without inputs (vertical_slash via densest packing)."""
-    report = predicted_sparsity(entry)
-    if report is None or entry.method != "vertical_slash":
-        return report
-    plan = densest_vertical_slash_plan(1, entry.seq_len, **dict(entry.params))
-    via_plan = plan_sparsity(plan, target_sparsity=entry.target_sparsity)
-    if via_plan.computed_cells != report.computed_cells:
-        raise AssertionError("densest-plan accounting disagrees with arithmetic")
-    return via_plan
+class CalibrationSearch(NamedTuple):
+    count: int
+    target_reachable: bool
+
+
+def smallest_budget(
+    method: str, inputs: AttentionInputs, target_sparsity: float
+) -> CalibrationSearch:
+    """Smallest one-count table value whose built plan's achieved sparsity
+    is at or below the target.
+
+    The value v runs from the row's ``smallest`` at length n up to
+    max(that, n), is turned into builder arguments by ``calibrated``, and is
+    bisected on ``plan_sparsity`` of the built plan, which is non-increasing
+    in v because every builder's selections are nested in its budget.  When
+    even the smallest value builds a plan denser than the target, the target
+    is unreachable and that value is returned flagged.  Raises ValueError for
+    a row whose table value is not one count (flexprefill's is a pair).
+    """
+    if not 0.0 <= target_sparsity < 1.0:
+        raise ValueError("target_sparsity must lie in [0, 1)")
+    spec = METHODS[method]
+    if spec.smallest is None:
+        raise ValueError(f"{method}'s table value is not one count, so it has no budget search")
+
+    def sparsity(value: int) -> float:
+        return plan_sparsity(spec.build(inputs, spec.calibrated(value))).achieved_sparsity
+
+    lo = spec.smallest(inputs.seq_len)
+    hi = max(lo, inputs.seq_len)
+    if sparsity(lo) < target_sparsity:
+        return CalibrationSearch(lo, False)
+    while lo < hi:
+        mid = (lo + hi) // 2
+        if sparsity(mid) <= target_sparsity:
+            hi = mid
+        else:
+            lo = mid + 1
+    return CalibrationSearch(lo, True)

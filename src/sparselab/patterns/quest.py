@@ -96,14 +96,9 @@ def quest_select(
     return PagePlan(index=index, selected=selected, position=position)
 
 
-def quest_plan(
-    inputs: AttentionInputs,
-    token_budget: int,
-    position: int | None = None,
-) -> PagePlan:
-    """Index the keys and select pages for the query at ``position``."""
-    if position is None:
-        position = inputs.seq_len - 1
+def quest_plan(inputs: AttentionInputs, token_budget: int) -> PagePlan:
+    """Index the keys and select pages for the query at the last row."""
+    position = inputs.seq_len - 1
     index = quest_index(np.asarray(inputs.keys))
     rows = np.asarray(inputs.queries)[:, position, :]
     return quest_select(

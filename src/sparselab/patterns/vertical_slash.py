@@ -20,7 +20,7 @@ import numpy as np
 # window_weights_head is not called here (the scoring runs once per input in
 # AttentionInputs.window_stats), but perfbench's tracer wraps this attribute
 from ..attention import APPROX_WINDOW, AttentionInputs, window_weights_head  # noqa: F401
-from .accounting import CalibrationSearch, _smallest_budget, plan_sparsity, ranked_keep
+from .accounting import ranked_keep
 from .plans import VerticalSlashPlan
 
 __all__ = [
@@ -29,8 +29,6 @@ __all__ = [
     "FlexPrefillConfig",
     "build_vertical_slash",
     "build_flexprefill",
-    "densest_vertical_slash_plan",
-    "calibrate_vertical_slash",
 ]
 
 FORCED_PREFIX = 4
@@ -122,40 +120,3 @@ def build_flexprefill(
         slashes=tuple(np.flatnonzero(k[n:]) for k in keep),
         seq_len=n,
     )
-
-
-def densest_vertical_slash_plan(
-    num_heads: int, seq_len: int, num_verticals: int, num_slashes: int
-) -> VerticalSlashPlan:
-    """The geometric upper bound on coverage for a (k_v, k_s) budget: all
-    units at their longest, i.e. columns 0..k_v-1 and offsets 0..k_s-1.
-
-    Whenever k_v + k_s <= n (true for every bundled calibration budget),
-    no selection computes more cells than this plan: moving a unit outward
-    loses at least as many cells as the vertical/slash overlap it avoids.
-    That makes it the right probe for budget-to-sparsity calibration checks.
-    """
-    if num_verticals < 1 or num_slashes < 1:
-        raise ValueError("budgets must be positive")
-    if num_verticals > seq_len or num_slashes > seq_len:
-        raise ValueError("budgets cannot exceed seq_len")
-    v = np.arange(num_verticals, dtype=np.int64)
-    s = np.arange(num_slashes, dtype=np.int64)
-    return VerticalSlashPlan(
-        verticals=tuple(v.copy() for _ in range(num_heads)),
-        slashes=tuple(s.copy() for _ in range(num_heads)),
-        seq_len=seq_len,
-    )
-
-
-def calibrate_vertical_slash(inputs: AttentionInputs, target_sparsity: float) -> CalibrationSearch:
-    """Smallest equal budget k = k_v = k_s whose built plan achieves sparsity
-    at or below the target (binary search; achieved sparsity is non-increasing
-    in k because selections are nested)."""
-
-    def sparsity(k: int) -> float:
-        plan = build_vertical_slash(inputs, k, k)
-        return plan_sparsity(plan).achieved_sparsity
-
-    n = inputs.seq_len
-    return _smallest_budget(min(max(FORCED_PREFIX, FORCED_LOCAL), n), n, sparsity, target_sparsity)

@@ -12,6 +12,8 @@ import numpy as np
 import pytest
 
 from sparselab.attention import AttentionInputs, CellMask
+from sparselab.patterns import PagePlan, plan_sparsity, quest_index, quest_select
+from sparselab.patterns.calibration import METHODS, CalibrationSearch
 
 
 def naive_attention(inputs: AttentionInputs) -> np.ndarray:
@@ -107,3 +109,44 @@ def tied_inputs(
         np.broadcast_to(key, (num_kv_heads, seq_len, head_dim)).copy(),
         rng.normal(size=(num_kv_heads, seq_len, head_dim)),
     )
+
+
+def quest_at(inputs: AttentionInputs, token_budget: int, position: int) -> PagePlan:
+    """The page selection of ``quest_plan`` for the query at ``position``
+    rather than the last row."""
+    return quest_select(
+        quest_index(inputs.keys),
+        inputs.queries[:, position],
+        token_budget,
+        position=position,
+        group_map=inputs.group_map,
+    )
+
+
+def built_sparsity(method: str, inputs: AttentionInputs, value) -> float:
+    """Achieved sparsity of the plan a row builds from one table value."""
+    spec = METHODS[method]
+    return plan_sparsity(spec.build(inputs, spec.calibrated(value))).achieved_sparsity
+
+
+def smallest_by_scan(
+    method: str, inputs: AttentionInputs, targets: tuple[float, ...]
+) -> list[CalibrationSearch]:
+    """Per target, the first table value from the row's smallest up whose
+    built plan is at most that sparse, found by building every value in
+    turn; a target the smallest value's plan already misses is flagged
+    unreachable at that value."""
+    n = inputs.seq_len
+    lo = METHODS[method].smallest(n)
+    pending = sorted(set(targets), reverse=True)
+    found = {}
+    for value in range(lo, max(lo, n) + 1):
+        sparsity = built_sparsity(method, inputs, value)
+        if value == lo:
+            found.update((t, CalibrationSearch(lo, False)) for t in pending if sparsity < t)
+            pending = [t for t in pending if t not in found]
+        while pending and sparsity <= pending[0]:
+            found[pending.pop(0)] = CalibrationSearch(value, True)
+        if not pending:
+            break
+    return [found[t] for t in targets]

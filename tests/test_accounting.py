@@ -24,17 +24,17 @@ from sparselab.patterns import (
     plan_sparsity,
     predicted_sparsity,
     quest_plan,
+    smallest_budget,
     snapkv_compress,
-    sparsity_check,
     to_cell_mask,
     vertical_slash_cells,
 )
 from sparselab import attention
 from sparselab.patterns.accounting import ranked_keep
-from sparselab.patterns.calibration import METHODS
+from sparselab.patterns.calibration import METHOD_NAMES, METHODS
 from sparselab.synthetic import make_inputs
 
-from conftest import random_inputs
+from conftest import built_sparsity, quest_at, random_inputs, smallest_by_scan
 
 
 def brute_force_vs_cells(verticals, slashes, n):
@@ -148,7 +148,7 @@ def test_block_and_page_selections_nest_and_keep_forced_members(seed, n, kv):
     budgets = {*range(PAGE_SIZE, n + 2 * PAGE_SIZE, PAGE_SIZE), max(position + 1, PAGE_SIZE)}
     previous = None
     for budget in sorted(budgets):
-        plan = quest_plan(inputs, budget, position=position)
+        plan = quest_at(inputs, budget, position)
         picks = min(current + 1, budget // PAGE_SIZE) if budget <= position else current + 1
         cached = 0
         for g, pages in enumerate(plan.selected):
@@ -456,25 +456,26 @@ def test_calibration_table_lookup():
     assert len(calibration_entries("vertical_slash", 16384)) == 10
 
 
-def test_calibration_block_alignment_flagged():
-    for entry in calibration_entries("block_sparse"):
-        assert not entry.alignment_verified
-    for entry in calibration_entries("quest"):
-        assert entry.alignment_verified
-
-
 def test_predicted_sparsity_cross_check():
-    """Closed-form accounting agrees with a built plan of the same shape."""
+    """Closed-form accounting agrees with a built plan of the same shape; a
+    vertical-slash count is the densest packing, which no built plan of the
+    same budget exceeds."""
     entry = lookup("quest", 16384, 0.95)
     report = predicted_sparsity(entry)
     assert report.computed_cells == (int(entry.param("token_budget")) // 16) * 16
     vs_entry = lookup("vertical_slash", 16384, 0.95)
-    check = sparsity_check(vs_entry)
-    assert check.computed_cells == vertical_slash_cells(
+    assert predicted_sparsity(vs_entry).computed_cells == vertical_slash_cells(
         np.arange(int(vs_entry.param("num_verticals"))),
         np.arange(int(vs_entry.param("num_slashes"))),
         16384,
     )
+    n = 512
+    inputs = make_inputs("clustered", n, seed=0)
+    for k in (64, 128, 256):
+        kw = {"num_verticals": k, "num_slashes": k}
+        built = plan_sparsity(METHODS["vertical_slash"].build(inputs, kw))
+        densest, causal = METHODS["vertical_slash"].cells(n, kw)
+        assert built.computed_cells <= densest * built.causal_cells // causal
 
 
 def test_flexprefill_alpha_rows_are_input_dependent():
@@ -511,3 +512,53 @@ def test_method_cells_match_built_plans(seed, n):
             report.computed_cells,
             report.causal_cells,
         ), method
+
+
+ONE_COUNT_METHODS = [m for m in METHOD_NAMES if METHODS[m].smallest is not None]
+SEARCH_TARGETS = (0.0, 0.3, 0.8, 0.95)
+
+
+@pytest.mark.parametrize("method", ONE_COUNT_METHODS)
+@settings(deadline=None, max_examples=10)
+@given(seed=st.integers(0, 10_000), n=st.integers(1, 300))
+@example(seed=0, n=1)
+@example(seed=1, n=15)
+@example(seed=2, n=16)
+@example(seed=3, n=17)
+@example(seed=4, n=100)
+@example(seed=5, n=200)
+def test_smallest_budget_matches_a_scan_of_built_plans(method, seed, n):
+    """The bisection returns the first table value whose built plan meets
+    the target, and flags a target that the smallest value's plan already
+    misses; n spans below FORCED_RECENT and the window, and partial last
+    blocks and pages."""
+    inputs = random_inputs(np.random.default_rng(seed), n, num_q_heads=2, num_kv_heads=1)
+    want = smallest_by_scan(method, inputs, SEARCH_TARGETS)
+    assert [smallest_budget(method, inputs, t) for t in SEARCH_TARGETS] == want
+
+
+@pytest.mark.parametrize("method", ONE_COUNT_METHODS)
+def test_smallest_budget_is_minimal_at_length_4100(method):
+    """At n = 4100 (a partial last block and page, several block row groups)
+    a scan of every value takes thousands of builds per row, so the result
+    is checked against its neighbour instead: it meets the target and the
+    value below it does not."""
+    n = 4100
+    inputs = random_inputs(np.random.default_rng(6), n, num_q_heads=2, num_kv_heads=1)
+    lo = METHODS[method].smallest(n)
+    for target in SEARCH_TARGETS:
+        count, reachable = smallest_budget(method, inputs, target)
+        if not reachable:
+            assert count == lo and built_sparsity(method, inputs, lo) < target
+        else:
+            assert built_sparsity(method, inputs, count) <= target
+            assert count == lo or built_sparsity(method, inputs, count - 1) > target
+
+
+def test_smallest_budget_needs_a_one_count_row():
+    inputs = make_inputs("clustered", 128, seed=0)
+    assert ONE_COUNT_METHODS == [m for m in METHOD_NAMES if m != "flexprefill"]
+    with pytest.raises(ValueError, match="not one count"):
+        smallest_budget("flexprefill", inputs, 0.5)
+    with pytest.raises(ValueError, match="target_sparsity"):
+        smallest_budget("quest", inputs, 1.0)

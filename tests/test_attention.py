@@ -24,7 +24,7 @@ from sparselab.patterns import (
     attention_recall,
     build_flexprefill,
     build_vertical_slash,
-    calibrate_vertical_slash,
+    smallest_budget,
     snapkv_compress,
     to_cell_mask,
 )
@@ -404,7 +404,7 @@ def test_window_is_scored_once_per_head(rng, monkeypatch, n):
     for capacity in (132, 140):
         snapkv_compress(inputs, capacity)
         ada_snapkv_compress(inputs, capacity)
-    calibrate_vertical_slash(inputs, 0.5)
+    smallest_budget("vertical_slash", inputs, 0.5)
     assert sorted(calls) == list(range(inputs.num_q_heads))
 
     stats = inputs.window_stats

@@ -13,14 +13,12 @@ from sparselab.patterns import (
     block_budget_cells,
     block_plan_cells,
     build_block_sparse,
-    calibrate_block_topk,
     plan_sparsity,
+    smallest_budget,
 )
-from sparselab.patterns import block_sparse
-from sparselab.patterns.accounting import _smallest_budget
 from sparselab.synthetic import make_inputs
 
-from conftest import random_inputs, tied_inputs
+from conftest import random_inputs, smallest_by_scan, tied_inputs
 
 
 def pooled_oracle_selection(inputs, head, top_k, block_size=16):
@@ -215,7 +213,7 @@ def test_selection_matches_stable_sort_reference(make, heads):
 
 def test_calibration_search(rng):
     inputs = make_inputs("clustered", 1024, seed=0)
-    search = calibrate_block_topk(inputs, 0.8)
+    search = smallest_budget("block_sparse", inputs, 0.8)
     assert search.target_reachable
     achieved = plan_sparsity(build_block_sparse(inputs, search.count)).achieved_sparsity
     assert achieved <= 0.8
@@ -227,24 +225,13 @@ def test_calibration_search(rng):
 
 
 @pytest.mark.parametrize("n", [1, 17, 200, 1024, 4100])
-def test_calibration_follows_the_build_without_building(rng, monkeypatch, n):
+def test_calibration_follows_the_build_without_building(rng, n):
     inputs = random_inputs(rng, n)
-    nb = -(-n // 16)
     targets = (0.0, 0.3, 0.8, 0.95)
-
-    def built(k):
-        return plan_sparsity(build_block_sparse(inputs, k)).achieved_sparsity
-
-    want = [_smallest_budget(2, nb, built, target) for target in targets]
-
-    def no_build(*args):
-        raise AssertionError("calibration built a plan")
-
-    monkeypatch.setattr(block_sparse, "build_block_sparse", no_build)
-    monkeypatch.setattr(attention, "_block_rank", no_build)
+    want = smallest_by_scan("block_sparse", inputs, targets)
     # the same arrays without the block rank the builds above filled
     fresh = AttentionInputs.from_arrays(inputs.queries, inputs.keys, inputs.values)
-    assert [calibrate_block_topk(fresh, target) for target in targets] == want
+    assert [smallest_budget("block_sparse", fresh, target) for target in targets] == want
 
 
 def repeated_key_blocks(rng, n):

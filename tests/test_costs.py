@@ -11,7 +11,6 @@ from sparselab.costs import (
     ParetoPoint,
     decode_memory,
     decode_speedup,
-    memory_in_bytes,
     model_presets,
     pareto_frontier,
     prefill_flops,
@@ -150,16 +149,6 @@ def test_indexing_hand_expansions():
     assert quest_indexing_memory(spec, 16) == 2 * 2 * 2 * 2 * d * (L / 16)
     with pytest.raises(ValueError):
         quest_indexing_memory(spec, 0)
-
-
-def test_memory_in_bytes_scaling():
-    report = decode_memory(TINY)
-    in_bytes = memory_in_bytes(report, TINY)
-    assert in_bytes.total == report.total * 2
-    assert in_bytes.units == "bytes"
-    assert in_bytes.attention_share == report.attention_share
-    with pytest.raises(ValueError):
-        memory_in_bytes(in_bytes, TINY)
 
 
 def test_model_presets_complete():

@@ -9,12 +9,11 @@ from sparselab.patterns import (
     plan_sparsity,
     quest_index,
     quest_plan,
-    quest_select,
 )
 from sparselab.patterns.quest import page_upper_bounds
 from sparselab.synthetic import make_inputs
 
-from conftest import random_inputs, tied_inputs
+from conftest import quest_at, random_inputs, tied_inputs
 
 
 def test_index_matches_naive_min_max(rng):
@@ -79,7 +78,7 @@ def test_selection_matches_score_oracle(rng, make):
 def test_current_page_always_selected(rng):
     inputs = random_inputs(rng, 256)
     for position in (0, 15, 16, 100, 255):
-        plan = quest_plan(inputs, 32, position=position)
+        plan = quest_at(inputs, 32, position)
         for pages in plan.selected:
             assert position // PAGE_SIZE in pages.tolist()
 
@@ -105,7 +104,7 @@ def test_budget_floor_division(rng):
 
 def test_partial_cache_position(rng):
     inputs = random_inputs(rng, 256)
-    plan = quest_plan(inputs, 64, position=70)
+    plan = quest_at(inputs, 64, 70)
     assert plan.position == 70
     for pages in plan.selected:
         assert pages[-1] <= 70 // PAGE_SIZE
@@ -159,7 +158,7 @@ def test_full_recall_includes_dense_row_mass(rng, position):
     log-sum-exp of every row stays uncached.  The all-pages plan covers
     everything."""
     inputs = random_inputs(rng, 128)
-    partial = quest_plan(inputs, 32, position=position)
+    partial = quest_at(inputs, 32, position)
     rows = page_plan_rows(partial, inputs.group_map)
     scale = 1.0 / np.sqrt(inputs.head_dim)
     want = []
@@ -170,7 +169,7 @@ def test_full_recall_includes_dense_row_mass(rng, position):
         want.append(w[tokens].sum() / w.sum())
     assert attention_recall(partial, inputs) == pytest.approx(float(np.mean(want)), abs=1e-12)
     assert "causal_lse" not in inputs.__dict__
-    full = quest_plan(inputs, 128, position=position)
+    full = quest_at(inputs, 128, position)
     assert attention_recall(full, inputs) == pytest.approx(1.0, abs=1e-12)
 
 

@@ -9,9 +9,8 @@ from sparselab.patterns import (
     attention_recall,
     build_flexprefill,
     build_vertical_slash,
-    calibrate_vertical_slash,
-    densest_vertical_slash_plan,
     plan_sparsity,
+    smallest_budget,
     vertical_slash_cells,
 )
 from sparselab.patterns.calibration import METHODS
@@ -91,7 +90,7 @@ def test_builds_below_the_forced_offsets(rng, n):
     )
     assert [v.tolist() for v in fallback.verticals] == [v.tolist() for v in plan.verticals]
     assert [s.tolist() for s in fallback.slashes] == [s.tolist() for s in plan.slashes]
-    search = calibrate_vertical_slash(inputs, 0.5)
+    search = smallest_budget("vertical_slash", inputs, 0.5)
     assert search.count == n
 
 
@@ -107,7 +106,7 @@ def test_builds_below_the_observation_window(rng, n):
     verticals, slashes = flexprefill_oracle(inputs, 0.5, 68)
     assert [v.tolist() for v in flex.verticals] == verticals
     assert [s.tolist() for s in flex.slashes] == slashes
-    search = calibrate_vertical_slash(inputs, 0.3)
+    search = smallest_budget("vertical_slash", inputs, 0.3)
     assert FORCED_LOCAL <= search.count <= n
 
 
@@ -287,8 +286,6 @@ def test_densest_plan_is_cell_maximal():
         v = np.sort(rng.choice(n, size=kv, replace=False))
         s = np.sort(rng.choice(n, size=ks, replace=False))
         assert vertical_slash_cells(v, s, n) <= packed
-    plan = densest_vertical_slash_plan(2, n, kv, ks)
-    assert plan_sparsity(plan).computed_cells == 2 * packed
 
 
 def test_uniform_logit_recall_matches_closed_form():
@@ -313,7 +310,7 @@ def test_calibration_search_converges():
     # the forced 64-offset floor caps achievable sparsity near 0.56 at n=512
     inputs = make_inputs("clustered", 512, seed=1)
     target = 0.45
-    search = calibrate_vertical_slash(inputs, target)
+    search = smallest_budget("vertical_slash", inputs, target)
     assert search.target_reachable
     achieved = plan_sparsity(
         build_vertical_slash(inputs, search.count, search.count)
@@ -328,5 +325,5 @@ def test_calibration_search_converges():
 
 def test_calibration_unreachable_flag():
     inputs = make_inputs("uniform", 128, seed=0)
-    search = calibrate_vertical_slash(inputs, 0.01)
+    search = smallest_budget("vertical_slash", inputs, 0.01)
     assert not search.target_reachable
