@@ -2,8 +2,7 @@
 and single-row decode.
 
 Everything runs in float64 with the numerically stable softmax (row-max
-subtraction).  A mask is one boolean cell matrix per query head, so its cell
-count is an exact integer.
+subtraction).
 
 Prefill runs one pass over tiles of query rows.  A tile is one or more
 blocks of scaled logits that together hold each of its rows' permitted
@@ -11,7 +10,7 @@ cells once, with -inf at the holes a block carries; the pass takes one row
 peak over all of a tile's blocks, raises the holes to a finite floor before
 exp and zeroes them after it (no -inf reaches exp), and merges the blocks'
 softmax sums and value products by that shared peak, the log-sum-exp merge
-of FlashAttention.  Three producers read tiles from a mask's geometry:
+of FlashAttention.  Two producers read tiles from a plan's geometry:
 
 - ``column_tiles``: whole key columns plus diagonals, as MInference splits a
   vertical-slash pattern.  The columns' keys and values are gathered once
@@ -23,12 +22,10 @@ of FlashAttention.  Three producers read tiles from a mask's geometry:
   belongs to the column.
 - ``block_tiles``: chosen ``TILE_ROWS``-token key blocks per query block;
   only a query block's own diagonal block has holes.
-- bitmap tiles: any boolean mask, each ``TILE_ROWS``-row tile over the
-  union of its rows' columns.  A hand-built ``CellMask`` runs these; a mask
-  built from a plan carries its plan's producer and runs that.
 
-Dense prefill is the column plan that keeps every key column, so a measured
-sparse speedup compares one producer at two densities.
+``masked_attention`` runs the tiles a mask's plan yields and reads no
+boolean cell matrix.  Dense prefill is the column plan that keeps every key
+column, so a measured sparse speedup compares one producer at two densities.
 
 Kernel time therefore grows with the cells a plan keeps, not with n².  The
 same pass gives each row's log-sum-exp, which ``AttentionInputs.causal_lse``
@@ -46,9 +43,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property, partial
-from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
+from typing import TYPE_CHECKING, Callable, Iterable, Iterator, NamedTuple, Sequence
 
 import numpy as np
+
+if TYPE_CHECKING:
+    from .patterns.accounting import CellMask
 
 __all__ = [
     "APPROX_WINDOW",
@@ -56,9 +56,7 @@ __all__ = [
     "AttentionInputs",
     "AttentionOutput",
     "WindowStats",
-    "CellMask",
     "block_tiles",
-    "check_causal_bitmap",
     "column_tiles",
     "default_group_map",
     "dense_prefill",
@@ -67,7 +65,7 @@ __all__ = [
     "decode_step",
 ]
 
-# Tokens per key block and query rows per block or bitmap tile.  The
+# Tokens per key block and query rows per block tile.  The
 # block-sparse BLOCK_SIZE and the Quest PAGE_SIZE are this size, so a block
 # plan's tile reads exactly its chosen key blocks.
 TILE_ROWS = 16
@@ -224,64 +222,6 @@ class AttentionOutput:
     output: np.ndarray
 
 
-def check_causal_bitmap(cells: np.ndarray, name: str, row: str, key: str) -> None:
-    """Raise ValueError unless ``cells`` is a boolean [heads, m, m] array
-    with nothing above the diagonal and a member in every row; messages name
-    the array and its ``row`` and ``key`` units."""
-    if not isinstance(cells, np.ndarray) or cells.dtype != bool:
-        raise ValueError(f"{name} must be a boolean ndarray")
-    if cells.ndim != 3 or cells.shape[1] != cells.shape[2]:
-        raise ValueError(f"{name} must be a square [heads, m, m] array, got shape {cells.shape}")
-    ahead = cells & ~np.tri(cells.shape[1], dtype=bool)
-    if ahead.any():
-        h, i, j = np.argwhere(ahead)[0]
-        raise ValueError(f"head {h} {row} {i} selects non-causal {key} {j}")
-    empty = np.argwhere(~cells.any(axis=2))
-    if empty.size:
-        raise ValueError(f"head {empty[0, 0]} {row} {empty[0, 1]} selects no {key}")
-
-
-class CellMask:
-    """Permitted cells of every query head: ``cells[h, i, j]`` lets query
-    row i of head h read key j.
-
-    ``cells`` is a boolean [num_heads, seq_len, seq_len] array.  Every row
-    must keep at least one key and may never look ahead of its own position.
-    ``tiles``, when given, yields the same cells of one head from the
-    geometry they came from, ``tiles(inputs, head)``, and the kernel reads
-    those tiles instead of the bitmap.
-    """
-
-    __slots__ = ("cells", "tiles")
-
-    def __init__(
-        self,
-        cells: np.ndarray,
-        tiles: Callable[[AttentionInputs, int], Iterable[Tile]] | None = None,
-    ):
-        check_causal_bitmap(cells, "mask", "row", "key")
-        self.cells = cells
-        self.tiles = tiles
-
-    @classmethod
-    def full_causal(cls, num_heads: int, seq_len: int) -> "CellMask":
-        return cls(np.tril(np.ones((num_heads, seq_len, seq_len), dtype=bool)))
-
-    @property
-    def num_heads(self) -> int:
-        return self.cells.shape[0]
-
-    @property
-    def seq_len(self) -> int:
-        return self.cells.shape[1]
-
-    def row(self, head: int, i: int) -> np.ndarray:
-        return np.flatnonzero(self.cells[head, i])
-
-    def num_cells(self) -> int:
-        return int(np.count_nonzero(self.cells))
-
-
 def _stable_softmax(logits: np.ndarray) -> np.ndarray:
     """Softmax over the last axis, computed in place in ``logits``."""
     logits -= logits.max(axis=-1, keepdims=True)
@@ -422,18 +362,6 @@ def _head_arrays(inputs: AttentionInputs, head: int):
     g = inputs.group_map[head]
     queries = inputs.queries[head] * (1.0 / np.sqrt(inputs.head_dim))
     return queries, inputs.keys[g], inputs.values[g]
-
-
-def _bitmap_tiles(inputs: AttentionInputs, head: int, cells: np.ndarray) -> Iterator[Tile]:
-    """Tiles of one head's boolean [n, n] cells: each TILE_ROWS-row tile
-    reads the union of its rows' key columns."""
-    queries, keys, values = _head_arrays(inputs, head)
-    for start in range(0, inputs.seq_len, TILE_ROWS):
-        rows = slice(start, min(start + TILE_ROWS, inputs.seq_len))
-        cols = np.flatnonzero(cells[rows].any(axis=0))
-        logits = queries[rows] @ keys[cols].T
-        np.copyto(logits, -np.inf, where=~cells[rows, cols])
-        yield rows, [_Part(logits, 0, _times(values[cols]))]
 
 
 def column_tiles(
@@ -605,7 +533,7 @@ def row_logsumexp(
             acc = parts[0].weigh(parts[0].logits)
             for part in parts[1:]:
                 acc += part.weigh(part.logits)
-            # a CellMask row is never empty, so no total is zero
+            # prefill tiles give every row a cell, so no total is zero
             out[rows] = acc / total[:, None]
     with np.errstate(divide="ignore"):
         return peaks + np.log(totals)
@@ -626,18 +554,17 @@ def dense_prefill(inputs: AttentionInputs) -> AttentionOutput:
 
 
 def masked_attention(inputs: AttentionInputs, mask: CellMask) -> AttentionOutput:
-    """Attention restricted to the mask's cells; softmax renormalizes per row
-    over the permitted keys only.  A mask built from a plan runs its plan's
-    tiles; any other runs the bitmap tiles."""
+    """Attention restricted to a mask's cells; softmax renormalizes per row
+    over the permitted keys only.  The kernel reads the mask's
+    ``num_heads``, ``seq_len`` and ``tiles(inputs, head)``, the tiles of
+    one head's cells."""
     h, n = inputs.num_q_heads, inputs.seq_len
     if mask.num_heads != h or mask.seq_len != n:
         raise ValueError(
             f"mask shape ({mask.num_heads} heads, {mask.seq_len}) does not match "
             f"inputs ({h} heads, {n})"
         )
-    if mask.tiles is not None:
-        return _prefill(inputs, partial(mask.tiles, inputs))
-    return _prefill(inputs, lambda head: _bitmap_tiles(inputs, head, mask.cells[head]))
+    return _prefill(inputs, partial(mask.tiles, inputs))
 
 
 def decode_step(

@@ -8,20 +8,14 @@ decode step.
 
 from __future__ import annotations
 
-from functools import partial
+from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterator
 
 import numpy as np
 from numpy.lib.stride_tricks import as_strided
 
-from ..attention import (
-    AttentionInputs,
-    CellMask,
-    Tile,
-    block_tiles,
-    column_tiles,
-    row_logsumexp,
-)
+from ..attention import AttentionInputs, Tile, block_tiles, column_tiles, row_logsumexp
 from .plans import (
     BLOCK_SIZE,
     PAGE_SIZE,
@@ -35,6 +29,7 @@ from .plans import (
 )
 
 __all__ = [
+    "CellMask",
     "plan_sparsity",
     "attention_recall",
     "to_cell_mask",
@@ -163,30 +158,72 @@ def plan_tiles(
     raise TypeError(f"no prefill tiles for {type(plan).__name__}")
 
 
-def to_cell_mask(plan: SparsePlan, group_map: tuple[int, ...]) -> CellMask:
-    """Write each query head's cells into one bitmap mask, which also
-    remembers the plan: the kernel runs the plan's tiles on it.
+@dataclass(frozen=True)
+class CellMask:
+    """The cells of a prefill-style plan, as ``to_cell_mask`` returns them:
+    the kernel reads ``num_heads``, ``seq_len`` and each head's ``tiles``.
+    ``cells[h, i, j]``, true where query row i of head h reads key j, is
+    expanded from the plan when first read and cached read-only."""
 
-    Vertical-slash and block plans are per query head already; eviction plans
-    are per kv head, expanded once per kv head and copied to its query heads
-    through ``group_map``.  Page plans constrain a single decode row only, so
+    plan: VerticalSlashPlan | BlockPlan | EvictionPlan
+    group_map: tuple[int, ...]
+
+    @property
+    def num_heads(self) -> int:
+        # an eviction plan is per kv head, read by query heads through group_map
+        return len(self.group_map) if isinstance(self.plan, EvictionPlan) else self.plan.num_heads
+
+    @property
+    def seq_len(self) -> int:
+        return self.plan.seq_len
+
+    def tiles(self, inputs: AttentionInputs, head: int) -> Iterator[Tile]:
+        return plan_tiles(self.plan, self.group_map, inputs, head)
+
+    @cached_property
+    def cells(self) -> np.ndarray:
+        plan, n = self.plan, self.seq_len
+        causal = _lower_toeplitz(np.ones(n, dtype=bool))
+        cells = np.empty((self.num_heads, n, n), dtype=bool)
+        if isinstance(plan, EvictionPlan):
+            # each kv head is expanded once and copied to its query heads
+            for g in sorted(set(self.group_map)):
+                first, *rest = [h for h, kv in enumerate(self.group_map) if kv == g]
+                _plan_mask_matrix(plan, g, causal, cells[first])
+                cells[rest] = cells[first]
+        else:
+            for h in range(self.num_heads):
+                _plan_mask_matrix(plan, h, causal, cells[h])
+        cells.flags.writeable = False
+        return cells
+
+    def row(self, head: int, i: int) -> np.ndarray:
+        return np.flatnonzero(self.cells[head, i])
+
+    def num_cells(self) -> int:
+        return int(np.count_nonzero(self.cells))
+
+
+def to_cell_mask(plan: SparsePlan, group_map: tuple[int, ...]) -> CellMask:
+    """The plan's mask; no cell is written until ``cells`` is read.
+
+    Raises ValueError naming the first query head whose row 0 reads no key:
+    no vertical 0 or slash 0, or no kept token 0.  Those cells lie in every
+    row, and a block plan's query block 0 always reads key block 0, so no
+    other row can be empty.  Page plans constrain a single decode row, so
     they have no full-mask view (use page_plan_rows).
     """
     if isinstance(plan, PagePlan):
         raise TypeError("page plans constrain one decode row; use page_plan_rows")
-    n = plan.seq_len
-    causal = _lower_toeplitz(np.ones(n, dtype=bool))
-    if isinstance(plan, EvictionPlan):
-        cells = np.empty((len(group_map), n, n), dtype=bool)
-        for g in sorted(set(group_map)):
-            first, *rest = [h for h, kv in enumerate(group_map) if kv == g]
-            _plan_mask_matrix(plan, g, causal, cells[first])
-            cells[rest] = cells[first]
+    if isinstance(plan, VerticalSlashPlan):
+        empty = [v[0] > 0 and s[0] > 0 for v, s in zip(plan.verticals, plan.slashes)]
+    elif isinstance(plan, EvictionPlan):
+        empty = [plan.kept[g][0] > 0 for g in group_map]
     else:
-        cells = np.empty((plan.num_heads, n, n), dtype=bool)
-        for h in range(plan.num_heads):
-            _plan_mask_matrix(plan, h, causal, cells[h])
-    return CellMask(cells, tiles=partial(plan_tiles, plan, group_map))
+        empty = []
+    if any(empty):
+        raise ValueError(f"head {empty.index(True)} row 0 selects no key")
+    return CellMask(plan, tuple(group_map))
 
 
 def page_plan_rows(plan: PagePlan, group_map: tuple[int, ...]) -> list[np.ndarray]:

@@ -2,17 +2,18 @@
 
 A plan is a pure description of which attention cells (or cached tokens, or
 pages) a method keeps.  Builders never touch the values tensor; execution and
-accounting consume plans separately.
+accounting consume plans separately.  Id arrays arrive sorted and unique,
+as ``np.flatnonzero`` gives them; a plan checks that and does not sort.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Union
 
 import numpy as np
 
-from ..attention import TILE_ROWS, check_causal_bitmap
+from ..attention import TILE_ROWS
 
 __all__ = [
     "BLOCK_SIZE",
@@ -38,8 +39,32 @@ def span_lengths(ids: np.ndarray, n: int) -> np.ndarray:
     return np.minimum(BLOCK_SIZE, n - BLOCK_SIZE * np.asarray(ids, dtype=np.int64))
 
 
-def _sorted_unique(arr: np.ndarray) -> np.ndarray:
-    return np.unique(np.asarray(arr, dtype=np.int64))
+def _increasing(arrays: tuple[np.ndarray, ...], field: str) -> tuple[np.ndarray, ...]:
+    """Each array of ids as int64; raise ValueError unless it is 1-d and
+    strictly increasing (sorted, no id twice)."""
+    out = tuple(np.asarray(a, dtype=np.int64) for a in arrays)
+    for a in out:
+        if a.ndim != 1 or (a[1:] <= a[:-1]).any():
+            raise ValueError(f"{field} must be 1-d arrays of strictly increasing ids")
+    return out
+
+
+def _check_causal_bitmap(sel: np.ndarray) -> None:
+    """Raise ValueError unless ``sel`` is a boolean [heads, nb, nb] array
+    with no key block after its query block and a key block in every row."""
+    if not isinstance(sel, np.ndarray) or sel.dtype != bool:
+        raise ValueError("block selections must be a boolean ndarray")
+    if sel.ndim != 3 or sel.shape[1] != sel.shape[2]:
+        raise ValueError(
+            f"block selections must be a square [heads, nb, nb] array, got shape {sel.shape}"
+        )
+    ahead = sel & ~np.tri(sel.shape[1], dtype=bool)
+    if ahead.any():
+        h, i, j = np.argwhere(ahead)[0]
+        raise ValueError(f"head {h} query block {i} selects non-causal key block {j}")
+    empty = np.argwhere(~sel.any(axis=2))
+    if empty.size:
+        raise ValueError(f"head {empty[0, 0]} query block {empty[0, 1]} selects no key block")
 
 
 @dataclass(frozen=True)
@@ -54,8 +79,8 @@ class VerticalSlashPlan:
     def __post_init__(self) -> None:
         if len(self.verticals) != len(self.slashes):
             raise ValueError("verticals and slashes must cover the same heads")
-        object.__setattr__(self, "verticals", tuple(_sorted_unique(v) for v in self.verticals))
-        object.__setattr__(self, "slashes", tuple(_sorted_unique(s) for s in self.slashes))
+        object.__setattr__(self, "verticals", _increasing(self.verticals, "verticals"))
+        object.__setattr__(self, "slashes", _increasing(self.slashes, "slashes"))
         n = self.seq_len
         for v, s in zip(self.verticals, self.slashes):
             if v.size == 0 or v[0] < 0 or v[-1] >= n:
@@ -83,7 +108,7 @@ class BlockPlan:
 
     def __post_init__(self) -> None:
         sel = self.selections
-        check_causal_bitmap(sel, "block selections", "query block", "key block")
+        _check_causal_bitmap(sel)
         nb = self.num_query_blocks
         if sel.shape[1] != nb:
             raise ValueError(
@@ -112,7 +137,7 @@ class EvictionPlan:
     seq_len: int
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "kept", tuple(_sorted_unique(k) for k in self.kept))
+        object.__setattr__(self, "kept", _increasing(self.kept, "kept"))
         for k in self.kept:
             if k.size == 0 or k[0] < 0 or k[-1] >= self.seq_len:
                 raise ValueError("kept indices must lie in [0, seq_len)")
@@ -163,7 +188,7 @@ class PagePlan:
     position: int
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "selected", tuple(_sorted_unique(s) for s in self.selected))
+        object.__setattr__(self, "selected", _increasing(self.selected, "selected"))
         if len(self.selected) != self.index.num_heads:
             raise ValueError("one page selection per kv head required")
         current = self.position // PAGE_SIZE

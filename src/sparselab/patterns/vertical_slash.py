@@ -68,14 +68,13 @@ class FlexPrefillConfig:
     """Coverage-driven budgets: per head, select the smallest score-ranked
     prefix of candidate units (one vertical or one slash each) whose summed
     window mass reaches ``alpha`` of the total, then pad to ``min_budget``
-    units.  ``alpha=0`` reverts to the uniform builder with
-    ``fallback_counts`` verticals and slashes (``min_budget`` of each when
-    unset), lifted to the forced units that every ``alpha > 0`` build keeps;
-    ``alpha=1`` selects every candidate unit."""
+    units.  ``alpha=0`` reverts to the uniform builder with ``min_budget``
+    verticals and ``min_budget`` slashes, lifted to the forced units that
+    every ``alpha > 0`` build keeps; ``alpha=1`` selects every candidate
+    unit."""
 
     alpha: float
     min_budget: int = 512
-    fallback_counts: tuple[int, int] | None = None
 
     def __post_init__(self) -> None:
         if not 0.0 <= self.alpha <= 1.0:
@@ -85,8 +84,8 @@ class FlexPrefillConfig:
 
     def uniform_counts(self, n: int) -> tuple[int, int]:
         """(verticals, slashes) of the ``alpha=0`` build at length n."""
-        kv, ks = self.fallback_counts or (self.min_budget, self.min_budget)
-        return min(max(kv, FORCED_PREFIX), n), min(max(ks, FORCED_LOCAL), n)
+        k = self.min_budget
+        return min(max(k, FORCED_PREFIX), n), min(max(k, FORCED_LOCAL), n)
 
 
 def build_flexprefill(

@@ -11,8 +11,17 @@ import math
 import numpy as np
 import pytest
 
-from sparselab.attention import AttentionInputs, CellMask
-from sparselab.patterns import PagePlan, plan_sparsity, quest_index, quest_select
+from sparselab.attention import AttentionInputs
+from sparselab.patterns import (
+    BLOCK_SIZE,
+    BlockPlan,
+    EvictionPlan,
+    PagePlan,
+    plan_sparsity,
+    quest_index,
+    quest_select,
+)
+from sparselab.patterns.accounting import CellMask
 from sparselab.patterns.calibration import METHODS, CalibrationSearch
 
 
@@ -53,6 +62,25 @@ def identity_values(inputs: AttentionInputs) -> AttentionInputs:
 def is_superset_of(big: CellMask, small: CellMask) -> bool:
     """Every cell of ``small`` is a cell of ``big`` (same shape)."""
     return big.cells.shape == small.cells.shape and not (small.cells & ~big.cells).any()
+
+
+def plan_cells_oracle(plan, group_map: tuple[int, ...]) -> np.ndarray:
+    """Boolean [query heads, n, n] cells of a prefill-style plan, from its
+    fields by broadcasting: a block plan's chosen key blocks, an eviction
+    plan's kept tokens of each query head's kv head, a vertical-slash
+    plan's columns and offsets, each cut to the causal triangle."""
+    n = plan.seq_len
+    rows, cols = np.arange(n)[:, None], np.arange(n)[None, :]
+    if isinstance(plan, BlockPlan):
+        heads = [sel[rows // BLOCK_SIZE, cols // BLOCK_SIZE] for sel in plan.selections]
+    elif isinstance(plan, EvictionPlan):
+        heads = [np.isin(cols, plan.kept[g]) for g in group_map]
+    else:
+        heads = [
+            np.isin(cols, v) | np.isin(rows - cols, s)
+            for v, s in zip(plan.verticals, plan.slashes)
+        ]
+    return np.stack([(cols <= rows) & cells for cells in heads])
 
 
 def window_mass_oracle(weights: np.ndarray, seq_len: int):

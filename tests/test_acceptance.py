@@ -19,7 +19,7 @@ import numpy as np
 import pytest
 
 from conftest import naive_attention, random_inputs
-from sparselab.attention import CellMask, dense_prefill, masked_attention
+from sparselab.attention import dense_prefill, masked_attention
 from sparselab.costs import (
     ParetoPoint,
     decode_memory,
@@ -40,6 +40,7 @@ from sparselab.patterns import (
     build_vertical_slash,
     plan_sparsity,
     snapkv_compress,
+    to_cell_mask,
 )
 from sparselab.patterns.calibration import (
     build_plan,
@@ -236,7 +237,7 @@ def test_criterion_06_oracle_equivalence():
         slow = naive_attention(inputs)
         assert np.max(np.abs(fast - slow)) <= 1e-6
     inputs = random_inputs(np.random.default_rng(7), 128)
-    full = CellMask.full_causal(inputs.num_q_heads, 128)
+    full = to_cell_mask(build_block_sparse(inputs, 8), inputs.group_map)
     gap = np.abs(masked_attention(inputs, full).output - dense_prefill(inputs).output)
     assert np.max(gap) <= 1e-7
     assert time.perf_counter() - started < 60.0
@@ -304,8 +305,8 @@ def test_criterion_07_flexprefill_zero_alpha_is_vertical_slash():
     started = time.perf_counter()
     for seed in range(20):
         inputs = make_inputs("clustered", 512, seed=seed)
-        fallback = build_vertical_slash(inputs, 24, 80)
-        config = FlexPrefillConfig(alpha=0.0, min_budget=68, fallback_counts=(24, 80))
+        fallback = build_vertical_slash(inputs, 68, 68)
+        config = FlexPrefillConfig(alpha=0.0, min_budget=68)
         flex = build_flexprefill(inputs, config)
         for head in range(inputs.num_q_heads):
             assert np.array_equal(flex.verticals[head], fallback.verticals[head])

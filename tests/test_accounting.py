@@ -7,12 +7,15 @@ from sparselab.patterns import (
     BLOCK_SIZE,
     PAGE_SIZE,
     BlockPlan,
+    EvictionPlan,
     FlexPrefillConfig,
     FORCED_FIRST,
     FORCED_LOCAL,
     FORCED_PREFIX,
     FORCED_RECENT,
     ORACLE_LIMIT,
+    PagePlan,
+    VerticalSlashPlan,
     ada_snapkv_compress,
     attention_recall,
     build_block_sparse,
@@ -23,6 +26,7 @@ from sparselab.patterns import (
     page_plan_rows,
     plan_sparsity,
     predicted_sparsity,
+    quest_index,
     quest_plan,
     smallest_budget,
     snapkv_compress,
@@ -219,12 +223,18 @@ def test_vertical_slash_and_flexprefill_properties(seed, n, kv):
     assert_nested(uniform, "slashes")
 
     min_budget = int(rng.integers(1, 2 * n + 1))
-    config = dict(min_budget=min_budget, fallback_counts=budgets[0])
-    fallback = build_flexprefill(inputs, FlexPrefillConfig(alpha=0.0, **config))
-    for a, b in zip(fallback.verticals + fallback.slashes, uniform[0].verticals + uniform[0].slashes):
+    fallback = build_flexprefill(inputs, FlexPrefillConfig(alpha=0.0, min_budget=min_budget))
+    # alpha = 0 keeps min_budget of each, lifted to the forced units
+    lifted = build_vertical_slash(
+        inputs, min(max(min_budget, FORCED_PREFIX), n), min(max(min_budget, FORCED_LOCAL), n)
+    )
+    for a, b in zip(fallback.verticals + fallback.slashes, lifted.verticals + lifted.slashes):
         assert np.array_equal(a, b)
     alphas = sorted({float(rng.uniform(0.01, 1.0)), float(rng.uniform(0.01, 1.0)), 1.0})
-    flex = [build_flexprefill(inputs, FlexPrefillConfig(alpha=a, **config)) for a in alphas]
+    flex = [
+        build_flexprefill(inputs, FlexPrefillConfig(alpha=a, min_budget=min_budget))
+        for a in alphas
+    ]
     for plan in flex:
         check_vs_plan(plan, inputs)
         for v, s in zip(plan.verticals, plan.slashes):
@@ -356,6 +366,23 @@ def test_eviction_mask_expansion(rng):
         for i in range(300):
             row = set(mask.row(h, i).tolist())
             assert row == {j for j in kept if j <= i}
+
+
+@pytest.mark.parametrize("ids", [[3, 1], [1, 1]], ids=["unsorted", "repeated"])
+def test_plans_take_sorted_unique_ids(rng, ids):
+    """Vertical-slash, eviction and page plans take each head's ids sorted
+    and unique, and refuse any other list by its field's name."""
+    good = [0, 1]
+    index = quest_index(rng.normal(size=(1, 32, 4)))
+    for make, field in (
+        (lambda x: VerticalSlashPlan((x,), (good,), seq_len=8), "verticals"),
+        (lambda x: VerticalSlashPlan((good,), (x,), seq_len=8), "slashes"),
+        (lambda x: EvictionPlan((x,), seq_len=8), "kept"),
+        (lambda x: PagePlan(index, (x,), position=31), "selected"),
+    ):
+        make(good)
+        with pytest.raises(ValueError, match=f"{field} must be 1-d arrays of strictly increasing"):
+            make(ids)
 
 
 def test_page_plan_has_no_mask_view(rng):

@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 from sparselab import attention
 from sparselab.attention import (
     AttentionInputs,
-    CellMask,
     decode_step,
     default_group_map,
     dense_prefill,
@@ -35,6 +34,7 @@ from conftest import (
     identity_values,
     is_superset_of,
     naive_attention,
+    plan_cells_oracle,
     random_inputs,
     window_mass_oracle,
 )
@@ -55,9 +55,12 @@ def test_dense_matches_naive_oracle(rng):
 
 
 def test_full_mask_equals_dense(rng):
-    """Outputs agree, and so do the weight rows read through identity values."""
+    """A block plan that keeps every causal block against dense prefill:
+    outputs agree, and so do the weight rows read through identity values."""
     inputs = random_inputs(rng, 96, head_dim=96)
-    mask = CellMask.full_causal(inputs.num_q_heads, inputs.seq_len)
+    nb = 96 // BLOCK_SIZE
+    every = np.tri(nb, dtype=bool)[None].repeat(inputs.num_q_heads, axis=0)
+    mask = to_cell_mask(BlockPlan(every, seq_len=96), inputs.group_map)
     for probe in (inputs, identity_values(inputs)):
         dense = dense_prefill(probe)
         masked = masked_attention(probe, mask)
@@ -67,27 +70,25 @@ def test_full_mask_equals_dense(rng):
 def test_masked_weights_renormalize_over_support(rng):
     inputs = identity_values(random_inputs(rng, 40, head_dim=40))
     h, n = inputs.num_q_heads, inputs.seq_len
-    # a random density per row; the diagonal keeps every row non-empty
-    cells = np.tril(rng.random((h, n, n)) < rng.random((h, n, 1)))
-    cells[:, np.arange(n), np.arange(n)] = True
-    mask = CellMask(cells)
-    # identity values make each output row the row's weights
-    weights = masked_attention(inputs, mask).output
-    assert np.abs(weights.sum(axis=2) - 1.0).max() <= 1e-6
-    # nothing outside the permitted support
-    for head in range(h):
-        off = weights[head][~mask.cells[head]]
-        assert np.all(off == 0.0)
+    for plan in random_prefill_plans(rng, n, h, inputs.num_kv_heads):
+        mask = to_cell_mask(plan, inputs.group_map)
+        # identity values make each output row the row's weights
+        weights = masked_attention(inputs, mask).output
+        assert np.abs(weights.sum(axis=2) - 1.0).max() <= 1e-6
+        # nothing outside the permitted support
+        for head in range(h):
+            off = weights[head][~mask.cells[head]]
+            assert np.all(off == 0.0)
 
 
 def test_decode_step_matches_masked_last_row(rng):
+    """The last row of an eviction plan's mask is a decode step over its
+    kept tokens."""
     inputs = random_inputs(rng, 64)
     n = inputs.seq_len
-    row = np.sort(rng.choice(n, size=17, replace=False))
-    cells = np.tril(np.ones((4, n, n), dtype=bool))
-    cells[:, -1] = False
-    cells[:, -1, row] = True
-    full = masked_attention(inputs, CellMask(cells))
+    row = np.union1d(rng.choice(n, size=17, replace=False), [0])
+    plan = EvictionPlan((row,) * inputs.num_kv_heads, seq_len=n)
+    full = masked_attention(inputs, to_cell_mask(plan, inputs.group_map))
     step = decode_step(inputs, row)
     assert np.abs(step.output[:, 0] - full.output[:, -1]).max() <= 1e-12
 
@@ -137,16 +138,19 @@ def test_kv_head_permutation_equivariance(rng):
 
 def test_superset_mask_mean_error_monotone():
     """On planted inputs, enlarging a mask does not increase the mean error
-    against dense output (checked as an average over seeds)."""
-    i, j = np.arange(128)[:, None], np.arange(128)[None, :]
-    small = (j <= i) & ((j == 0) | (i - j <= 8))
-    big = small | ((j <= i) & (j % 4 == 0))
+    against dense output (checked as an average over seeds).  Both masks
+    keep offsets 0..8; the small one keeps column 0, the big one every
+    fourth column."""
+    slashes = np.arange(9)
     deltas = []
     for seed in range(20):
         inputs = make_inputs("planted", 128, seed=seed, needle_positions=(40, 90))
         dense = dense_prefill(inputs).output
-        small_mask = CellMask(np.repeat(small[None], inputs.num_q_heads, axis=0))
-        big_mask = CellMask(np.repeat(big[None], inputs.num_q_heads, axis=0))
+        heads = inputs.num_q_heads
+        small = VerticalSlashPlan((np.array([0]),) * heads, (slashes,) * heads, seq_len=128)
+        big = VerticalSlashPlan((np.arange(0, 128, 4),) * heads, (slashes,) * heads, seq_len=128)
+        small_mask = to_cell_mask(small, inputs.group_map)
+        big_mask = to_cell_mask(big, inputs.group_map)
         assert is_superset_of(big_mask, small_mask)
         err_small = np.abs(masked_attention(inputs, small_mask).output - dense).mean()
         err_big = np.abs(masked_attention(inputs, big_mask).output - dense).mean()
@@ -191,22 +195,13 @@ def full_matrix_reference(inputs, cells):
 @example(seed=2, n=32, kv=1)
 @example(seed=3, n=70, kv=2)
 def test_tiled_kernels_match_full_matrix_reference(seed, n, kv):
-    """dense_prefill and masked_attention against the full-matrix softmax:
-    below one tile, at whole tiles and with a partial last tile."""
+    """dense_prefill against the full-matrix softmax: below one tile, at
+    whole tiles and with a partial last tile."""
     rng = np.random.default_rng(seed)
     inputs = random_inputs(rng, n, num_q_heads=2 * kv, num_kv_heads=kv)
-    h = inputs.num_q_heads
-    cells = np.tril(rng.random((h, n, n)) < rng.random((h, n, 1)))
-    # one random causal key per row keeps every row non-empty
-    rows = np.arange(n)
-    picks = (rng.random((h, n)) * (rows + 1)).astype(int)
-    cells[np.arange(h)[:, None], rows, picks] = True
-    causal = np.broadcast_to(np.tri(n, dtype=bool), (h, n, n))
-    for got, support in (
-        (dense_prefill(inputs), causal),
-        (masked_attention(inputs, CellMask(cells)), cells),
-    ):
-        assert np.abs(got.output - full_matrix_reference(inputs, support)).max() <= 1e-12
+    causal = np.broadcast_to(np.tri(n, dtype=bool), (inputs.num_q_heads, n, n))
+    got = dense_prefill(inputs).output
+    assert np.abs(got - full_matrix_reference(inputs, causal)).max() <= 1e-12
 
 
 S = attention.SPAN_ROWS
@@ -251,7 +246,7 @@ def random_prefill_plans(rng, n, heads, kv_heads, with_first=True):
 
     def members():
         picked = np.flatnonzero(rng.random(n) < rng.uniform(0.05, 0.6))
-        return np.append(picked[picked >= low], 0 if with_first else n - 1)
+        return np.union1d(picked[picked >= low], [0 if with_first else n - 1])
 
     vs = VerticalSlashPlan(
         tuple(members() for _ in range(heads)),
@@ -279,19 +274,16 @@ def random_prefill_plans(rng, n, heads, kv_heads, with_first=True):
 def test_plan_tiles_match_full_matrix_reference(seed, n, kv):
     """Vertical-slash (offset 0, verticals over the slashes), block (a
     partial last block) and eviction plans (1:1 and 2:1 group maps): the
-    kernel on a plan's mask (plan tiles) and on the same bitmap alone
-    (bitmap tiles), and the recall, against the full-matrix softmax.  A
-    row with no cells has a log-sum-exp of -inf."""
+    kernel on a plan's mask and the recall against the full-matrix
+    softmax.  A row with no cells has a log-sum-exp of -inf."""
     rng = np.random.default_rng(seed)
     heads = kv * int(rng.choice([1, 2]))
     inputs = random_inputs(rng, n, num_q_heads=heads, num_kv_heads=kv)
     for plan in random_prefill_plans(rng, n, heads, kv):
         mask = to_cell_mask(plan, inputs.group_map)
-        assert mask.tiles is not None
         want = full_matrix_reference(inputs, mask.cells)
-        for kernel_mask in (mask, CellMask(mask.cells.copy())):
-            got = masked_attention(inputs, kernel_mask).output
-            assert np.abs(got - want).max() <= 1e-12
+        got = masked_attention(inputs, mask).output
+        assert np.abs(got - want).max() <= 1e-12
         assert attention_recall(plan, inputs) == pytest.approx(
             full_matrix_recall(inputs, mask.cells), abs=1e-12
         )
@@ -339,8 +331,42 @@ def test_recall_builds_no_bitmap(rng, monkeypatch):
 
     monkeypatch.setattr(accounting, "_plan_mask_matrix", refuse)
     monkeypatch.setattr(accounting, "CellMask", refuse)
-    monkeypatch.setattr(attention, "CellMask", refuse)
     assert [attention_recall(plan, inputs) for plan in plans] == want
+
+
+@pytest.mark.parametrize("n", [1, 17, 300])
+def test_mask_and_kernel_build_no_bitmap(rng, monkeypatch, n):
+    """``to_cell_mask`` and ``masked_attention`` write no cell; the cells
+    are expanded when first read, and equal a brute-force bitmap."""
+    inputs = random_inputs(rng, n)
+    plans = random_prefill_plans(rng, n, inputs.num_q_heads, inputs.num_kv_heads)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a bitmap was built")
+
+    with monkeypatch.context() as patched:
+        patched.setattr(accounting, "_plan_mask_matrix", refuse)
+        masks = [to_cell_mask(plan, inputs.group_map) for plan in plans]
+        for mask in masks:
+            masked_attention(inputs, mask)
+    for plan, mask in zip(plans, masks):
+        assert np.array_equal(mask.cells, plan_cells_oracle(plan, inputs.group_map))
+        assert not mask.cells.flags.writeable
+
+
+@settings(deadline=None, max_examples=30)
+@given(seed=st.integers(0, 10_000), n=st.integers(2, 300), kv=st.sampled_from([1, 2]))
+@example(seed=0, n=2, kv=1)
+@example(seed=1, n=17, kv=2)
+def test_to_cell_mask_rejects_an_empty_first_row(seed, n, kv):
+    """Plans whose row 0 reads no key (no vertical 0 or slash 0, no token
+    0) are refused, naming the first such query head."""
+    rng = np.random.default_rng(seed)
+    heads = 2 * kv
+    group_map = default_group_map(heads, kv)
+    for plan in random_prefill_plans(rng, n, heads, kv, with_first=False):
+        with pytest.raises(ValueError, match="head 0 row 0 selects no key"):
+            to_cell_mask(plan, group_map)
 
 
 def test_inputs_validation():
@@ -370,18 +396,21 @@ def test_inputs_reject_an_empty_sequence(generator, n):
 
 
 def test_cell_mask_validation():
-    causal = np.tril(np.ones((1, 3, 3), dtype=bool))
-    ahead = causal.copy()
-    ahead[0, 1, 2] = True
-    empty = causal.copy()
-    empty[0, 2] = False
-    for bad in (ahead, empty, causal.astype(np.int8), causal[:, :, :2], causal[0]):
-        with pytest.raises(ValueError):
-            CellMask(bad)
-    mask = CellMask.full_causal(2, 5)
-    assert mask.num_cells() == 2 * 15
-    assert mask.row(0, 3).tolist() == [0, 1, 2, 3]
-    assert is_superset_of(mask, CellMask(np.eye(5, dtype=bool)[None].repeat(2, axis=0)))
+    """A plan mask's row 0 must read a key; its cells, rows and counts."""
+    first, later = np.array([0]), np.array([1, 3])
+    for bad in (
+        VerticalSlashPlan((first, later), (later, later), seq_len=5),
+        EvictionPlan((first, later), seq_len=5),
+    ):
+        with pytest.raises(ValueError, match="head 1 row 0 selects no key"):
+            to_cell_mask(bad, (0, 1))
+    group_map = (0, 0)
+    full = to_cell_mask(BlockPlan(np.ones((2, 1, 1), dtype=bool), seq_len=5), group_map)
+    assert full.num_cells() == 2 * 15
+    assert full.row(0, 3).tolist() == [0, 1, 2, 3]
+    diagonal = VerticalSlashPlan((later,) * 2, (first,) * 2, seq_len=5)
+    assert to_cell_mask(diagonal, group_map).num_cells() == 2 * (5 + 3 + 1)
+    assert is_superset_of(full, to_cell_mask(diagonal, group_map))
 
 
 @pytest.mark.parametrize("n", [140, 300])

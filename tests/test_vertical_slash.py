@@ -85,9 +85,8 @@ def test_builds_below_the_forced_offsets(rng, n):
         build_vertical_slash(inputs, v_min, s_min - 1)
     with pytest.raises(ValueError, match="num_verticals must be >="):
         build_vertical_slash(inputs, v_min - 1, s_min)
-    fallback = build_flexprefill(
-        inputs, FlexPrefillConfig(alpha=0.0, fallback_counts=(v_min, s_min))
-    )
+    # min_budget 1 lifts to the forced units, which are (v_min, s_min) here
+    fallback = build_flexprefill(inputs, FlexPrefillConfig(alpha=0.0, min_budget=1))
     assert [v.tolist() for v in fallback.verticals] == [v.tolist() for v in plan.verticals]
     assert [s.tolist() for s in fallback.slashes] == [s.tolist() for s in plan.slashes]
     search = smallest_budget("vertical_slash", inputs, 0.5)
@@ -135,10 +134,11 @@ def test_recall_monotone_in_each_budget():
 
 
 def test_flexprefill_alpha_zero_equals_vertical_slash():
+    """alpha = 0 keeps min_budget verticals and min_budget slashes, the
+    slashes lifted to the FORCED_LOCAL forced offsets."""
     inputs = make_inputs("clustered", 512, seed=11)
-    config = FlexPrefillConfig(alpha=0.0, min_budget=24, fallback_counts=(24, 80))
-    flex = build_flexprefill(inputs, config)
-    uniform = build_vertical_slash(inputs, 24, 80)
+    flex = build_flexprefill(inputs, FlexPrefillConfig(alpha=0.0, min_budget=24))
+    uniform = build_vertical_slash(inputs, 24, FORCED_LOCAL)
     for a, b in zip(flex.verticals, uniform.verticals):
         assert np.array_equal(a, b)
     for a, b in zip(flex.slashes, uniform.slashes):
@@ -146,8 +146,8 @@ def test_flexprefill_alpha_zero_equals_vertical_slash():
 
 
 def test_explicit_flexprefill_alpha_zero_falls_back_to_min_budget():
-    """Registry params set no fallback_counts, so alpha = 0 keeps min_budget
-    verticals and min_budget slashes, as every calibrated alpha = 0 row does."""
+    """Through the registry, alpha = 0 keeps min_budget verticals and
+    min_budget slashes, as every calibrated alpha = 0 row does."""
     inputs = make_inputs("clustered", 512, seed=11)
     flex = METHODS["flexprefill"].build(inputs, {"alpha": 0, "min_budget": 68})
     uniform = build_vertical_slash(inputs, 68, 68)
