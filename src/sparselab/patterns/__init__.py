@@ -3,12 +3,9 @@
 from .accounting import (
     ORACLE_LIMIT,
     attention_recall,
-    block_budget_cells,
-    block_plan_cells,
     page_plan_rows,
     plan_sparsity,
     to_cell_mask,
-    vertical_slash_cells,
 )
 from .block_sparse import BLOCK_SIZE, build_block_sparse
 from .calibration import (
@@ -35,6 +32,8 @@ from .plans import (
     SparsePlan,
     SparsityReport,
     VerticalSlashPlan,
+    block_budget_cells,
+    vertical_slash_cells,
 )
 from .quest import PAGE_SIZE, quest_index, quest_plan, quest_select
 from .vertical_slash import (
@@ -67,7 +66,6 @@ __all__ = [
     "ada_snapkv_compress",
     "attention_recall",
     "block_budget_cells",
-    "block_plan_cells",
     "build_block_sparse",
     "build_flexprefill",
     "build_plan",

@@ -22,10 +22,10 @@ from typing import Any, Callable, NamedTuple
 import numpy as np
 
 from ..attention import AttentionInputs
-from .accounting import block_budget_cells, plan_sparsity, vertical_slash_cells
+from .accounting import plan_sparsity
 from .block_sparse import build_block_sparse
 from .eviction import FORCED_FIRST, FORCED_RECENT, ada_snapkv_compress, snapkv_compress
-from .plans import SparsePlan, SparsityReport
+from .plans import SparsePlan, SparsityReport, block_budget_cells, vertical_slash_cells
 from .quest import PAGE_SIZE, quest_plan
 from .vertical_slash import FORCED_LOCAL, FlexPrefillConfig, build_flexprefill, build_vertical_slash
 
@@ -242,13 +242,7 @@ def predicted_sparsity(entry: CalibrationEntry) -> SparsityReport | None:
     counts = METHODS[entry.method].cells(entry.seq_len, dict(entry.params))
     if counts is None:
         return None
-    computed, causal = counts
-    return SparsityReport(
-        achieved_sparsity=1.0 - computed / causal,
-        computed_cells=computed,
-        causal_cells=causal,
-        target_sparsity=entry.target_sparsity,
-    )
+    return SparsityReport(*counts, entry.target_sparsity)
 
 
 def check_params(method: str, params: dict) -> None:

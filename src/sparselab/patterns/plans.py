@@ -1,19 +1,24 @@
 """Plan types produced by the pattern builders.
 
 A plan is a pure description of which attention cells (or cached tokens, or
-pages) a method keeps.  Builders never touch the values tensor; execution and
-accounting consume plans separately.  Id arrays arrive sorted and unique,
+pages) a method keeps; its type is the unit of sparsification (key blocks,
+vertical and slash lines, tokens, pages) and carries its own geometry.
+Every plan counts its cells and checks an input shape against its own.
+Every plan but the decode-row ``PagePlan`` gives one query head's
+``tiles``, ``write_cells`` and ``reads_first_key``, shared by the column
+plans (vertical-slash and eviction).  Id arrays arrive sorted and unique,
 as ``np.flatnonzero`` gives them; a plan checks that and does not sort.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Union
+from typing import Iterator, Union
 
 import numpy as np
+from numpy.lib.stride_tricks import as_strided
 
-from ..attention import TILE_ROWS
+from ..attention import TILE_ROWS, AttentionInputs, Tile, block_tiles, column_tiles
 
 __all__ = [
     "BLOCK_SIZE",
@@ -25,12 +30,16 @@ __all__ = [
     "PagePlan",
     "SparsePlan",
     "SparsityReport",
+    "block_budget_cells",
     "span_lengths",
+    "vertical_slash_cells",
 ]
 
 # Blocks and pages are one prefill tile long, so the tile loop reads exactly
 # the key blocks a block plan chose.
 BLOCK_SIZE = PAGE_SIZE = TILE_ROWS
+
+GroupMap = tuple[int, ...]  # the kv head each query head reads
 
 
 def span_lengths(ids: np.ndarray, n: int) -> np.ndarray:
@@ -39,13 +48,15 @@ def span_lengths(ids: np.ndarray, n: int) -> np.ndarray:
     return np.minimum(BLOCK_SIZE, n - BLOCK_SIZE * np.asarray(ids, dtype=np.int64))
 
 
-def _increasing(arrays: tuple[np.ndarray, ...], field: str) -> tuple[np.ndarray, ...]:
-    """Each array of ids as int64; raise ValueError unless it is 1-d and
-    strictly increasing (sorted, no id twice)."""
+def _ids(arrays: tuple[np.ndarray, ...], field: str, stop: int) -> tuple[np.ndarray, ...]:
+    """Each array of ids as int64; raise ValueError unless it is 1-d,
+    strictly increasing (sorted, no id twice), non-empty and in [0, stop)."""
     out = tuple(np.asarray(a, dtype=np.int64) for a in arrays)
     for a in out:
         if a.ndim != 1 or (a[1:] <= a[:-1]).any():
             raise ValueError(f"{field} must be 1-d arrays of strictly increasing ids")
+        if a.size == 0 or a[0] < 0 or a[-1] >= stop:
+            raise ValueError(f"{field} must be non-empty and lie in [0, {stop})")
     return out
 
 
@@ -67,8 +78,70 @@ def _check_causal_bitmap(sel: np.ndarray) -> None:
         raise ValueError(f"head {empty[0, 0]} query block {empty[0, 1]} selects no key block")
 
 
+def _diagonals(offsets: np.ndarray, n: int) -> np.ndarray:
+    """Read-only boolean [n, n] view, true on the causal diagonals i - j in
+    ``offsets``; nothing n x n is allocated."""
+    line = np.zeros(2 * n - 1, dtype=bool)
+    line[n - 1 - offsets] = True
+    return as_strided(line[n - 1 :], shape=(n, n), strides=(-1, 1), writeable=False)
+
+
+class _Geometry:
+    """A plan's heads are query heads, or kv heads if ``PER_KV_HEAD``."""
+
+    PER_KV_HEAD = False
+
+    def check_fits(self, group_map: GroupMap, seq_len: int | None = None) -> None:
+        """Raise ValueError unless the plan has ``group_map``'s heads and,
+        if given, ``seq_len`` tokens."""
+        unit = "kv" if self.PER_KV_HEAD else "query"
+        heads = max(group_map) + 1 if self.PER_KV_HEAD else len(group_map)
+        n = self.seq_len if seq_len is None else seq_len
+        if (self.num_heads, self.seq_len) != (heads, n):
+            raise ValueError(
+                f"{type(self).__name__} has {self.num_heads} {unit} heads at length "
+                f"{self.seq_len}; the inputs have {heads} {unit} heads at length {n}"
+            )
+
+
+class _ColumnGeometry(_Geometry):
+    """Whole causal key columns plus, for vertical-slash plans, causal
+    diagonals.  A subclass's ``_lines(group_map, head)`` gives one query
+    head's sorted columns and its offsets (None for no diagonals)."""
+
+    def tiles(self, inputs: AttentionInputs, group_map: GroupMap, head: int) -> Iterator[Tile]:
+        return column_tiles(inputs, head, *self._lines(group_map, head))
+
+    def write_cells(self, group_map: GroupMap, head: int, out: np.ndarray) -> None:
+        """Write query head ``head``'s boolean [n, n] cells into ``out``."""
+        columns, offsets = self._lines(group_map, head)
+        n = self.seq_len
+        keys = np.zeros(n, dtype=bool)
+        keys[columns] = True
+        np.logical_and(_diagonals(np.arange(n), n), keys, out=out)
+        if offsets is not None:
+            out |= _diagonals(offsets, n)
+
+    def reads_first_key(self, group_map: GroupMap, head: int) -> bool:
+        # row 0 holds only cell (0, 0): column 0 or offset 0
+        columns, offsets = self._lines(group_map, head)
+        return columns[0] == 0 or (offsets is not None and offsets[0] == 0)
+
+
+def vertical_slash_cells(verticals: np.ndarray, slashes: np.ndarray, n: int) -> int:
+    """|union of cells| for one head: verticals contribute n - j cells each,
+    slashes n - o each, minus the overlap pairs {(j, o): j + o <= n - 1}."""
+    v = np.asarray(verticals, dtype=np.int64)
+    s = np.asarray(slashes, dtype=np.int64)
+    col_cells = int((n - v).sum())
+    slash_cells = int((n - s).sum())
+    # cell (j + o, j) belongs to vertical j and slash o when j + o < n
+    overlap = int(np.searchsorted(s, n - v, side="left").sum())
+    return col_cells + slash_cells - overlap
+
+
 @dataclass(frozen=True)
-class VerticalSlashPlan:
+class VerticalSlashPlan(_ColumnGeometry):
     """Per query-head selections of key columns (verticals) and causal
     diagonal offsets (slashes).  Offset o keeps cells (i, i - o)."""
 
@@ -79,22 +152,45 @@ class VerticalSlashPlan:
     def __post_init__(self) -> None:
         if len(self.verticals) != len(self.slashes):
             raise ValueError("verticals and slashes must cover the same heads")
-        object.__setattr__(self, "verticals", _increasing(self.verticals, "verticals"))
-        object.__setattr__(self, "slashes", _increasing(self.slashes, "slashes"))
-        n = self.seq_len
-        for v, s in zip(self.verticals, self.slashes):
-            if v.size == 0 or v[0] < 0 or v[-1] >= n:
-                raise ValueError("vertical column ids must lie in [0, seq_len)")
-            if s.size == 0 or s[0] < 0 or s[-1] >= n:
-                raise ValueError("slash offsets must lie in [0, seq_len)")
+        object.__setattr__(self, "verticals", _ids(self.verticals, "verticals", self.seq_len))
+        object.__setattr__(self, "slashes", _ids(self.slashes, "slashes", self.seq_len))
 
     @property
     def num_heads(self) -> int:
         return len(self.verticals)
 
+    def cell_counts(self) -> tuple[int, int]:
+        n = self.seq_len
+        computed = sum(vertical_slash_cells(v, s, n) for v, s in zip(self.verticals, self.slashes))
+        return computed, self.num_heads * n * (n + 1) // 2
+
+    def _lines(self, group_map: GroupMap, head: int) -> tuple[np.ndarray, np.ndarray]:
+        return self.verticals[head], self.slashes[head]
+
+
+def _block_cells(seq_len: int, off_diagonal: np.ndarray, diagonal: np.ndarray) -> int:
+    """Cells of query blocks (the last axis) that read ``off_diagonal`` key
+    blocks below their own and, where ``diagonal`` is 1, their own.  Only the
+    last block can be short, and it is only ever a diagonal, so every
+    off-diagonal key block is full width: query block b with r_b rows reads
+    r_b * BLOCK_SIZE cells per off-diagonal key block and r_b (r_b + 1) / 2
+    in its diagonal one."""
+    rows = span_lengths(np.arange(-(-seq_len // BLOCK_SIZE)), seq_len)
+    return int((rows * BLOCK_SIZE * off_diagonal + diagonal * (rows * (rows + 1) // 2)).sum())
+
+
+def block_budget_cells(seq_len: int, top_k_blocks: int) -> int:
+    """Cells computed per head at a given block budget, independent of which
+    blocks score highest: query block b always selects min(k, b+1) blocks,
+    one of them diagonal."""
+    if top_k_blocks < 2:
+        raise ValueError("top_k_blocks must be at least 2")
+    ids = np.arange(-(-seq_len // BLOCK_SIZE))
+    return _block_cells(seq_len, np.minimum(top_k_blocks, ids + 1) - 1, 1)
+
 
 @dataclass(frozen=True)
-class BlockPlan:
+class BlockPlan(_Geometry):
     """Key blocks each query block reads: ``selections[h, b, c]`` lets query
     block b of head h read key block c.
 
@@ -128,19 +224,42 @@ class BlockPlan:
     def num_query_blocks(self) -> int:
         return -(-self.seq_len // BLOCK_SIZE)
 
+    def cell_counts(self) -> tuple[int, int]:
+        diagonal = np.diagonal(self.selections, axis1=1, axis2=2)
+        off_diagonal = np.count_nonzero(self.selections, axis=2) - diagonal
+        n = self.seq_len
+        return _block_cells(n, off_diagonal, diagonal), self.num_heads * n * (n + 1) // 2
+
+    def tiles(self, inputs: AttentionInputs, group_map: GroupMap, head: int) -> Iterator[Tile]:
+        return block_tiles(inputs, head, self.selections[head])
+
+    def write_cells(self, group_map: GroupMap, head: int, out: np.ndarray) -> None:
+        """Write query head ``head``'s boolean [n, n] cells into ``out``: the
+        key columns of each query block, copied to its rows as a [blocks,
+        BLOCK_SIZE, n] view of the whole blocks, then the short last one."""
+        n = self.seq_len
+        chosen = self.selections[head].repeat(BLOCK_SIZE, axis=1)[:, :n]
+        full = n // BLOCK_SIZE
+        out[: full * BLOCK_SIZE].reshape(full, BLOCK_SIZE, n)[...] = chosen[:full, None]
+        out[full * BLOCK_SIZE :] = chosen[full : full + 1]
+        out &= _diagonals(np.arange(n), n)
+
+    def reads_first_key(self, group_map: GroupMap, head: int) -> bool:
+        # query block 0 always reads key block 0
+        return True
+
 
 @dataclass(frozen=True)
-class EvictionPlan:
-    """Per kv-head kept token sets after cache compression."""
+class EvictionPlan(_ColumnGeometry):
+    """Per kv-head kept token sets after cache compression, read as key columns."""
+
+    PER_KV_HEAD = True
 
     kept: tuple[np.ndarray, ...]
     seq_len: int
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "kept", _increasing(self.kept, "kept"))
-        for k in self.kept:
-            if k.size == 0 or k[0] < 0 or k[-1] >= self.seq_len:
-                raise ValueError("kept indices must lie in [0, seq_len)")
+        object.__setattr__(self, "kept", _ids(self.kept, "kept", self.seq_len))
 
     @property
     def num_heads(self) -> int:
@@ -149,6 +268,12 @@ class EvictionPlan:
     @property
     def kept_counts(self) -> tuple[int, ...]:
         return tuple(int(k.size) for k in self.kept)
+
+    def cell_counts(self) -> tuple[int, int]:
+        return sum(self.kept_counts), self.num_heads * self.seq_len
+
+    def _lines(self, group_map: GroupMap, head: int) -> tuple[np.ndarray, None]:
+        return self.kept[group_map[head]], None
 
 
 @dataclass(frozen=True)
@@ -180,27 +305,36 @@ class PageIndex:
 
 
 @dataclass(frozen=True)
-class PagePlan:
+class PagePlan(_Geometry):
     """One decode step's page selection per kv head."""
+
+    PER_KV_HEAD = True
 
     index: PageIndex
     selected: tuple[np.ndarray, ...]
     position: int
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "selected", _increasing(self.selected, "selected"))
+        current = self.position // PAGE_SIZE
+        object.__setattr__(self, "selected", _ids(self.selected, "selected", current + 1))
         if len(self.selected) != self.index.num_heads:
             raise ValueError("one page selection per kv head required")
-        current = self.position // PAGE_SIZE
-        for pages in self.selected:
-            if pages.size == 0 or pages[0] < 0 or pages[-1] > current:
-                raise ValueError("selected pages must lie in [0, current page]")
-            if current not in pages:
-                raise ValueError("the page holding the current token must be selected")
+        if any(pages[-1] != current for pages in self.selected):
+            raise ValueError("the page holding the current token must be selected")
 
     @property
     def num_heads(self) -> int:
         return len(self.selected)
+
+    @property
+    def seq_len(self) -> int:
+        return self.index.seq_len
+
+    def cell_counts(self) -> tuple[int, int]:
+        # selected pages never start past the current token
+        cached = self.position + 1
+        computed = sum(int(span_lengths(pages, cached).sum()) for pages in self.selected)
+        return computed, self.num_heads * cached
 
 
 SparsePlan = Union[VerticalSlashPlan, BlockPlan, EvictionPlan, PagePlan]
@@ -208,13 +342,12 @@ SparsePlan = Union[VerticalSlashPlan, BlockPlan, EvictionPlan, PagePlan]
 
 @dataclass(frozen=True)
 class SparsityReport:
-    """Exact coverage accounting for a plan.
+    """Exact coverage accounting for a plan: both counts are exact integers."""
 
-    achieved_sparsity is 1 - computed_cells / causal_cells by construction;
-    both counts are exact integers.
-    """
-
-    achieved_sparsity: float
     computed_cells: int
     causal_cells: int
     target_sparsity: float | None = None
+
+    @property
+    def achieved_sparsity(self) -> float:
+        return 1.0 - self.computed_cells / self.causal_cells

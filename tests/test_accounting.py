@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -589,3 +591,67 @@ def test_smallest_budget_needs_a_one_count_row():
         smallest_budget("flexprefill", inputs, 0.5)
     with pytest.raises(ValueError, match="target_sparsity"):
         smallest_budget("quest", inputs, 1.0)
+
+
+
+@pytest.mark.parametrize("method", ["vertical_slash", "block_sparse", "snapkv", "quest"])
+def test_plan_read_against_other_inputs_raises(method):
+    """A plan built at n = 200 on 4 query and 2 kv heads, read against
+    inputs of another length or head count, raises ValueError naming both
+    shapes: its heads are query heads, or kv heads for eviction and page
+    plans."""
+    spec = METHODS[method]
+    plan = spec.build(make_inputs("planted", 200, seed=0), spec.calibrated(spec.smallest(200)))
+    unit, heads = ("kv", 2) if plan.PER_KV_HEAD else ("query", 4)
+
+    def raises(inputs_heads: int, n: int):
+        return pytest.raises(
+            ValueError,
+            match=f"has {heads} {unit} heads at length 200; "
+            f"the inputs have {inputs_heads} {unit} heads at length {n}",
+        )
+
+    with raises(heads, 300):
+        attention_recall(plan, make_inputs("planted", 300, seed=0))
+    for q, kv in ((2, 1), (8, 4)):
+        other = make_inputs("planted", 200, num_q_heads=q, num_kv_heads=kv, seed=0)
+        with raises(kv if plan.PER_KV_HEAD else q, 200):
+            attention_recall(plan, other)
+        with raises(kv if plan.PER_KV_HEAD else q, 200):
+            if isinstance(plan, PagePlan):
+                page_plan_rows(plan, other.group_map)
+            else:
+                to_cell_mask(plan, other.group_map)
+
+
+# sha256 of the integer accounting of every plan in the test below, pinned
+# from the accounting that dispatched on the plan's type in each function
+ACCOUNTING_DIGEST = "5f459e114cc6e9b486aecd5717866ec4b9ef0d2067a9b477082947980166b6d9"
+
+
+def test_accounting_byte_identical():
+    """Every METHODS row at its smallest value and halfway from it to n:
+    plan_sparsity's counts, then a prefill plan's cells or a page plan's
+    decode rows."""
+    digest = hashlib.sha256()
+    for n in (1, 17, 300):
+        for kind in ("planted", "clustered"):
+            for seed in (0, 7):
+                inputs = make_inputs(kind, n, seed=seed)
+                for method, spec in METHODS.items():
+                    if spec.smallest is None:
+                        values = [(0.3, 64), (0.9, 16)]
+                    else:
+                        lo = spec.smallest(n)
+                        values = [lo, lo + max(n - lo, 0) // 2]
+                    for value in values:
+                        plan = spec.build(inputs, spec.calibrated(value))
+                        report = plan_sparsity(plan)
+                        digest.update(np.int64([report.computed_cells, report.causal_cells]))
+                        if isinstance(plan, PagePlan):
+                            for row in page_plan_rows(plan, inputs.group_map):
+                                digest.update(np.int64([row.size]))
+                                digest.update(row.astype(np.int64))
+                        else:
+                            digest.update(to_cell_mask(plan, inputs.group_map).cells.tobytes())
+    assert digest.hexdigest() == ACCOUNTING_DIGEST

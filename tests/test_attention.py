@@ -238,6 +238,10 @@ def full_matrix_recall(inputs, cells):
     return total / (inputs.num_q_heads * n)
 
 
+# the plan types whose write_cells expands a bitmap
+PREFILL_PLAN_TYPES = (VerticalSlashPlan, BlockPlan, EvictionPlan)
+
+
 def random_prefill_plans(rng, n, heads, kv_heads, with_first=True):
     """A vertical-slash, a block and an eviction plan with random members.
     With ``with_first`` every row keeps a cell (offset 0, key block 0 or
@@ -290,7 +294,7 @@ def test_plan_tiles_match_full_matrix_reference(seed, n, kv):
     if n > 1:
         for plan in random_prefill_plans(rng, n, heads, kv, with_first=False):
             for head in range(heads):
-                tiles = accounting.plan_tiles(plan, inputs.group_map, inputs, head)
+                tiles = plan.tiles(inputs, inputs.group_map, head)
                 lse = attention.row_logsumexp(inputs, tiles)
                 assert lse[0] == -np.inf
                 assert np.isfinite(lse[n - 1])
@@ -311,7 +315,7 @@ def test_rows_before_a_plans_first_cell_read_nothing(rng):
     eviction = EvictionPlan((np.array([n - 1]),), seq_len=n)
     for plan, first, want in ((vs, 200, with_slash), (eviction, n - 1, last)):
         for head in range(2):
-            tiles = accounting.plan_tiles(plan, inputs.group_map, inputs, head)
+            tiles = plan.tiles(inputs, inputs.group_map, head)
             lse = attention.row_logsumexp(inputs, tiles)
             assert (lse[:first] == -np.inf).all() and np.isfinite(lse[first:]).all()
         assert attention_recall(plan, inputs) == pytest.approx(
@@ -329,7 +333,8 @@ def test_recall_builds_no_bitmap(rng, monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("recall built a bitmap")
 
-    monkeypatch.setattr(accounting, "_plan_mask_matrix", refuse)
+    for plan_type in PREFILL_PLAN_TYPES:
+        monkeypatch.setattr(plan_type, "write_cells", refuse)
     monkeypatch.setattr(accounting, "CellMask", refuse)
     assert [attention_recall(plan, inputs) for plan in plans] == want
 
@@ -345,7 +350,8 @@ def test_mask_and_kernel_build_no_bitmap(rng, monkeypatch, n):
         raise AssertionError("a bitmap was built")
 
     with monkeypatch.context() as patched:
-        patched.setattr(accounting, "_plan_mask_matrix", refuse)
+        for plan_type in PREFILL_PLAN_TYPES:
+            patched.setattr(plan_type, "write_cells", refuse)
         masks = [to_cell_mask(plan, inputs.group_map) for plan in plans]
         for mask in masks:
             masked_attention(inputs, mask)

@@ -11,7 +11,6 @@ from sparselab.patterns import (
     BlockPlan,
     attention_recall,
     block_budget_cells,
-    block_plan_cells,
     build_block_sparse,
     plan_sparsity,
     smallest_budget,
@@ -114,14 +113,14 @@ def test_block_plan_validation():
         BlockPlan(causal, seq_len=49)
     plan = BlockPlan(causal.repeat(2, axis=0), seq_len=40)
     assert (plan.num_heads, plan.num_query_blocks, plan.block_size) == (2, 3, 16)
-    assert block_plan_cells(plan) == 2 * 40 * 41 // 2
+    assert plan_sparsity(plan).computed_cells == 2 * 40 * 41 // 2
 
 
 def test_partial_final_block_accounting(rng):
     # 200 = 12 * 16 + 8 leaves a short final block
     inputs = random_inputs(rng, 200)
     plan = build_block_sparse(inputs, top_k_blocks=3)
-    cells = block_plan_cells(plan)
+    cells = plan_sparsity(plan).computed_cells
     brute = 0
     for head in range(inputs.num_q_heads):
         m = np.zeros((200, 200), dtype=bool)
@@ -136,7 +135,7 @@ def test_budget_cells_independent_of_selection(rng):
     inputs = random_inputs(rng, 192)
     for k in (2, 3, 6):
         plan = build_block_sparse(inputs, top_k_blocks=k)
-        per_head = block_plan_cells(plan) // inputs.num_q_heads
+        per_head = plan_sparsity(plan).computed_cells // inputs.num_q_heads
         assert per_head == block_budget_cells(192, k)
 
 
