@@ -28,22 +28,18 @@ boolean cell matrix.  Dense prefill is the column plan that keeps every key
 column, so a measured sparse speedup compares one producer at two densities.
 
 Kernel time therefore grows with the cells a plan keeps, not with n².  The
-same pass gives each row's log-sum-exp, which ``AttentionInputs.causal_lse``
-caches for the dense causal logits, so the dense probability mass on any
-cell set is ``exp(masked_lse - causal_lse)`` without holding n x n weights.
+same pass gives each row's log-sum-exp, so the recall oracle reads the dense
+probability mass on any cell set as ``exp(masked_lse - causal_lse)`` without
+holding n x n weights.
 
-The window-scored pattern builders read ``AttentionInputs.window_stats``:
-per head, the column sums and maxima, the diagonal sums and the total of the
-observation window's softmax, computed once per input and cached the same
-way.  The block-sparse builder reads ``AttentionInputs.block_rank``: each
-causal key block's place in its query block's order by pooled logit, also
-filled once per input, so a build at any budget is one threshold.
+``AttentionInputs.cached`` keeps one result per estimation stage for the
+inputs' lifetime; each stage lives beside the method that reads it.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
-from functools import cached_property, partial
-from typing import TYPE_CHECKING, Callable, Iterable, Iterator, NamedTuple, Sequence
+from dataclasses import dataclass, field
+from functools import partial
+from typing import TYPE_CHECKING, Callable, Iterable, Iterator, NamedTuple, Sequence, TypeVar
 
 import numpy as np
 
@@ -55,7 +51,6 @@ __all__ = [
     "TILE_ROWS",
     "AttentionInputs",
     "AttentionOutput",
-    "WindowStats",
     "block_tiles",
     "column_tiles",
     "default_group_map",
@@ -76,14 +71,13 @@ TILE_ROWS = 16
 # take 4 MiB each at n = 2048.
 SPAN_ROWS = 128
 
-# Query blocks whose pooled logits one step of the block-rank fill takes,
-# each group over its causal prefix of key blocks only.
-ROW_GROUP = 64
-
 # Query rows of the observation window that every window-scored builder
 # (vertical-slash, flexprefill, snapkv, ada_snapkv) reads; a shorter
 # sequence is read whole.
 APPROX_WINDOW = 256
+
+
+T = TypeVar("T")
 
 
 def default_group_map(num_q_heads: int, num_kv_heads: int) -> tuple[int, ...]:
@@ -106,16 +100,14 @@ class AttentionInputs:
     group_map: query head -> kv head, partitioning query heads into equal groups.
 
     The three arrays are stored as read-only views (the caller's arrays stay
-    writeable), so the three cached properties cannot go stale:
-    ``causal_lse`` for the recall oracle, ``window_stats`` for the
-    window-scored builders and ``block_rank`` for the block-sparse builder,
-    each computed on first use.
+    writeable), so no result kept by ``cached`` can go stale.
     """
 
     queries: np.ndarray
     keys: np.ndarray
     values: np.ndarray
     group_map: tuple[int, ...]
+    _stages: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         q, k, v = self.queries, self.keys, self.values
@@ -175,44 +167,13 @@ class AttentionInputs:
     def head_dim(self) -> int:
         return self.queries.shape[2]
 
-    @cached_property
-    def causal_lse(self) -> np.ndarray:
-        """[num_q_heads, seq_len] log-sum-exp of each row's causal logits,
-        read from the tiles ``dense_prefill`` runs."""
-        every = np.arange(self.seq_len)
-        return np.stack(
-            [row_logsumexp(self, column_tiles(self, h, every)) for h in range(self.num_q_heads)]
-        )
-
-    @cached_property
-    def window_stats(self) -> WindowStats:
-        """Observation-window reductions of every query head (``WindowStats``)."""
-        return _window_stats(self)
-
-    @cached_property
-    def block_rank(self) -> np.ndarray:
-        """Read-only [num_q_heads, nb, nb] place of each causal key block in
-        its query block's order over ``TILE_ROWS``-token blocks
-        (``_block_rank``); non-causal cells hold nb."""
-        return _block_rank(self)
-
-
-@dataclass(frozen=True)
-class WindowStats:
-    """O(n) reductions of ``window_weights_head`` for every query head, as
-    read-only arrays.
-
-    column_sum: [num_q_heads, seq_len] window mass of each key column.
-    column_max: [num_q_heads, seq_len] largest window weight of each key column.
-    slash_mass: [num_q_heads, seq_len] window mass of each diagonal offset o,
-        the cells (i, i - o).
-    total:      [num_q_heads] the window's total mass.
-    """
-
-    column_sum: np.ndarray
-    column_max: np.ndarray
-    slash_mass: np.ndarray
-    total: np.ndarray
+    def cached(self, stage: Callable[[AttentionInputs], T]) -> T:
+        """``stage(self)``, computed on the first call with that function and
+        kept for the inputs' lifetime.  A stage is a module-level function,
+        so every call names the same key."""
+        if stage not in self._stages:
+            self._stages[stage] = stage(self)
+        return self._stages[stage]
 
 
 @dataclass(frozen=True)
@@ -246,89 +207,6 @@ def window_weights_head(inputs: AttentionInputs, head: int) -> np.ndarray:
     rows = np.arange(n - window, n)[:, None]
     logits[np.arange(n)[None, :] > rows] = -np.inf
     return _stable_softmax(logits)
-
-
-def _window_stats(inputs: AttentionInputs) -> WindowStats:
-    """Score each head's window once and keep only its reductions; the
-    [window, n] weights of one head are freed before the next is scored."""
-    n, heads = inputs.seq_len, inputs.num_q_heads
-    column_sum = np.empty((heads, n))
-    column_max = np.empty((heads, n))
-    slash_mass = np.zeros((heads, n))
-    total = np.empty(heads)
-    for head in range(heads):
-        weights = window_weights_head(inputs, head)
-        start = n - weights.shape[0]
-        column_sum[head] = weights.sum(axis=0)
-        column_max[head] = weights.max(axis=0)
-        for r in range(weights.shape[0]):
-            i = start + r
-            # cell (i, j) sits on offset i - j; reversing the row aligns offsets 0..i
-            slash_mass[head, : i + 1] += weights[r, : i + 1][::-1]
-        total[head] = weights.sum()
-        del weights  # free this head's window before the next is scored
-    for arr in (column_sum, column_max, slash_mass, total):
-        arr.flags.writeable = False
-    return WindowStats(column_sum, column_max, slash_mass, total)
-
-
-def _pool_blocks(x: np.ndarray) -> np.ndarray:
-    """Arithmetic mean over each ``TILE_ROWS``-row block of every head of
-    ``x`` ([heads, n, d]); the last block may be short.
-
-    Each block's rows are summed in order, so the means equal a per-block
-    ``mean(axis=0)`` bit for bit."""
-    heads, n, d = x.shape
-    full = n // TILE_ROWS
-    nb = -(-n // TILE_ROWS)
-    sums = np.empty((heads, nb, d))
-    sums[:, :full] = x[:, : full * TILE_ROWS].reshape(heads, full, TILE_ROWS, d).sum(axis=2)
-    if nb > full:
-        sums[:, full] = x[:, full * TILE_ROWS :].sum(axis=1)
-    return sums / np.minimum(TILE_ROWS, n - TILE_ROWS * np.arange(nb))[:, None]
-
-
-def _block_rank(inputs: AttentionInputs) -> np.ndarray:
-    """Each causal key block's place in its query block's order, as a
-    read-only array of the smallest signed integer type that holds nb.
-
-    Query block b orders its key blocks 0..b as block 0, then block b, then
-    the rest by descending scaled dot product of pooled queries and keys,
-    ties to the lower block: the order of ``accounting.ranked_keep`` with
-    block 0 and the diagonal forced.  Non-causal cells hold nb, so the first
-    k blocks of every query block are ``rank < k``.  Logits are taken
-    ``ROW_GROUP`` query blocks at a time over their causal prefix; rows whose
-    finite scores tie are re-sorted stably, the rest by the default sort.
-    """
-    n, heads = inputs.seq_len, inputs.num_q_heads
-    nb = -(-n // TILE_ROWS)
-    dtype = next(t for t in (np.int8, np.int16, np.int32, np.int64) if np.iinfo(t).max >= nb)
-    qp = _pool_blocks(inputs.queries)
-    kp = _pool_blocks(inputs.keys)[list(inputs.group_map)].transpose(0, 2, 1)
-    ids = np.arange(nb)
-    rank = np.full((heads, nb, nb), nb, dtype=dtype)
-    rank[:, ids[1:], ids[1:]] = 1
-    rank[:, :, 0] = 0
-    # the blocks between block 0 and the diagonal take the places from 2 on;
-    # places past a row's last such block are discarded, so they may clip at nb
-    places = np.minimum(ids + 2, nb).astype(dtype)
-    for lo in range(0, nb, ROW_GROUP):
-        hi = min(lo + ROW_GROUP, nb)
-        interior = (ids[None, :hi] > 0) & (ids[None, :hi] < ids[lo:hi, None])
-        # ascending key is rank order, with every other block sorted last
-        key = qp[:, lo:hi] @ kp[:, :, :hi]
-        key /= -np.sqrt(inputs.head_dim)
-        np.copyto(key, np.inf, where=~interior)
-        order = np.argsort(key, axis=-1)
-        ranked = np.take_along_axis(key, order, axis=-1)
-        tied = ((ranked[..., 1:] == ranked[..., :-1]) & (ranked[..., 1:] < np.inf)).any(axis=-1)
-        if tied.any():
-            order[tied] = np.argsort(key[tied], axis=-1, kind="stable")
-        group = np.empty(key.shape, dtype=dtype)
-        np.put_along_axis(group, order, places[:hi], axis=-1)
-        np.copyto(rank[:, lo:hi, :hi], group, where=interior)
-    rank.flags.writeable = False
-    return rank
 
 
 class _Part(NamedTuple):
@@ -556,15 +434,28 @@ def dense_prefill(inputs: AttentionInputs) -> AttentionOutput:
 def masked_attention(inputs: AttentionInputs, mask: CellMask) -> AttentionOutput:
     """Attention restricted to a mask's cells; softmax renormalizes per row
     over the permitted keys only.  The kernel reads the mask's
-    ``num_heads``, ``seq_len`` and ``tiles(inputs, head)``, the tiles of
-    one head's cells."""
-    h, n = inputs.num_q_heads, inputs.seq_len
-    if mask.num_heads != h or mask.seq_len != n:
+    ``group_map``, ``seq_len`` and ``tiles(inputs, head)``, the tiles of
+    one head's cells, and refuses a mask made for another group map or
+    length."""
+    if mask.group_map != inputs.group_map or mask.seq_len != inputs.seq_len:
         raise ValueError(
-            f"mask shape ({mask.num_heads} heads, {mask.seq_len}) does not match "
-            f"inputs ({h} heads, {n})"
+            f"mask (group map {mask.group_map}, length {mask.seq_len}) does not match "
+            f"inputs (group map {inputs.group_map}, length {inputs.seq_len})"
         )
     return _prefill(inputs, partial(mask.tiles, inputs))
+
+
+def _ids(arrays: Sequence[np.ndarray], name: str, stop: int) -> tuple[np.ndarray, ...]:
+    """Each array of ids as int64; raise ValueError unless it is 1-d,
+    strictly increasing (sorted, no id twice), non-empty and in [0, stop).
+    Plans and decode rows take ids in this form and do not sort them."""
+    out = tuple(np.asarray(a, dtype=np.int64) for a in arrays)
+    for a in out:
+        if a.ndim != 1 or (a[1:] <= a[:-1]).any():
+            raise ValueError(f"{name} must be 1-d arrays of strictly increasing ids")
+        if a.size == 0 or a[0] < 0 or a[-1] >= stop:
+            raise ValueError(f"{name} must be non-empty and lie in [0, {stop})")
+    return out
 
 
 def decode_step(
@@ -573,26 +464,21 @@ def decode_step(
     """One decode step: the last query row attends to a selected key set.
 
     mask_row is either a single index array shared by all query heads or one
-    array per query head.
+    array per query head, each sorted and unique in [0, seq_len) (``_ids``).
     """
     h, n, d = inputs.num_q_heads, inputs.seq_len, inputs.head_dim
     if isinstance(mask_row, np.ndarray) or (
         len(mask_row) and np.isscalar(mask_row[0])
     ):
-        per_head: list[np.ndarray] = [np.asarray(mask_row, dtype=np.int64)] * h
+        per_head = _ids((mask_row,), "mask_row", n) * h
     else:
-        per_head = [np.asarray(r, dtype=np.int64) for r in mask_row]
+        per_head = _ids(mask_row, "mask_row", n)
         if len(per_head) != h:
             raise ValueError("mask_row must give one index set per query head")
     pos = n - 1
     scale = 1.0 / np.sqrt(d)
     out = np.empty((h, 1, d))
-    for head in range(h):
-        idx = np.unique(per_head[head])
-        if idx.size == 0:
-            raise ValueError("decode mask row is empty")
-        if idx[0] < 0 or idx[-1] > pos:
-            raise ValueError(f"decode mask row permits non-causal key {idx}")
+    for head, idx in enumerate(per_head):
         g = inputs.group_map[head]
         logits = (inputs.keys[g][idx] @ inputs.queries[head][pos]) * scale
         w = _stable_softmax(logits)

@@ -15,7 +15,7 @@ from typing import Iterator
 
 import numpy as np
 
-from ..attention import AttentionInputs, Tile, row_logsumexp
+from ..attention import AttentionInputs, Tile, column_tiles, row_logsumexp
 from .plans import PAGE_SIZE, PagePlan, SparsePlan, SparsityReport
 
 __all__ = [
@@ -110,7 +110,7 @@ def attention_recall(plan: SparsePlan, inputs: AttentionInputs) -> float:
     row's lse computed from the row alone in O(n * head_dim).  A
     prefill-style plan's row covers exp(masked_lse - causal_lse), with the
     masked log-sum-exp taken over the plan's tiles (``tiles``) and the
-    causal one read from ``AttentionInputs.causal_lse``; only these
+    causal one read from the inputs' cached ``causal_lse``; only these
     O(n^2 * head_dim) plans are limited to n <= ORACLE_LIMIT."""
     heads, group_map = inputs.num_q_heads, inputs.group_map
     plan.check_fits(group_map, inputs.seq_len)
@@ -131,7 +131,16 @@ def attention_recall(plan: SparsePlan, inputs: AttentionInputs) -> float:
     masked = np.stack(
         [row_logsumexp(inputs, plan.tiles(inputs, group_map, h)) for h in range(heads)]
     )
-    return float(np.exp(masked - inputs.causal_lse).mean())
+    return float(np.exp(masked - inputs.cached(causal_lse)).mean())
+
+
+def causal_lse(inputs: AttentionInputs) -> np.ndarray:
+    """[num_q_heads, seq_len] log-sum-exp of each row's causal logits, read
+    from the tiles ``dense_prefill`` runs; the recall oracle's cached stage."""
+    every = np.arange(inputs.seq_len)
+    return np.stack(
+        [row_logsumexp(inputs, column_tiles(inputs, h, every)) for h in range(inputs.num_q_heads)]
+    )
 
 
 def ranked_keep(scores: np.ndarray, k: int | np.ndarray, forced: np.ndarray) -> np.ndarray:

@@ -4,8 +4,8 @@ adaptive variant that pools the budget across heads.
 Both score tokens with exact attention from the last ``APPROX_WINDOW`` query
 rows, reduce over the query heads and window rows of each kv group (mean for
 the uniform variant, max for the adaptive one) from the input's cached
-``window_stats``, then smooth the per-token scores with a zero-padded
-``KERNEL_SIZE``-wide average pool.  The first 4 and most recent
+``vertical_slash.window_stats``, then smooth the per-token scores with a
+zero-padded ``KERNEL_SIZE``-wide average pool.  The first 4 and most recent
 128 tokens are always kept and count toward the capacity; tokens are ranked
 by ``accounting.ranked_keep``.  Uniform allocation is the pooled rule with
 every head's floor at its full capacity.
@@ -17,11 +17,12 @@ from typing import Literal
 
 import numpy as np
 
-# window_weights_head is not called here (the scoring runs once per input in
-# AttentionInputs.window_stats), but perfbench's tracer wraps this attribute
+# window_weights_head is not called here (vertical_slash.window_stats scores
+# the window once per input), but perfbench's tracer wraps this attribute
 from ..attention import APPROX_WINDOW, AttentionInputs, window_weights_head  # noqa: F401
 from .accounting import ranked_keep
 from .plans import EvictionPlan
+from .vertical_slash import window_stats
 
 __all__ = [
     "APPROX_WINDOW",
@@ -53,7 +54,7 @@ def smoothed_scores(
     the group's heads and window rows (the mean from the cached per-head
     column sums, the max from the cached per-head column maxima), then
     smoothed."""
-    stats = inputs.window_stats
+    stats = inputs.cached(window_stats)
     group = [h for h, g in enumerate(inputs.group_map) if g == kv_head]
     if reduce == "mean":
         window = min(APPROX_WINDOW, inputs.seq_len)

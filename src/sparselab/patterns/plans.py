@@ -7,7 +7,8 @@ Every plan counts its cells and checks an input shape against its own.
 Every plan but the decode-row ``PagePlan`` gives one query head's
 ``tiles``, ``write_cells`` and ``reads_first_key``, shared by the column
 plans (vertical-slash and eviction).  Id arrays arrive sorted and unique,
-as ``np.flatnonzero`` gives them; a plan checks that and does not sort.
+as ``np.flatnonzero`` gives them; a plan checks that (``attention._ids``,
+the rule decode rows follow too) and does not sort.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ from typing import Iterator, Union
 import numpy as np
 from numpy.lib.stride_tricks import as_strided
 
-from ..attention import TILE_ROWS, AttentionInputs, Tile, block_tiles, column_tiles
+from ..attention import TILE_ROWS, AttentionInputs, Tile, _ids, block_tiles, column_tiles
 
 __all__ = [
     "BLOCK_SIZE",
@@ -46,18 +47,6 @@ def span_lengths(ids: np.ndarray, n: int) -> np.ndarray:
     """Tokens of each block (or page) in ``ids`` within the first n tokens:
     BLOCK_SIZE for all but a partial last one."""
     return np.minimum(BLOCK_SIZE, n - BLOCK_SIZE * np.asarray(ids, dtype=np.int64))
-
-
-def _ids(arrays: tuple[np.ndarray, ...], field: str, stop: int) -> tuple[np.ndarray, ...]:
-    """Each array of ids as int64; raise ValueError unless it is 1-d,
-    strictly increasing (sorted, no id twice), non-empty and in [0, stop)."""
-    out = tuple(np.asarray(a, dtype=np.int64) for a in arrays)
-    for a in out:
-        if a.ndim != 1 or (a[1:] <= a[:-1]).any():
-            raise ValueError(f"{field} must be 1-d arrays of strictly increasing ids")
-        if a.size == 0 or a[0] < 0 or a[-1] >= stop:
-            raise ValueError(f"{field} must be non-empty and lie in [0, {stop})")
-    return out
 
 
 def _check_causal_bitmap(sel: np.ndarray) -> None:

@@ -4,7 +4,9 @@ The cache is split into fixed 16-token pages; each page is summarized by the
 elementwise min and max of its key vectors.  A decode query scores a page with
 an upper bound on any dot product against its keys, and only the highest
 scoring pages are read, the page holding the current token always among them.
-Pages are ranked by ``accounting.ranked_keep``.
+Pages are ranked by ``accounting.ranked_keep``.  ``quest_plan`` reads the
+keys' page index through ``AttentionInputs.cached``, so each input is
+indexed once whatever the budgets it is read at.
 """
 
 from __future__ import annotations
@@ -96,11 +98,16 @@ def quest_select(
     return PagePlan(index=index, selected=selected, position=position)
 
 
+def _page_index(inputs: AttentionInputs) -> PageIndex:
+    """The keys' read-only page index, the stage ``quest_plan`` caches."""
+    index = quest_index(inputs.keys)
+    index.mins.flags.writeable = index.maxs.flags.writeable = False
+    return index
+
+
 def quest_plan(inputs: AttentionInputs, token_budget: int) -> PagePlan:
-    """Index the keys and select pages for the query at the last row."""
+    """Select pages of the cached page index for the query at the last row."""
     position = inputs.seq_len - 1
-    index = quest_index(np.asarray(inputs.keys))
-    rows = np.asarray(inputs.queries)[:, position, :]
-    return quest_select(
-        index, rows, token_budget, position=position, group_map=inputs.group_map
-    )
+    index = inputs.cached(_page_index)
+    rows = inputs.queries[:, position, :]
+    return quest_select(index, rows, token_budget, position=position, group_map=inputs.group_map)

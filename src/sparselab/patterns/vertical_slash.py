@@ -3,12 +3,14 @@ coverage-driven adaptive variant.
 
 Both score candidates with exact attention from the last
 ``attention.APPROX_WINDOW`` query rows (all rows of a shorter sequence) onto
-all keys, read from the input's cached ``window_stats``.  A "vertical" keeps
-one key column for every later query; a "slash" keeps one causal diagonal
-(offset o covers cells (i, i-o)).  The first ``FORCED_PREFIX`` columns and
-the ``FORCED_LOCAL`` smallest offsets (all of them in a shorter sequence) are
-always selected and count toward the configured budgets; candidates are
-ranked by ``accounting.ranked_keep``.
+all keys.  That estimation is ``window_stats``, the window's O(n)
+reductions, kept once per input by ``AttentionInputs.cached`` and read by
+the eviction builders too.  A "vertical" keeps one key column for every
+later query; a "slash" keeps one causal diagonal (offset o covers cells
+(i, i-o)).  The first ``FORCED_PREFIX`` columns and the ``FORCED_LOCAL``
+smallest offsets (all of them in a shorter sequence) are always selected
+and count toward the configured budgets; candidates are ranked by
+``accounting.ranked_keep``.
 """
 
 from __future__ import annotations
@@ -17,9 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-# window_weights_head is not called here (the scoring runs once per input in
-# AttentionInputs.window_stats), but perfbench's tracer wraps this attribute
-from ..attention import APPROX_WINDOW, AttentionInputs, window_weights_head  # noqa: F401
+from ..attention import APPROX_WINDOW, AttentionInputs, window_weights_head
 from .accounting import ranked_keep
 from .plans import VerticalSlashPlan
 
@@ -27,12 +27,57 @@ __all__ = [
     "FORCED_PREFIX",
     "FORCED_LOCAL",
     "FlexPrefillConfig",
+    "WindowStats",
     "build_vertical_slash",
     "build_flexprefill",
+    "window_stats",
 ]
 
 FORCED_PREFIX = 4
 FORCED_LOCAL = 64
+
+
+@dataclass(frozen=True)
+class WindowStats:
+    """O(n) reductions of ``window_weights_head`` for every query head, as
+    read-only arrays.
+
+    column_sum: [num_q_heads, seq_len] window mass of each key column.
+    column_max: [num_q_heads, seq_len] largest window weight of each key column.
+    slash_mass: [num_q_heads, seq_len] window mass of each diagonal offset o,
+        the cells (i, i - o).
+    total:      [num_q_heads] the window's total mass.
+    """
+
+    column_sum: np.ndarray
+    column_max: np.ndarray
+    slash_mass: np.ndarray
+    total: np.ndarray
+
+
+def window_stats(inputs: AttentionInputs) -> WindowStats:
+    """Score each head's window once and keep only its reductions, the
+    window-scored builders' cached stage; the [window, n] weights of one
+    head are freed before the next is scored."""
+    n, heads = inputs.seq_len, inputs.num_q_heads
+    column_sum = np.empty((heads, n))
+    column_max = np.empty((heads, n))
+    slash_mass = np.zeros((heads, n))
+    total = np.empty(heads)
+    for head in range(heads):
+        weights = window_weights_head(inputs, head)
+        start = n - weights.shape[0]
+        column_sum[head] = weights.sum(axis=0)
+        column_max[head] = weights.max(axis=0)
+        for r in range(weights.shape[0]):
+            i = start + r
+            # cell (i, j) sits on offset i - j; reversing the row aligns offsets 0..i
+            slash_mass[head, : i + 1] += weights[r, : i + 1][::-1]
+        total[head] = weights.sum()
+        del weights  # free this head's window before the next is scored
+    for arr in (column_sum, column_max, slash_mass, total):
+        arr.flags.writeable = False
+    return WindowStats(column_sum, column_max, slash_mass, total)
 
 
 def build_vertical_slash(
@@ -49,7 +94,7 @@ def build_vertical_slash(
     if num_verticals > n or num_slashes > n:
         raise ValueError("budgets cannot exceed seq_len")
 
-    stats = inputs.window_stats
+    stats = inputs.cached(window_stats)
     col_mass, slash_mass = stats.column_sum, stats.slash_mass
     ids = np.arange(n)
     # offset o intersects window rows i >= max(n - window, o): min(window, n - o) cells
@@ -95,7 +140,7 @@ def build_flexprefill(
     if config.alpha == 0.0:
         return build_vertical_slash(inputs, *config.uniform_counts(n))
 
-    stats = inputs.window_stats
+    stats = inputs.cached(window_stats)
     col_mass, slash_mass, total = stats.column_sum, stats.slash_mass, stats.total
     ids = np.arange(n)
     forced = np.concatenate([ids < FORCED_PREFIX, ids < FORCED_LOCAL])

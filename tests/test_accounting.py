@@ -18,10 +18,12 @@ from sparselab.patterns import (
     ORACLE_LIMIT,
     PagePlan,
     VerticalSlashPlan,
+    accounting,
     ada_snapkv_compress,
     attention_recall,
     build_block_sparse,
     build_flexprefill,
+    build_plan,
     build_vertical_slash,
     calibration_entries,
     lookup,
@@ -437,21 +439,18 @@ def test_inputs_are_read_only_and_causal_lse_is_computed_once(rng, monkeypatch):
     with pytest.raises(ValueError):
         inputs.keys[0, 0, 0] = 1.0
     assert keys.flags.writeable
-    # the cached property calls attention.row_logsumexp; recall's masked
-    # log-sum-exps go through accounting's own import and are not counted
     calls = []
-    real = attention.row_logsumexp
+    real = accounting.causal_lse
 
-    def counted(*args, **kwargs):
-        calls.append(args)
-        return real(*args, **kwargs)
+    def counted(inputs):
+        calls.append(inputs.seq_len)
+        return real(inputs)
 
-    monkeypatch.setattr(attention, "row_logsumexp", counted)
+    monkeypatch.setattr(accounting, "causal_lse", counted)
     plan = build_block_sparse(inputs, 2)
     first = attention_recall(plan, inputs)
-    assert len(calls) == inputs.num_q_heads
     assert attention_recall(plan, inputs) == first
-    assert len(calls) == inputs.num_q_heads
+    assert calls == [inputs.seq_len]
 
 
 def test_recall_oracle_limit(rng):
@@ -655,3 +654,36 @@ def test_accounting_byte_identical():
                         else:
                             digest.update(to_cell_mask(plan, inputs.group_map).cells.tobytes())
     assert digest.hexdigest() == ACCOUNTING_DIGEST
+
+
+# sha256 of the selections and decode outputs of select_16k's calibrated
+# plans, pinned before estimation moved into per-input cached stages
+SELECT_16K_DIGEST = "0b05e56a41db30634e8238181d5789531a99dd99f65b1228167e9b80e68904bf"
+
+
+def test_select_16k_plans_byte_identical():
+    """Every METHODS row at its calibrated value for levels 0.9/0.8/0.6 at
+    n = 16384 (the benchmark's heads, seed 0): each plan's id arrays or
+    block selections, then the decode_step output of an eviction or page
+    plan's rows."""
+    n = 16384
+    digest = hashlib.sha256()
+    for kind in ("planted", "clustered"):
+        inputs = make_inputs(kind, n, seed=0)
+        for level in (0.9, 0.8, 0.6):
+            for method in METHODS:
+                plan = build_plan(lookup(method, n, level), inputs)
+                if isinstance(plan, BlockPlan):
+                    arrays, rows = [plan.selections], None
+                elif isinstance(plan, VerticalSlashPlan):
+                    arrays, rows = [*plan.verticals, *plan.slashes], None
+                elif isinstance(plan, EvictionPlan):
+                    arrays, rows = plan.kept, [plan.kept[g] for g in inputs.group_map]
+                else:
+                    arrays, rows = plan.selected, page_plan_rows(plan, inputs.group_map)
+                for array in arrays:
+                    digest.update(np.int64([array.size]))
+                    digest.update(array.tobytes())
+                if rows is not None:
+                    digest.update(attention.decode_step(inputs, rows).output.tobytes())
+    assert digest.hexdigest() == SELECT_16K_DIGEST

@@ -26,6 +26,7 @@ from sparselab.patterns import (
     smallest_budget,
     snapkv_compress,
     to_cell_mask,
+    vertical_slash,
 )
 from sparselab.patterns.plans import BLOCK_SIZE
 from sparselab.synthetic import make_inputs
@@ -102,6 +103,59 @@ def test_decode_step_per_head_rows(rng):
         w = out.output[h, 0]
         assert abs(w.sum() - 1.0) <= 1e-9
         assert np.all(w[np.setdiff1d(np.arange(32), per_head[h])] == 0.0)
+
+
+@pytest.mark.parametrize(
+    "row, message",
+    [
+        ([0, 5, 3], "strictly increasing"),
+        ([0, 3, 3], "strictly increasing"),
+        (np.array([], dtype=np.int64), "non-empty"),
+        ([0, 32], r"lie in \[0, 32\)"),
+    ],
+    ids=["unsorted", "repeated", "empty", "past_last"],
+)
+def test_decode_rows_follow_the_plan_id_rule(rng, row, message):
+    """A decode row is sorted, unique, non-empty and causal, in both the
+    shared and the per-head form; it is checked, never sorted."""
+    inputs = random_inputs(rng, 32)
+    with pytest.raises(ValueError, match=message):
+        decode_step(inputs, np.asarray(row, dtype=np.int64))
+    per_head = [np.arange(4)] * (inputs.num_q_heads - 1) + [np.asarray(row, dtype=np.int64)]
+    with pytest.raises(ValueError, match=message):
+        decode_step(inputs, per_head)
+
+
+def test_masked_attention_refuses_another_group_map():
+    """A mask made under another group map of the same shape would read its
+    eviction columns by that map while keys follow the inputs'."""
+    base = make_inputs("planted", 300, seed=0)
+    inputs = AttentionInputs.from_arrays(base.queries, base.keys, base.values, (0, 1, 0, 1))
+    plan = EvictionPlan((np.arange(0, 300, 2), np.arange(0, 300, 3)), seq_len=300)
+    masked_attention(inputs, to_cell_mask(plan, inputs.group_map))
+    with pytest.raises(ValueError, match="group map"):
+        masked_attention(inputs, to_cell_mask(plan, (0, 0, 1, 1)))
+
+
+def test_cached_computes_each_stage_once_per_input(rng):
+    """One compute per stage function and input; other stages and other
+    inputs keep their own results."""
+    calls = []
+
+    def key_sum(inputs):
+        calls.append(("sum", id(inputs)))
+        return inputs.keys.sum()
+
+    def key_max(inputs):
+        calls.append(("max", id(inputs)))
+        return inputs.keys.max()
+
+    a, b = random_inputs(rng, 20), random_inputs(rng, 20)
+    for _ in range(2):
+        assert a.cached(key_sum) == a.keys.sum()
+        assert a.cached(key_max) == a.keys.max()
+        assert b.cached(key_sum) == b.keys.sum()
+    assert calls == [("sum", id(a)), ("max", id(a)), ("sum", id(b))]
 
 
 def test_softmax_saturation_stays_finite(rng):
@@ -222,7 +276,7 @@ def test_dense_prefill_and_causal_lse_at_tile_edges(n):
         logits[~causal[head]] = -np.inf
         peak = logits.max(axis=1)
         lse = peak + np.log(np.exp(logits - peak[:, None]).sum(axis=1))
-        assert np.abs(inputs.causal_lse[head] - lse).max() <= 1e-12
+        assert np.abs(inputs.cached(accounting.causal_lse)[head] - lse).max() <= 1e-12
 
 
 def full_matrix_recall(inputs, cells):
@@ -431,7 +485,7 @@ def test_window_is_scored_once_per_head(rng, monkeypatch, n):
         calls.append(head)
         return real(inputs, head)
 
-    monkeypatch.setattr(attention, "window_weights_head", counted)
+    monkeypatch.setattr(vertical_slash, "window_weights_head", counted)
     for budget in (64, 96):
         build_vertical_slash(inputs, budget // 8, budget)
     for alpha in (0.3, 0.9):
@@ -442,7 +496,7 @@ def test_window_is_scored_once_per_head(rng, monkeypatch, n):
     smallest_budget("vertical_slash", inputs, 0.5)
     assert sorted(calls) == list(range(inputs.num_q_heads))
 
-    stats = inputs.window_stats
+    stats = inputs.cached(vertical_slash.window_stats)
     for arr in (stats.column_sum, stats.column_max, stats.slash_mass, stats.total):
         with pytest.raises(ValueError):
             arr[0] = 1.0
@@ -477,7 +531,7 @@ def test_window_stats_holds_one_window_at_a_time():
     inputs = make_inputs("planted", 4096, seed=0)
     tracemalloc.start()
     try:
-        inputs.window_stats
+        inputs.cached(vertical_slash.window_stats)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()

@@ -5,16 +5,17 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from sparselab import attention
-from sparselab.attention import ROW_GROUP, AttentionInputs
+from sparselab.attention import AttentionInputs
 from sparselab.patterns import (
     BlockPlan,
     attention_recall,
     block_budget_cells,
+    block_sparse,
     build_block_sparse,
     plan_sparsity,
     smallest_budget,
 )
+from sparselab.patterns.block_sparse import ROW_GROUP, block_rank
 from sparselab.synthetic import make_inputs
 
 from conftest import random_inputs, smallest_by_scan, tied_inputs
@@ -164,7 +165,7 @@ def test_pooled_blocks_are_block_means(rng):
     # 100 = 6 * 16 + 4 leaves a short final block
     inputs = random_inputs(rng, 100)
     for x in (inputs.queries, inputs.keys):
-        pooled = attention._pool_blocks(x)
+        pooled = block_sparse._pool_blocks(x)
         assert pooled.shape == (x.shape[0], 7, x.shape[2])
         for head in range(x.shape[0]):
             assert np.array_equal(pooled[head], pooled_means(x[head]))
@@ -276,7 +277,7 @@ def test_exact_ties_rank_to_the_lower_block():
     inputs = repeated_key_blocks(np.random.default_rng(3), 16 * 40)
     nb = 40
     ids = np.arange(nb)
-    rank = inputs.block_rank
+    rank = inputs.cached(block_rank)
     assert rank.dtype == np.int8
     for b in range(1, nb):
         want = np.full(nb, nb)
@@ -288,25 +289,25 @@ def test_block_rank_fills_once_per_input(monkeypatch):
     """Builds at several budgets pool the input's blocks once; the rank is
     read-only, and a fresh input fills its own."""
     pooled = []
-    real = attention._pool_blocks
+    real = block_sparse._pool_blocks
 
     def counted(x):
         pooled.append(x.shape)
         return real(x)
 
-    monkeypatch.setattr(attention, "_pool_blocks", counted)
+    monkeypatch.setattr(block_sparse, "_pool_blocks", counted)
     inputs = make_inputs("clustered", 2048, seed=0)
     for k in (8, 38, 53):
         build_block_sparse(inputs, k)
     assert pooled == [inputs.queries.shape, inputs.keys.shape]
-    rank = inputs.block_rank
+    rank = inputs.cached(block_rank)
     assert rank.dtype == np.int16  # 128 query blocks: the sentinel 128 needs int16
     with pytest.raises(ValueError):
         rank[0, 0, 0] = 1
     fresh = AttentionInputs.from_arrays(inputs.queries, inputs.keys, inputs.values)
     build_block_sparse(fresh, 8)
     assert len(pooled) == 4
-    assert np.array_equal(fresh.block_rank, rank)
+    assert np.array_equal(fresh.cached(block_rank), rank)
 
 
 # sha256 of the selections of every build in the test below, pinned from the

@@ -1,14 +1,17 @@
 import numpy as np
 import pytest
 
-from sparselab.attention import decode_step
+from sparselab.attention import AttentionInputs, decode_step
 from sparselab.patterns import (
     PAGE_SIZE,
+    accounting,
     attention_recall,
     page_plan_rows,
     plan_sparsity,
+    quest,
     quest_index,
     quest_plan,
+    smallest_budget,
 )
 from sparselab.patterns.quest import page_upper_bounds
 from sparselab.synthetic import make_inputs
@@ -168,7 +171,7 @@ def test_full_recall_includes_dense_row_mass(rng, position):
         w = np.exp(logits - logits.max())
         want.append(w[tokens].sum() / w.sum())
     assert attention_recall(partial, inputs) == pytest.approx(float(np.mean(want)), abs=1e-12)
-    assert "causal_lse" not in inputs.__dict__
+    assert accounting.causal_lse not in inputs._stages
     full = quest_at(inputs, 128, position)
     assert attention_recall(full, inputs) == pytest.approx(1.0, abs=1e-12)
 
@@ -178,3 +181,27 @@ def test_determinism():
     b = quest_plan(make_inputs("clustered", 320, seed=4), 64)
     for pa, pb in zip(a.selected, b.selected):
         assert np.array_equal(pa, pb)
+
+
+def test_page_index_fills_once_per_input(monkeypatch):
+    """Builds at several budgets and a budget search index the keys once;
+    the cached index is read-only, and a fresh input fills its own."""
+    indexed = []
+    real = quest.quest_index
+
+    def counted(keys):
+        indexed.append(keys.shape)
+        return real(keys)
+
+    monkeypatch.setattr(quest, "quest_index", counted)
+    inputs = make_inputs("clustered", 2048, seed=0)
+    plans = [quest_plan(inputs, budget) for budget in (64, 256, 1024)]
+    smallest_budget("quest", inputs, 0.8)
+    assert indexed == [inputs.keys.shape]
+    index = plans[0].index
+    assert all(plan.index is index for plan in plans)
+    with pytest.raises(ValueError):
+        index.mins[0, 0, 0] = 1.0
+    fresh = AttentionInputs.from_arrays(inputs.queries, inputs.keys, inputs.values)
+    assert np.array_equal(quest_plan(fresh, 64).index.maxs, index.maxs)
+    assert len(indexed) == 2
