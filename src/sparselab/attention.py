@@ -169,10 +169,14 @@ class AttentionInputs:
 
     def cached(self, stage: Callable[[AttentionInputs], T]) -> T:
         """``stage(self)``, computed on the first call with that function and
-        kept for the inputs' lifetime.  A stage is a module-level function,
-        so every call names the same key."""
+        kept for the inputs' lifetime.  A stage is defined once at module
+        level, so every call names the same key.  An array it returns, or
+        each array in a tuple it returns, is made read-only."""
         if stage not in self._stages:
-            self._stages[stage] = stage(self)
+            result = self._stages[stage] = stage(self)
+            for part in result if isinstance(result, tuple) else (result,):
+                if isinstance(part, np.ndarray):
+                    part.flags.writeable = False
         return self._stages[stage]
 
 

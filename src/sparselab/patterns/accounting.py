@@ -1,4 +1,4 @@
-"""Exact coverage accounting and recall measurement for sparse plans.
+"""Selection order, exact coverage accounting and recall for sparse plans.
 
 Sparsity is always 1 - computed_cells / causal_cells with both counts exact.
 For prefill plans the denominator is the causal triangle per query head; for
@@ -24,7 +24,7 @@ __all__ = [
     "attention_recall",
     "to_cell_mask",
     "page_plan_rows",
-    "ranked_keep",
+    "rank",
 ]
 
 ORACLE_LIMIT = 2048
@@ -143,48 +143,19 @@ def causal_lse(inputs: AttentionInputs) -> np.ndarray:
     )
 
 
-def ranked_keep(scores: np.ndarray, k: int | np.ndarray, forced: np.ndarray) -> np.ndarray:
-    """Boolean keep-mask of the first ``k`` ranked members of each row.
+def rank(scores: np.ndarray, forced: np.ndarray) -> np.ndarray:
+    """Each member's place along the last axis of ``scores``: the one
+    selection order every builder thresholds, so the first k members of each
+    row are ``rank(...) < k`` (k a scalar, or per-row counts ``k[..., None]``).
 
-    This is the one selection rule every builder uses.  Along the last axis
-    of ``scores``, members marked in ``forced`` rank first, then the rest by
-    descending score; ties, forced members included, go to the lower index.
-    Forced members count toward ``k``, which is a scalar or one count per row
-    (shape ``scores.shape[:-1]``).  Scores must be finite or -inf; -inf
-    members rank last.
+    Members marked in ``forced`` come first, by index; the rest follow by
+    descending score, ties to the lower index.  Scores must be finite or
+    -inf; -inf members come last.  Places are of the smallest signed integer
+    type that holds the row length.
     """
-    scores = np.asarray(scores, dtype=np.float64)
-    m = scores.shape[-1]
-    k = np.broadcast_to(np.asarray(k, dtype=np.int64), scores.shape[:-1])
-    forced = np.broadcast_to(forced, scores.shape)
-    if (k < 0).any():
-        raise ValueError(f"budget {int(k.min())} is negative")
-    if (k > m).any():
-        raise ValueError(f"budget {int(k.max())} exceeds the {m} available candidates")
-    if (k < forced.sum(axis=-1)).any():
-        raise ValueError("budget cannot cover the forced members")
-    # ascending key order is rank order; forced members sort below every score
-    key = np.where(forced, -np.inf, -scores).reshape(k.size, m)
-    k = k.reshape(-1)
-    keep = np.zeros(key.shape, dtype=bool)
-    budgets = np.unique(k).tolist()
-    for budget in budgets:
-        rows = slice(None) if len(budgets) == 1 else np.flatnonzero(k == budget)
-        if budget > 0:
-            keep[rows] = _first_k(key[rows], budget)
-    return keep.reshape(scores.shape)
-
-
-def _first_k(key: np.ndarray, k: int) -> np.ndarray:
-    """Per row of ``key``, the k smallest members, equal keys to the lower
-    index: every member below the row's k-th smallest key, then the lowest
-    indexed members equal to it until k are kept."""
-    threshold = np.partition(key, k - 1, axis=-1)[:, k - 1 : k]
-    keep = key < threshold
-    tied = key == threshold
-    room = k - np.count_nonzero(keep, axis=-1)
-    crowded = np.flatnonzero(np.count_nonzero(tied, axis=-1) > room)
-    if crowded.size:
-        rank = np.cumsum(tied[crowded], axis=-1)
-        tied[crowded] &= rank <= room[crowded, None]
-    return keep | tied
+    m = np.shape(scores)[-1]
+    order = np.argsort(np.where(forced, -np.inf, np.negative(scores)), axis=-1, kind="stable")
+    dtype = np.min_scalar_type(-m - 1)  # the smallest signed type whose maximum is m or more
+    places = np.empty(order.shape, dtype=dtype)
+    np.put_along_axis(places, order, np.arange(m, dtype=dtype), axis=-1)
+    return places

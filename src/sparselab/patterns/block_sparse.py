@@ -2,7 +2,7 @@
 query block, with the first key block and the diagonal block always kept.
 
 Estimation is ``block_rank``, each causal key block's place in its query
-block's order (``accounting.ranked_keep``'s), kept once per input by
+block's ``accounting.rank`` order, kept once per input by
 ``AttentionInputs.cached``; a build at any k is one threshold on it."""
 
 from __future__ import annotations
@@ -10,6 +10,7 @@ from __future__ import annotations
 import numpy as np
 
 from ..attention import AttentionInputs
+from .accounting import rank
 from .plans import BLOCK_SIZE, BlockPlan
 
 __all__ = ["build_block_sparse", "block_rank"]
@@ -36,46 +37,31 @@ def _pool_blocks(x: np.ndarray) -> np.ndarray:
 
 
 def block_rank(inputs: AttentionInputs) -> np.ndarray:
-    """Read-only [num_q_heads, nb, nb] place of each causal key block in its
-    query block's order, of the smallest signed integer type that holds nb.
+    """[num_q_heads, nb, nb] place of each causal key block in its query
+    block's order, of the smallest signed integer type that holds nb.
 
-    Query block b orders its key blocks 0..b as block 0, then block b, then
-    the rest by descending scaled dot product of pooled queries and keys,
-    ties to the lower block: the order of ``accounting.ranked_keep`` with
-    block 0 and the diagonal forced.  Non-causal cells hold nb, so the first
-    k blocks of every query block are ``rank < k``.  Logits are taken
-    ``ROW_GROUP`` query blocks at a time over their causal prefix; rows whose
-    finite scores tie are re-sorted stably, the rest by the default sort.
+    Query block b orders its key blocks 0..b by ``accounting.rank`` of the
+    scaled dot products of pooled queries and keys, with block 0 and the
+    diagonal forced.  Non-causal cells hold nb, so the first k blocks of
+    every query block are ``rank < k``.  Logits are taken ``ROW_GROUP``
+    query blocks at a time over their causal prefix.
     """
     n, heads = inputs.seq_len, inputs.num_q_heads
     nb = -(-n // BLOCK_SIZE)
-    dtype = next(t for t in (np.int8, np.int16, np.int32, np.int64) if np.iinfo(t).max >= nb)
     qp = _pool_blocks(inputs.queries)
     kp = _pool_blocks(inputs.keys)[list(inputs.group_map)].transpose(0, 2, 1)
     ids = np.arange(nb)
-    rank = np.full((heads, nb, nb), nb, dtype=dtype)
-    rank[:, ids[1:], ids[1:]] = 1
-    rank[:, :, 0] = 0
-    # the blocks between block 0 and the diagonal take the places from 2 on;
-    # places past a row's last such block are discarded, so they may clip at nb
-    places = np.minimum(ids + 2, nb).astype(dtype)
+    out = np.full((heads, nb, nb), nb, dtype=np.min_scalar_type(-nb - 1))
     for lo in range(0, nb, ROW_GROUP):
         hi = min(lo + ROW_GROUP, nb)
-        interior = (ids[None, :hi] > 0) & (ids[None, :hi] < ids[lo:hi, None])
-        # ascending key is rank order, with every other block sorted last
-        key = qp[:, lo:hi] @ kp[:, :, :hi]
-        key /= -np.sqrt(inputs.head_dim)
-        np.copyto(key, np.inf, where=~interior)
-        order = np.argsort(key, axis=-1)
-        ranked = np.take_along_axis(key, order, axis=-1)
-        tied = ((ranked[..., 1:] == ranked[..., :-1]) & (ranked[..., 1:] < np.inf)).any(axis=-1)
-        if tied.any():
-            order[tied] = np.argsort(key[tied], axis=-1, kind="stable")
-        group = np.empty(key.shape, dtype=dtype)
-        np.put_along_axis(group, order, places[:hi], axis=-1)
-        np.copyto(rank[:, lo:hi, :hi], group, where=interior)
-    rank.flags.writeable = False
-    return rank
+        rows, cols = ids[lo:hi, None], ids[None, :hi]
+        causal = cols <= rows
+        logits = qp[:, lo:hi] @ kp[:, :, :hi]
+        logits /= np.sqrt(inputs.head_dim)
+        np.copyto(logits, -np.inf, where=~causal)
+        places = rank(logits, (cols == 0) | (cols == rows))
+        np.copyto(out[:, lo:hi, :hi], places, where=causal)
+    return out
 
 
 def build_block_sparse(inputs: AttentionInputs, top_k_blocks: int) -> BlockPlan:

@@ -6,13 +6,15 @@ rows, reduce over the query heads and window rows of each kv group (mean for
 the uniform variant, max for the adaptive one) from the input's cached
 ``vertical_slash.window_stats``, then smooth the per-token scores with a
 zero-padded ``KERNEL_SIZE``-wide average pool.  The first 4 and most recent
-128 tokens are always kept and count toward the capacity; tokens are ranked
-by ``accounting.ranked_keep``.  Uniform allocation is the pooled rule with
-every head's floor at its full capacity.
+128 tokens are always kept and count toward the capacity.  Each reduction's
+``accounting.rank`` orders are one cached stage (``RANKS``), so a build at
+any capacity is a threshold on them.  Uniform allocation is the pooled rule
+with every head's floor at its full capacity.
 """
 
 from __future__ import annotations
 
+from functools import partial
 from typing import Literal
 
 import numpy as np
@@ -20,7 +22,7 @@ import numpy as np
 # window_weights_head is not called here (vertical_slash.window_stats scores
 # the window once per input), but perfbench's tracer wraps this attribute
 from ..attention import APPROX_WINDOW, AttentionInputs, window_weights_head  # noqa: F401
-from .accounting import ranked_keep
+from .accounting import rank
 from .plans import EvictionPlan
 from .vertical_slash import window_stats
 
@@ -66,30 +68,45 @@ def smoothed_scores(
     return _avg_pool_1d(scores)
 
 
+def _eviction_rank(inputs: AttentionInputs, reduce: Literal["mean", "max"]):
+    """One reduction's cached stage, two [num_kv_heads, seq_len] arrays of
+    ``accounting.rank`` places by smoothed score: each token's in its kv
+    head, forced tokens first, and in one rank over every head's tokens,
+    head-major, where equal scores go to the lower kv head."""
+    n, num_kv = inputs.seq_len, inputs.num_kv_heads
+    ids = np.arange(n)
+    scores = np.stack([smoothed_scores(inputs, kv, reduce) for kv in range(num_kv)])
+    places = rank(scores, (ids < FORCED_FIRST) | (ids >= n - FORCED_RECENT))
+    return places, rank(scores.reshape(-1), False).reshape(num_kv, n)
+
+
+# the cached stage of each reduction
+RANKS = {reduce: partial(_eviction_rank, reduce=reduce) for reduce in ("mean", "max")}
+
+
 def _compress(
     inputs: AttentionInputs,
     token_capacity: int,
     floor_fraction: float,
     reduce: Literal["mean", "max"],
 ) -> EvictionPlan:
-    """Each kv head keeps its forced tokens and its best tokens up to a floor
-    of ceil(floor_fraction * capacity); one pool of num_kv_heads * capacity
-    slots then ranks every head's tokens together, head-major, so equal
-    scores go to the lower kv head and then the lower token.  A capacity at
-    or above the cache length keeps every token."""
-    if token_capacity < FORCED_FIRST + FORCED_RECENT:
-        raise ValueError(
-            f"token_capacity must be >= {FORCED_FIRST + FORCED_RECENT} to cover forced tokens"
-        )
+    """Each kv head keeps its first tokens up to a floor of
+    ceil(floor_fraction * capacity), its forced tokens at least; one pool of
+    num_kv_heads * capacity slots then takes the other tokens in the pooled
+    order, so equal scores go to the lower kv head and then the lower token.
+    A capacity at or above the cache length keeps every token."""
+    forced = FORCED_FIRST + FORCED_RECENT
+    if token_capacity < forced:
+        raise ValueError(f"token_capacity must be >= {forced} to cover forced tokens")
     n, num_kv = inputs.seq_len, inputs.num_kv_heads
-    capacity = min(token_capacity, n)
-    ids = np.arange(n)
-    forced = (ids < FORCED_FIRST) | (ids >= n - FORCED_RECENT)
-    floor = min(max(int(np.ceil(floor_fraction * token_capacity)), int(forced.sum())), n)
-    scores = np.stack([smoothed_scores(inputs, kv, reduce) for kv in range(num_kv)])
-    floors = ranked_keep(scores, floor, forced)
-    keep = ranked_keep(scores.reshape(-1), num_kv * capacity, floors.reshape(-1))
-    return EvictionPlan(kept=tuple(np.flatnonzero(k) for k in keep.reshape(num_kv, n)), seq_len=n)
+    floor = min(max(int(np.ceil(floor_fraction * token_capacity)), forced), n)
+    places, pooled = inputs.cached(RANKS[reduce])
+    floors = places < floor
+    free = np.empty(floors.size, dtype=bool)
+    free[pooled] = ~floors  # the tokens outside the floors, in pooled order
+    room = num_kv * (min(token_capacity, n) - floor)
+    keep = floors | (free & (np.cumsum(free) <= room))[pooled]
+    return EvictionPlan(kept=tuple(np.flatnonzero(k) for k in keep), seq_len=n)
 
 
 def snapkv_compress(inputs: AttentionInputs, token_capacity: int) -> EvictionPlan:

@@ -4,9 +4,9 @@ The cache is split into fixed 16-token pages; each page is summarized by the
 elementwise min and max of its key vectors.  A decode query scores a page with
 an upper bound on any dot product against its keys, and only the highest
 scoring pages are read, the page holding the current token always among them.
-Pages are ranked by ``accounting.ranked_keep``.  ``quest_plan`` reads the
-keys' page index through ``AttentionInputs.cached``, so each input is
-indexed once whatever the budgets it is read at.
+``quest_plan`` caches the keys' page index (``AttentionInputs.cached``).  The
+page order, ``accounting.rank`` with the current page forced, is not cached:
+it depends on the decode query.
 """
 
 from __future__ import annotations
@@ -14,7 +14,7 @@ from __future__ import annotations
 import numpy as np
 
 from ..attention import AttentionInputs
-from .accounting import ranked_keep
+from .accounting import rank
 from .plans import PAGE_SIZE, PageIndex, PagePlan
 
 __all__ = ["PAGE_SIZE", "quest_index", "quest_select", "quest_plan"]
@@ -93,7 +93,7 @@ def quest_select(
             index.maxs[g][:valid],
         )
         scores[g] = np.maximum(scores[g], bounds)
-    keep = ranked_keep(scores, num_pick, np.arange(valid) == current)
+    keep = rank(scores, np.arange(valid) == current) < num_pick
     selected = tuple(np.flatnonzero(k) for k in keep)
     return PagePlan(index=index, selected=selected, position=position)
 

@@ -9,18 +9,19 @@ the eviction builders too.  A "vertical" keeps one key column for every
 later query; a "slash" keeps one causal diagonal (offset o covers cells
 (i, i-o)).  The first ``FORCED_PREFIX`` columns and the ``FORCED_LOCAL``
 smallest offsets (all of them in a shorter sequence) are always selected
-and count toward the configured budgets; candidates are ranked by
-``accounting.ranked_keep``.
+and count toward the budgets.  A build is a threshold on its cached stage,
+an ``accounting.rank`` order (``unit_rank``, ``coverage_rank``).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
 from ..attention import APPROX_WINDOW, AttentionInputs, window_weights_head
-from .accounting import ranked_keep
+from .accounting import rank
 from .plans import VerticalSlashPlan
 
 __all__ = [
@@ -30,6 +31,8 @@ __all__ = [
     "WindowStats",
     "build_vertical_slash",
     "build_flexprefill",
+    "coverage_rank",
+    "unit_rank",
     "window_stats",
 ]
 
@@ -37,10 +40,8 @@ FORCED_PREFIX = 4
 FORCED_LOCAL = 64
 
 
-@dataclass(frozen=True)
-class WindowStats:
-    """O(n) reductions of ``window_weights_head`` for every query head, as
-    read-only arrays.
+class WindowStats(NamedTuple):
+    """O(n) reductions of ``window_weights_head`` for every query head.
 
     column_sum: [num_q_heads, seq_len] window mass of each key column.
     column_max: [num_q_heads, seq_len] largest window weight of each key column.
@@ -75,17 +76,30 @@ def window_stats(inputs: AttentionInputs) -> WindowStats:
             slash_mass[head, : i + 1] += weights[r, : i + 1][::-1]
         total[head] = weights.sum()
         del weights  # free this head's window before the next is scored
-    for arr in (column_sum, column_max, slash_mass, total):
-        arr.flags.writeable = False
     return WindowStats(column_sum, column_max, slash_mass, total)
+
+
+def unit_rank(inputs: AttentionInputs) -> np.ndarray:
+    """``build_vertical_slash``'s cached stage: [2, num_q_heads, seq_len]
+    ``accounting.rank`` places of each head's key columns by window mass,
+    then of its offsets by per-cell mean window mass (length-normalized so
+    long diagonals are not favored)."""
+    n = inputs.seq_len
+    stats = inputs.cached(window_stats)
+    ids = np.arange(n)
+    # offset o intersects window rows i >= max(n - window, o): min(window, n - o) cells
+    slash_cells = np.minimum(min(APPROX_WINDOW, n), n - ids)
+    return rank(
+        np.stack([stats.column_sum, stats.slash_mass / slash_cells]),
+        np.stack([ids < FORCED_PREFIX, ids < FORCED_LOCAL])[:, None],
+    )
 
 
 def build_vertical_slash(
     inputs: AttentionInputs, num_verticals: int, num_slashes: int
 ) -> VerticalSlashPlan:
-    """Uniform-budget selection: per head, the top ``num_verticals`` key
-    columns by window mass and top ``num_slashes`` offsets by per-cell mean
-    window mass (length-normalized so long diagonals are not favored)."""
+    """Uniform-budget selection: per head, the first ``num_verticals`` key
+    columns and ``num_slashes`` offsets of ``unit_rank``."""
     n = inputs.seq_len
     if num_verticals < min(FORCED_PREFIX, n):
         raise ValueError(f"num_verticals must be >= {min(FORCED_PREFIX, n)} at seq_len {n}")
@@ -94,16 +108,10 @@ def build_vertical_slash(
     if num_verticals > n or num_slashes > n:
         raise ValueError("budgets cannot exceed seq_len")
 
-    stats = inputs.cached(window_stats)
-    col_mass, slash_mass = stats.column_sum, stats.slash_mass
-    ids = np.arange(n)
-    # offset o intersects window rows i >= max(n - window, o): min(window, n - o) cells
-    slash_cells = np.minimum(min(APPROX_WINDOW, n), n - ids)
-    verticals = ranked_keep(col_mass, num_verticals, ids < FORCED_PREFIX)
-    slashes = ranked_keep(slash_mass / slash_cells, num_slashes, ids < FORCED_LOCAL)
+    columns, offsets = inputs.cached(unit_rank)
     return VerticalSlashPlan(
-        verticals=tuple(np.flatnonzero(v) for v in verticals),
-        slashes=tuple(np.flatnonzero(s) for s in slashes),
+        verticals=tuple(np.flatnonzero(places < num_verticals) for places in columns),
+        slashes=tuple(np.flatnonzero(places < num_slashes) for places in offsets),
         seq_len=n,
     )
 
@@ -133,6 +141,26 @@ class FlexPrefillConfig:
         return min(max(k, FORCED_PREFIX), n), min(max(k, FORCED_LOCAL), n)
 
 
+def coverage_rank(inputs: AttentionInputs) -> tuple[np.ndarray, np.ndarray]:
+    """``build_flexprefill``'s cached stage: each head's ``accounting.rank``
+    places of its units [columns, offsets] by window mass, a vertical first
+    on equal mass, and the mass that the forced units, then the first
+    forced + 1, forced + 2, ... units cover."""
+    stats = inputs.cached(window_stats)
+    ids = np.arange(inputs.seq_len)
+    forced = np.concatenate([ids < FORCED_PREFIX, ids < FORCED_LOCAL])
+    masses = np.concatenate([stats.column_sum, stats.slash_mass], axis=1)
+    places = rank(masses, forced)
+    # the greedy walk adds the other units to the forced mass one at a time
+    # in rank order, so its running sum is a cumsum of the masses in that order
+    ranked = np.empty_like(masses)
+    np.put_along_axis(ranked, places, masses, axis=1)
+    last = np.count_nonzero(forced) - 1  # the last forced unit's slot holds all the forced mass
+    ranked[:, last] = stats.column_sum[:, :FORCED_PREFIX].sum(axis=1)
+    ranked[:, last] += stats.slash_mass[:, :FORCED_LOCAL].sum(axis=1)
+    return places, np.cumsum(ranked[:, last:], axis=1)
+
+
 def build_flexprefill(
     inputs: AttentionInputs, config: FlexPrefillConfig
 ) -> VerticalSlashPlan:
@@ -140,25 +168,15 @@ def build_flexprefill(
     if config.alpha == 0.0:
         return build_vertical_slash(inputs, *config.uniform_counts(n))
 
-    stats = inputs.cached(window_stats)
-    col_mass, slash_mass, total = stats.column_sum, stats.slash_mass, stats.total
-    ids = np.arange(n)
-    forced = np.concatenate([ids < FORCED_PREFIX, ids < FORCED_LOCAL])
-    # one ranking over [columns, offsets]: on equal mass a vertical goes first
-    masses = np.concatenate([col_mass, slash_mass], axis=1)
-    if config.alpha >= 1.0:
-        counts = 2 * n
-    else:
-        # the greedy walk adds the other units to the forced mass one at a
-        # time in rank order, so its running sum is a cumsum in that order
-        forced_mass = col_mass[:, :FORCED_PREFIX].sum(axis=1)
-        forced_mass += slash_mass[:, :FORCED_LOCAL].sum(axis=1)
-        ranked = np.sort(masses[:, ~forced], axis=1)[:, ::-1]
-        covered = np.cumsum(np.concatenate([forced_mass[:, None], ranked], axis=1), axis=1)
-        count = np.count_nonzero(forced) + np.arange(covered.shape[1])
+    places, covered = inputs.cached(coverage_rank)
+    counts = 2 * n
+    if config.alpha < 1.0:
+        # units kept after each step of the walk: the forced ones, then one more each
+        count = np.arange(2 * n + 1 - covered.shape[1], 2 * n + 1)
+        total = inputs.cached(window_stats).total
         done = (covered >= config.alpha * total[:, None]) & (count >= config.min_budget)
-        counts = np.where(done.any(axis=1), count[done.argmax(axis=1)], count[-1])
-    keep = ranked_keep(masses, counts, forced)
+        counts = np.where(done.any(axis=1), count[done.argmax(axis=1)], count[-1])[:, None]
+    keep = places < counts
     return VerticalSlashPlan(
         verticals=tuple(np.flatnonzero(k[:n]) for k in keep),
         slashes=tuple(np.flatnonzero(k[n:]) for k in keep),

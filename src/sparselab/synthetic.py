@@ -34,15 +34,21 @@ def make_inputs(
 ) -> AttentionInputs:
     if seq_len < 1:  # before the planted generator indexes its needles
         raise ValueError(f"seq_len must be at least 1, got {seq_len}")
+    if kind not in GENERATOR_NAMES:
+        raise ValueError(f"unknown generator {kind!r}; expected one of {GENERATOR_NAMES}")
+    if needle_positions is not None and kind != "planted":
+        raise ValueError(f"needle_positions is for the planted generator only, not {kind!r}")
+    if needle_positions is not None and not (
+        len(needle_positions) and all(0 <= p < seq_len for p in needle_positions)
+    ):
+        raise ValueError(f"needle_positions {needle_positions} must be some of range({seq_len})")
     rng = np.random.default_rng(seed)
     shape_kv = (num_kv_heads, seq_len, head_dim)
     keys = rng.standard_normal(shape_kv)
     values = rng.standard_normal(shape_kv)
     queries = rng.standard_normal((num_q_heads, seq_len, head_dim))
 
-    if kind == "uniform":
-        pass
-    elif kind == "planted":
+    if kind == "planted":
         if needle_positions is None:
             count = max(1, seq_len // 128)
             # needles sit in the first half; a one-token sequence plants at 0
@@ -65,7 +71,5 @@ def make_inputs(
         q_assign = rng.integers(NUM_CLUSTERS, size=seq_len)
         for h in range(num_q_heads):
             queries[h] = centroids[q_assign] + 0.5 * rng.standard_normal(shape_kv[1:])
-    else:
-        raise ValueError(f"unknown generator {kind!r}; expected one of {GENERATOR_NAMES}")
 
     return AttentionInputs.from_arrays(queries, keys, values)

@@ -38,7 +38,7 @@ from sparselab.patterns import (
     vertical_slash_cells,
 )
 from sparselab import attention
-from sparselab.patterns.accounting import ranked_keep
+from sparselab.patterns.accounting import rank
 from sparselab.patterns.calibration import METHOD_NAMES, METHODS
 from sparselab.synthetic import make_inputs
 
@@ -287,14 +287,30 @@ def test_eviction_properties(seed, n, kv):
         assert_nested(plans, "kept")
 
 
+def brute_force_order(scores, forced):
+    """Forced members by index, then the others by (-score, index)."""
+    others = sorted((i for i, f in enumerate(forced) if not f), key=lambda i: (-scores[i], i))
+    return [i for i, f in enumerate(forced) if f] + others
+
+
 def brute_force_keep(scores, k, forced):
-    """Forced members, then the others by (-score, index), up to k."""
-    picked = {i for i, f in enumerate(forced) if f}
-    for i in sorted(range(len(scores)), key=lambda i: (-scores[i], i)):
-        if len(picked) >= k:
-            break
-        picked.add(i)
+    """The first k members of brute_force_order, as a keep-mask."""
+    picked = set(brute_force_order(scores, forced)[:k])
     return [i in picked for i in range(len(scores))]
+
+
+def assert_ranks_keep_brute_force(places, scores, forced):
+    """Each row of ``places`` is a permutation of 0..m-1 whose first k
+    members, ``places < k``, are brute_force_keep's for every k from the
+    forced count to m: the forced members hold the places below their
+    count, and the others follow brute force's order."""
+    m = places.shape[-1]
+    for row, row_scores, row_forced in zip(places.reshape(-1, m), scores, forced):
+        order = brute_force_order(list(row_scores), list(row_forced))
+        count = int(sum(row_forced))
+        assert sorted(row.tolist()) == list(range(m))
+        assert sorted(row[order[:count]].tolist()) == list(range(count))
+        assert row[order[count:]].tolist() == list(range(count, m))
 
 
 # few distinct values, so that ties are common, plus -inf members
@@ -311,9 +327,12 @@ def ranked_row(draw, m):
 @settings(deadline=None, max_examples=200)
 @given(data=st.data(), m=st.integers(1, 64))
 def test_ranked_keep_matches_brute_force(data, m):
-    scores, k, forced = data.draw(ranked_row(m))
-    keep = ranked_keep(np.array(scores), k, np.array(forced))
-    assert keep.tolist() == brute_force_keep(scores, k, forced)
+    """``rank < k`` against brute force at every k from the forced count to m."""
+    scores, _, forced = data.draw(ranked_row(m))
+    places = rank(np.array(scores), np.array(forced))
+    assert_ranks_keep_brute_force(places[None], [scores], [forced])
+    for k in range(sum(forced), m + 1):
+        assert (places < k).tolist() == brute_force_keep(scores, k, forced)
 
 
 @settings(deadline=None, max_examples=100)
@@ -321,24 +340,24 @@ def test_ranked_keep_matches_brute_force(data, m):
 def test_ranked_keep_takes_a_budget_per_row(data, rows, m):
     drawn = [data.draw(ranked_row(m)) for _ in range(rows)]
     scores, k, forced = (np.array(column) for column in zip(*drawn))
-    keep = ranked_keep(scores, k, forced)
-    assert keep.tolist() == [brute_force_keep(*row) for row in drawn]
+    places = rank(scores, forced)
+    assert_ranks_keep_brute_force(places, scores, forced)
+    assert (places < k[:, None]).tolist() == [brute_force_keep(*row) for row in drawn]
 
 
-@settings(deadline=None, max_examples=50)
-@given(data=st.data(), m=st.integers(1, 64))
-def test_ranked_keep_rejects_budgets_below_forced_or_above_row(data, m):
-    forced = data.draw(st.lists(st.booleans(), min_size=m, max_size=m).filter(any))
-    scores = np.zeros(m)
-    with pytest.raises(ValueError, match="forced"):
-        ranked_keep(scores, sum(forced) - 1, np.array(forced))
-    with pytest.raises(ValueError, match="exceeds"):
-        ranked_keep(scores, m + 1, np.zeros(m, dtype=bool))
-    with pytest.raises(ValueError, match="negative"):
-        ranked_keep(scores, -1, np.zeros(m, dtype=bool))
+# the place type of each row length: the smallest signed integer type that holds it
+PLACE_TYPES = {
+    127: np.int8,
+    128: np.int16,
+    300: np.int16,
+    1024: np.int16,
+    2048: np.int16,
+    32767: np.int16,
+    32768: np.int32,
+}
 
 
-@pytest.mark.parametrize("m", [300, 1024, 2048])
+@pytest.mark.parametrize("m", sorted(PLACE_TYPES))
 def test_ranked_keep_matches_brute_force_on_wide_rows(m):
     rng = np.random.default_rng(m)
     rows = 16
@@ -350,14 +369,10 @@ def test_ranked_keep_matches_brute_force_on_wide_rows(m):
     scores[4] = rng.integers(0, 4, size=m)
     forced = rng.random((rows, m)) < 0.02
     forced[5:8] = False
-    # budgets spread over the row, shared by some rows, at both ends of the range
-    k = rng.integers(forced.sum(axis=1), m + 1)
-    k[5], k[6], k[7] = 0, m, k[8]
-    k[9] = forced[9].sum()
-    keep = ranked_keep(scores, k, forced)
-    for row in range(rows):
-        want = brute_force_keep(scores[row].tolist(), k[row], forced[row].tolist())
-        assert keep[row].tolist() == want, row
+    forced[8] = True
+    places = rank(scores, forced)
+    assert places.dtype == PLACE_TYPES[m]
+    assert_ranks_keep_brute_force(places, scores, forced)
 
 
 def test_eviction_mask_expansion(rng):
@@ -656,6 +671,15 @@ def test_accounting_byte_identical():
     assert digest.hexdigest() == ACCOUNTING_DIGEST
 
 
+def plan_arrays(plan) -> list[np.ndarray]:
+    """A plan's selection: block selections, or per-head id arrays."""
+    if isinstance(plan, BlockPlan):
+        return [plan.selections]
+    if isinstance(plan, VerticalSlashPlan):
+        return [*plan.verticals, *plan.slashes]
+    return list(plan.kept if isinstance(plan, EvictionPlan) else plan.selected)
+
+
 # sha256 of the selections and decode outputs of select_16k's calibrated
 # plans, pinned before estimation moved into per-input cached stages
 SELECT_16K_DIGEST = "0b05e56a41db30634e8238181d5789531a99dd99f65b1228167e9b80e68904bf"
@@ -673,17 +697,53 @@ def test_select_16k_plans_byte_identical():
         for level in (0.9, 0.8, 0.6):
             for method in METHODS:
                 plan = build_plan(lookup(method, n, level), inputs)
-                if isinstance(plan, BlockPlan):
-                    arrays, rows = [plan.selections], None
-                elif isinstance(plan, VerticalSlashPlan):
-                    arrays, rows = [*plan.verticals, *plan.slashes], None
-                elif isinstance(plan, EvictionPlan):
-                    arrays, rows = plan.kept, [plan.kept[g] for g in inputs.group_map]
-                else:
-                    arrays, rows = plan.selected, page_plan_rows(plan, inputs.group_map)
-                for array in arrays:
+                for array in plan_arrays(plan):
                     digest.update(np.int64([array.size]))
                     digest.update(array.tobytes())
-                if rows is not None:
-                    digest.update(attention.decode_step(inputs, rows).output.tobytes())
+                if isinstance(plan, EvictionPlan):
+                    rows = [plan.kept[g] for g in inputs.group_map]
+                elif isinstance(plan, PagePlan):
+                    rows = page_plan_rows(plan, inputs.group_map)
+                else:
+                    continue
+                digest.update(attention.decode_step(inputs, rows).output.tobytes())
     assert digest.hexdigest() == SELECT_16K_DIGEST
+
+
+# sha256 of every build (or refusal) in the test below, pinned from the
+# builders that each ranked their scores anew on every call
+WIDE_PLANS_DIGEST = "ea5965fc6bcd0192203b8e29432f5b78eb21a546af08d53cd13389c527ea32d6"
+
+
+def test_plans_byte_identical_across_budgets():
+    """Every one-count row at its smallest value, n//7, n//3, n//2, n - 1, n
+    and n + 5 (ada_snapkv at four head fractions), and flexprefill over an
+    alpha x min_budget grid, at lengths below and above the forced windows:
+    each plan's arrays, or the text of the ValueError it raises."""
+    digest = hashlib.sha256()
+    for n in (1, 17, 130, 300, 2048):
+        for kind in ("uniform", "planted", "clustered"):
+            for seed in (0, 1):
+                inputs = make_inputs(kind, n, seed=seed)
+                calls = [
+                    ("flexprefill", {"alpha": alpha, "min_budget": budget})
+                    for alpha in (0.0, 0.1, 0.3, 0.6, 0.9, 0.99, 1.0)
+                    for budget in (1, 68, 512)
+                ]
+                for method in ONE_COUNT_METHODS:
+                    spec = METHODS[method]
+                    for value in (spec.smallest(n), n // 7, n // 3, n // 2, n - 1, n, n + 5):
+                        kw = spec.calibrated(value)
+                        fractions = (0.0, 0.2, 0.7, 1.0) if method == "ada_snapkv" else (None,)
+                        for f in fractions:
+                            calls.append((method, kw if f is None else {**kw, "min_head_fraction": f}))
+                for method, kw in calls:
+                    try:
+                        arrays = plan_arrays(METHODS[method].build(inputs, kw))
+                    except ValueError as exc:
+                        digest.update(str(exc).encode())
+                        continue
+                    for array in arrays:
+                        digest.update(np.int64([array.size]))
+                        digest.update(array.tobytes())
+    assert digest.hexdigest() == WIDE_PLANS_DIGEST

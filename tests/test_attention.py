@@ -1,3 +1,4 @@
+import re
 import tracemalloc
 
 import numpy as np
@@ -21,8 +22,11 @@ from sparselab.patterns import (
     accounting,
     ada_snapkv_compress,
     attention_recall,
+    build_block_sparse,
     build_flexprefill,
     build_vertical_slash,
+    eviction,
+    quest_plan,
     smallest_budget,
     snapkv_compress,
     to_cell_mask,
@@ -455,6 +459,20 @@ def test_inputs_reject_an_empty_sequence(generator, n):
         make_inputs(generator, n)
 
 
+@pytest.mark.parametrize("positions", [(-1,), (300,), ()], ids=["negative", "past_last", "empty"])
+def test_inputs_reject_needles_outside_the_sequence(positions):
+    """A needle must be one of the n positions: -1 used to plant at n - 1,
+    n raised a bare IndexError and () numpy's own error."""
+    with pytest.raises(ValueError, match=re.escape(f"{positions} must be some of range(300)")):
+        make_inputs("planted", 300, needle_positions=positions)
+
+
+@pytest.mark.parametrize("generator", ["uniform", "clustered"])
+def test_only_planted_inputs_take_needles(generator):
+    with pytest.raises(ValueError, match=f"planted generator only, not '{generator}'"):
+        make_inputs(generator, 300, needle_positions=(5,))
+
+
 def test_cell_mask_validation():
     """A plan mask's row 0 must read a key; its cells, rows and counts."""
     first, later = np.array([0]), np.array([1, 3])
@@ -476,7 +494,10 @@ def test_cell_mask_validation():
 @pytest.mark.parametrize("n", [140, 300])
 def test_window_is_scored_once_per_head(rng, monkeypatch, n):
     """Every window-scored build and calibration step reads one cache, filled
-    by one window_weights_head call per query head."""
+    by one window_weights_head call per query head, and each builder's rank
+    stage is filled once: ``rank`` runs once for ``unit_rank``, once for
+    ``coverage_rank`` and twice (per head and pooled) for each eviction
+    reduction, and a second round of builds ranks nothing more."""
     inputs = random_inputs(rng, n)
     calls = []
     real = attention.window_weights_head
@@ -486,15 +507,25 @@ def test_window_is_scored_once_per_head(rng, monkeypatch, n):
         return real(inputs, head)
 
     monkeypatch.setattr(vertical_slash, "window_weights_head", counted)
-    for budget in (64, 96):
-        build_vertical_slash(inputs, budget // 8, budget)
-    for alpha in (0.3, 0.9):
-        build_flexprefill(inputs, FlexPrefillConfig(alpha=alpha, min_budget=68))
-    for capacity in (132, 140):
-        snapkv_compress(inputs, capacity)
-        ada_snapkv_compress(inputs, capacity)
-    smallest_budget("vertical_slash", inputs, 0.5)
+    ranked = []
+    for module in (vertical_slash, eviction):
+
+        def counted_rank(scores, forced, real=module.rank, name=module.__name__):
+            ranked.append(name.rpartition(".")[2])
+            return real(scores, forced)
+
+        monkeypatch.setattr(module, "rank", counted_rank)
+    for _ in range(2):
+        for budget in (64, 96):
+            build_vertical_slash(inputs, budget // 8, budget)
+        for alpha in (0.3, 0.9):
+            build_flexprefill(inputs, FlexPrefillConfig(alpha=alpha, min_budget=68))
+        for capacity in (132, 140):
+            snapkv_compress(inputs, capacity)
+            ada_snapkv_compress(inputs, capacity)
+        smallest_budget("vertical_slash", inputs, 0.5)
     assert sorted(calls) == list(range(inputs.num_q_heads))
+    assert sorted(ranked) == ["eviction"] * 4 + ["vertical_slash"] * 2
 
     stats = inputs.cached(vertical_slash.window_stats)
     for arr in (stats.column_sum, stats.column_max, stats.slash_mass, stats.total):
@@ -509,6 +540,41 @@ def test_window_is_scored_once_per_head(rng, monkeypatch, n):
         assert np.array_equal(stats.column_max[head], col_max)
         assert np.array_equal(stats.slash_mass[head], slash_sum)
         assert stats.total[head] == pytest.approx(min(256, n), rel=1e-12)
+
+
+def stage_arrays(result) -> list[np.ndarray]:
+    """The arrays a cached stage returned: itself, a tuple's items or an
+    object's fields."""
+    if isinstance(result, np.ndarray):
+        return [result]
+    fields = result if isinstance(result, tuple) else vars(result).values()
+    return [field for field in fields if isinstance(field, np.ndarray)]
+
+
+def test_every_cached_array_is_read_only():
+    """Every stage filled on one input (window scoring, the vertical-slash,
+    flexprefill and eviction ranks, the block rank, the page index and the
+    recall oracle's causal log-sum-exp) is kept read-only, so no in-place
+    write can change a later plan or recall."""
+    inputs = make_inputs("planted", 300, seed=0)
+    plan = build_vertical_slash(inputs, 16, 64)
+    recall = attention_recall(plan, inputs)
+    build_flexprefill(inputs, FlexPrefillConfig(alpha=0.5, min_budget=68))
+    snapkv_compress(inputs, 140)
+    ada_snapkv_compress(inputs, 140)
+    build_block_sparse(inputs, 4)
+    quest_plan(inputs, 64)
+    assert len(inputs._stages) == 8
+    arrays = [array for result in inputs._stages.values() for array in stage_arrays(result)]
+    assert len(arrays) == 15
+    for array in arrays:
+        assert not array.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            array += 1
+    assert attention_recall(plan, inputs) == recall
+    again = build_vertical_slash(inputs, 16, 64)
+    for got, want in zip(again.verticals + again.slashes, plan.verticals + plan.slashes):
+        assert np.array_equal(got, want)
 
 
 def test_window_scoring_holds_one_window_array():
