@@ -28,9 +28,10 @@ boolean cell matrix.  Dense prefill is the column plan that keeps every key
 column, so a measured sparse speedup compares one producer at two densities.
 
 Kernel time therefore grows with the cells a plan keeps, not with n².  The
-same pass gives each row's log-sum-exp, so the recall oracle reads the dense
-probability mass on any cell set as ``exp(masked_lse - causal_lse)`` without
-holding n x n weights.
+recall oracle runs no plan's tiles: ``accounting.dense_mass`` sums the dense
+causal softmax once per input over every unit a prefill plan keeps (key
+column, diagonal offset, query block x key block), so a plan's covered mass
+is a sum over its units, read without holding n x n weights.
 
 ``AttentionInputs.cached`` keeps one result per estimation stage for the
 inputs' lifetime; each stage lives beside the method that reads it.
@@ -384,7 +385,9 @@ def row_logsumexp(
     inputs: AttentionInputs, tiles: Iterable[Tile], out: np.ndarray | None = None
 ) -> np.ndarray:
     """[seq_len] log-sum-exp of each row over one head's ``tiles``, with
-    ``out`` ([seq_len, head_dim]) also filled with the attention output.
+    ``out`` ([seq_len, head_dim]) also filled with the attention output: the
+    one kernel pass of ``dense_prefill`` and ``masked_attention``.  Recall
+    does not run it; it reads cached unit masses (``accounting.dense_mass``).
 
     The parts of a tile share one row peak, the largest permitted logit.
     Holes are raised to a finite floor before exp and zeroed after it, so no

@@ -11,15 +11,18 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterator
+from typing import Iterator, NamedTuple
 
 import numpy as np
+from numpy.lib.stride_tricks import as_strided
 
-from ..attention import AttentionInputs, Tile, column_tiles, row_logsumexp
-from .plans import PAGE_SIZE, PagePlan, SparsePlan, SparsityReport
+from ..attention import SPAN_ROWS, AttentionInputs, Tile, _head_arrays
+from .plans import BLOCK_SIZE, PAGE_SIZE, PagePlan, SparsePlan, SparsityReport
 
 __all__ = [
     "CellMask",
+    "DenseMass",
+    "dense_mass",
     "plan_sparsity",
     "attention_recall",
     "to_cell_mask",
@@ -108,10 +111,11 @@ def attention_recall(plan: SparsePlan, inputs: AttentionInputs) -> float:
     log-sum-exp of row i's causal logits.  A page plan constrains its decode
     row, whose covered mass is that sum over the selected tokens, with the
     row's lse computed from the row alone in O(n * head_dim).  A
-    prefill-style plan's row covers exp(masked_lse - causal_lse), with the
-    masked log-sum-exp taken over the plan's tiles (``tiles``) and the
-    causal one read from the inputs' cached ``causal_lse``; only these
-    O(n^2 * head_dim) plans are limited to n <= ORACLE_LIMIT."""
+    prefill-style plan constrains every row, and its mean recall is the
+    mass on all its cells over heads * n: each head's mass is read by the
+    plan's ``covered_mass`` from the per-unit sums of the inputs' cached
+    ``dense_mass``, so no plan tile runs.  Only these plans, whose one fill
+    is O(n^2 * head_dim), are limited to n <= ORACLE_LIMIT."""
     heads, group_map = inputs.num_q_heads, inputs.group_map
     plan.check_fits(group_map, inputs.seq_len)
     if isinstance(plan, PagePlan):
@@ -128,19 +132,74 @@ def attention_recall(plan: SparsePlan, inputs: AttentionInputs) -> float:
     n = inputs.seq_len
     if n > ORACLE_LIMIT:
         raise ValueError(f"recall oracle limited to n <= {ORACLE_LIMIT}, got {n}")
-    masked = np.stack(
-        [row_logsumexp(inputs, plan.tiles(inputs, group_map, h)) for h in range(heads)]
-    )
-    return float(np.exp(masked - inputs.cached(causal_lse)).mean())
+    dense = inputs.cached(dense_mass)
+    return sum(plan.covered_mass(inputs, group_map, h, dense) for h in range(heads)) / (heads * n)
 
 
-def causal_lse(inputs: AttentionInputs) -> np.ndarray:
-    """[num_q_heads, seq_len] log-sum-exp of each row's causal logits, read
-    from the tiles ``dense_prefill`` runs; the recall oracle's cached stage."""
-    every = np.arange(inputs.seq_len)
-    return np.stack(
-        [row_logsumexp(inputs, column_tiles(inputs, h, every)) for h in range(inputs.num_q_heads)]
+class DenseMass(NamedTuple):
+    """The dense causal softmax mass of every query head, summed over each
+    unit a prefill plan keeps; the recall oracle's cached stage.
+
+    lse:     [num_q_heads, seq_len] log-sum-exp of each row's causal logits.
+    columns: [num_q_heads, seq_len] mass of each key column j, the cells (i, j).
+    slashes: [num_q_heads, seq_len] mass of each diagonal offset o, the cells
+        (i, i - o).
+    blocks:  [num_q_heads, nb, nb] mass of each query block and key block of
+        BLOCK_SIZE tokens (zero above the diagonal).
+    """
+
+    lse: np.ndarray
+    columns: np.ndarray
+    slashes: np.ndarray
+    blocks: np.ndarray
+
+
+def dense_mass(inputs: AttentionInputs) -> DenseMass:
+    """One pass over SPAN_ROWS-row tiles of each head's causal softmax: a
+    tile's weights are reduced to its rows' log-sum-exp and its share of
+    every unit's mass, then freed, so no [n, n] array is held."""
+    heads, n = inputs.num_q_heads, inputs.seq_len
+    nb = -(-n // BLOCK_SIZE)
+    lse = np.empty((heads, n))
+    columns, slashes = np.zeros((heads, n)), np.zeros((heads, n))
+    blocks = np.zeros((heads, nb, nb))
+    for head in range(heads):
+        queries, keys, _ = _head_arrays(inputs, head)
+        # a tile starts on a block edge, since SPAN_ROWS is whole blocks
+        for start in range(0, n, SPAN_ROWS):
+            stop = min(start + SPAN_ROWS, n)
+            weights = queries[start:stop] @ keys[:stop].T
+            rows = np.arange(start, stop)
+            np.copyto(weights[:, start:], -np.inf, where=rows > rows[:, None])
+            peak = weights.max(axis=1, keepdims=True)
+            weights -= peak
+            np.exp(weights, out=weights)
+            total = weights.sum(axis=1)
+            lse[head, start:stop] = peak[:, 0] + np.log(total)
+            weights /= total[:, None]
+            by_block = np.add.reduceat(weights, np.arange(0, stop - start, BLOCK_SIZE), axis=0)
+            columns[head, :stop] += by_block.sum(axis=0)
+            first, last = start // BLOCK_SIZE, -(-stop // BLOCK_SIZE)
+            blocks[head, first:last, :last] = np.add.reduceat(
+                by_block, np.arange(0, stop, BLOCK_SIZE), axis=1
+            )
+            slashes[head, :stop] += _offset_sums(weights)
+    return DenseMass(lse, columns, slashes, blocks)
+
+
+def _offset_sums(weights: np.ndarray) -> np.ndarray:
+    """[stop] sums along each diagonal offset o of a tile's [rows, stop]
+    causal weights, whose last row is query row stop - 1 (the cells past
+    the diagonal hold zero).  Row r goes reversed into a zeroed [rows, stop
+    + rows] buffer from column r on, through a view one element longer per
+    row, so offset o lands in column o + rows - 1 of every row."""
+    size, stop = weights.shape
+    skewed = np.zeros((size, stop + size))
+    step = skewed.strides[1]
+    as_strided(skewed, shape=(size, stop), strides=(skewed.strides[0] + step, step))[...] = (
+        weights[:, ::-1]
     )
+    return skewed.sum(axis=0)[size - 1 : size - 1 + stop]
 
 
 def rank(scores: np.ndarray, forced: np.ndarray) -> np.ndarray:

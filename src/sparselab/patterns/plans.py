@@ -5,21 +5,34 @@ pages) a method keeps; its type is the unit of sparsification (key blocks,
 vertical and slash lines, tokens, pages) and carries its own geometry.
 Every plan counts its cells and checks an input shape against its own.
 Every plan but the decode-row ``PagePlan`` gives one query head's
-``tiles``, ``write_cells`` and ``reads_first_key``, shared by the column
-plans (vertical-slash and eviction).  Id arrays arrive sorted and unique,
-as ``np.flatnonzero`` gives them; a plan checks that (``attention._ids``,
-the rule decode rows follow too) and does not sort.
+``tiles``, ``write_cells``, ``reads_first_key`` and ``covered_mass`` (its
+dense mass, read from the recall oracle's per-unit sums), shared by the
+column plans (vertical-slash and eviction).  Id arrays arrive sorted and
+unique, as ``np.flatnonzero`` gives them; a plan checks that
+(``attention._ids``, the rule decode rows follow too) and does not sort.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator, Union
+from typing import TYPE_CHECKING, Iterator, Union
 
 import numpy as np
 from numpy.lib.stride_tricks import as_strided
 
-from ..attention import TILE_ROWS, AttentionInputs, Tile, _ids, block_tiles, column_tiles
+from ..attention import (
+    SPAN_ROWS,
+    TILE_ROWS,
+    AttentionInputs,
+    Tile,
+    _head_arrays,
+    _ids,
+    block_tiles,
+    column_tiles,
+)
+
+if TYPE_CHECKING:
+    from .accounting import DenseMass
 
 __all__ = [
     "BLOCK_SIZE",
@@ -115,6 +128,31 @@ class _ColumnGeometry(_Geometry):
         # row 0 holds only cell (0, 0): column 0 or offset 0
         columns, offsets = self._lines(group_map, head)
         return columns[0] == 0 or (offsets is not None and offsets[0] == 0)
+
+    def covered_mass(
+        self, inputs: AttentionInputs, group_map: GroupMap, head: int, dense: DenseMass
+    ) -> float:
+        """Query head ``head``'s dense mass on the plan's cells: its columns'
+        and diagonals' masses from ``dense``, less the mass of the cells
+        on both.  Those are read from one product of the head's queries
+        with the keys of every SPAN_ROWS columns, so at most n x SPAN_ROWS
+        logits are held."""
+        columns, offsets = self._lines(group_map, head)
+        mass = dense.columns[head, columns].sum()
+        if offsets is None:
+            return float(mass)
+        mass += dense.slashes[head, offsets].sum()
+        queries, keys, _ = _head_arrays(inputs, head)
+        for lo in range(0, columns.size, SPAN_ROWS):
+            chunk = columns[lo : lo + SPAN_ROWS]
+            # cell (j + o, j) lies on column j and offset o when j + o < n
+            counts = np.searchsorted(offsets, self.seq_len - chunk)
+            line = np.repeat(np.arange(chunk.size), counts)
+            firsts = np.repeat(np.cumsum(counts) - counts, counts)
+            rows = chunk[line] + offsets[np.arange(line.size) - firsts]
+            logits = (queries @ keys[chunk].T)[rows, line]
+            mass -= np.exp(logits - dense.lse[head, rows]).sum()
+        return float(mass)
 
 
 def vertical_slash_cells(verticals: np.ndarray, slashes: np.ndarray, n: int) -> int:
@@ -236,6 +274,12 @@ class BlockPlan(_Geometry):
     def reads_first_key(self, group_map: GroupMap, head: int) -> bool:
         # query block 0 always reads key block 0
         return True
+
+    def covered_mass(
+        self, inputs: AttentionInputs, group_map: GroupMap, head: int, dense: DenseMass
+    ) -> float:
+        """Query head ``head``'s dense mass on its chosen blocks, from ``dense``."""
+        return float(dense.blocks[head][self.selections[head]].sum())
 
 
 @dataclass(frozen=True)

@@ -7,6 +7,8 @@ query points at), and ``clustered`` (keys grouped around shared centroids).
 
 from __future__ import annotations
 
+from collections import Counter
+
 import numpy as np
 
 from .attention import AttentionInputs
@@ -36,12 +38,17 @@ def make_inputs(
         raise ValueError(f"seq_len must be at least 1, got {seq_len}")
     if kind not in GENERATOR_NAMES:
         raise ValueError(f"unknown generator {kind!r}; expected one of {GENERATOR_NAMES}")
-    if needle_positions is not None and kind != "planted":
-        raise ValueError(f"needle_positions is for the planted generator only, not {kind!r}")
-    if needle_positions is not None and not (
-        len(needle_positions) and all(0 <= p < seq_len for p in needle_positions)
-    ):
-        raise ValueError(f"needle_positions {needle_positions} must be some of range({seq_len})")
+    if needle_positions is not None:
+        if kind != "planted":
+            raise ValueError(f"needle_positions is for the planted generator only, not {kind!r}")
+        if not (len(needle_positions) and all(0 <= p < seq_len for p in needle_positions)):
+            raise ValueError(
+                f"needle_positions {needle_positions} must be some of range({seq_len})"
+            )
+        # a repeated needle would be overwritten, yet queries would still lean toward it
+        repeated = sorted(p for p, count in Counter(needle_positions).items() if count > 1)
+        if repeated:
+            raise ValueError(f"needle_positions {needle_positions} name {repeated} more than once")
     rng = np.random.default_rng(seed)
     shape_kv = (num_kv_heads, seq_len, head_dim)
     keys = rng.standard_normal(shape_kv)

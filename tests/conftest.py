@@ -11,7 +11,7 @@ import math
 import numpy as np
 import pytest
 
-from sparselab.attention import AttentionInputs
+from sparselab.attention import AttentionInputs, column_tiles, row_logsumexp
 from sparselab.patterns import (
     BLOCK_SIZE,
     BlockPlan,
@@ -81,6 +81,23 @@ def plan_cells_oracle(plan, group_map: tuple[int, ...]) -> np.ndarray:
             for v, s in zip(plan.verticals, plan.slashes)
         ]
     return np.stack([(cols <= rows) & cells for cells in heads])
+
+
+def tile_recalls(plans, inputs: AttentionInputs) -> list[float]:
+    """Each prefill-style plan's mean recall as the kernel pass reads it:
+    a row keeps exp(masked_lse - causal_lse), with the masked log-sum-exp
+    taken over the plan's own tiles and the causal one over the tiles of
+    the every-column plan, so no per-unit mass is read."""
+    heads, group_map = inputs.num_q_heads, inputs.group_map
+    every = np.arange(inputs.seq_len)
+    causal = np.stack([row_logsumexp(inputs, column_tiles(inputs, h, every)) for h in range(heads)])
+    recalls = []
+    for plan in plans:
+        masked = np.stack(
+            [row_logsumexp(inputs, plan.tiles(inputs, group_map, h)) for h in range(heads)]
+        )
+        recalls.append(float(np.exp(masked - causal).mean()))
+    return recalls
 
 
 def window_mass_oracle(weights: np.ndarray, seq_len: int):

@@ -42,7 +42,7 @@ from sparselab.patterns.accounting import rank
 from sparselab.patterns.calibration import METHOD_NAMES, METHODS
 from sparselab.synthetic import make_inputs
 
-from conftest import built_sparsity, quest_at, random_inputs, smallest_by_scan
+from conftest import built_sparsity, quest_at, random_inputs, smallest_by_scan, tile_recalls
 
 
 def brute_force_vs_cells(verticals, slashes, n):
@@ -430,7 +430,7 @@ def test_recall_is_bounded_and_exact_for_full_plan(rng):
     ids=["vertical_slash", "block_sparse", "snapkv"],
 )
 def test_recall_matches_dense_weight_sum(rng, build):
-    """The log-sum-exp recall against the dense causal softmax summed over
+    """The cached-mass recall against the dense causal softmax summed over
     the mask's cells, at n = 250 (a partial last tile)."""
     inputs = random_inputs(rng, 250)
     plan = build(inputs)
@@ -446,7 +446,42 @@ def test_recall_matches_dense_weight_sum(rng, build):
     assert attention_recall(plan, inputs) == pytest.approx(total / (inputs.num_q_heads * n), abs=1e-12)
 
 
-def test_inputs_are_read_only_and_causal_lse_is_computed_once(rng, monkeypatch):
+@pytest.mark.parametrize("kind", ["uniform", "planted", "clustered"])
+@pytest.mark.parametrize("n", [1, 17, 300, 2048])
+def test_recall_matches_the_tile_oracle(kind, n):
+    """Recall read from the cached per-unit masses against the kernel's tile
+    pass (``tile_recalls``), within 1e-12: every prefill METHODS row at its
+    smallest value and halfway to n, eviction plans under two query heads
+    per kv head, and a vertical-slash plan whose verticals and slashes are
+    one shared id set, so many of its cells lie on both.  17 and 300 end in
+    a partial block."""
+    inputs = make_inputs(kind, n, seed=n)
+    plans = []
+    for method, spec in METHODS.items():
+        if method == "quest":
+            continue
+        if spec.smallest is None:
+            values = [(0.3, 64), (0.9, 16)]
+        else:
+            lo = spec.smallest(n)
+            values = [lo, lo + max(n - lo, 0) // 2]
+        plans += [spec.build(inputs, spec.calibrated(value)) for value in values]
+    rng = np.random.default_rng(n)
+    shared = tuple(
+        np.union1d([0], np.flatnonzero(rng.random(n) < 0.25)) for _ in range(inputs.num_q_heads)
+    )
+    plans.append(VerticalSlashPlan(shared, shared, seq_len=n))
+    assert {type(plan) for plan in plans} == {VerticalSlashPlan, BlockPlan, EvictionPlan}
+    assert inputs.num_q_heads == 2 * inputs.num_kv_heads
+    got = [attention_recall(plan, inputs) for plan in plans]
+    for recall, want in zip(got, tile_recalls(plans, inputs)):
+        assert abs(recall - want) <= 1e-12
+
+
+def test_inputs_are_read_only_and_dense_mass_is_filled_once(rng, monkeypatch):
+    """The recall oracle's stage fills once per input, on the first prefill
+    recall.  After that fill a prefill plan's recall runs no kernel pass:
+    neither ``row_logsumexp`` nor any plan's ``tiles``."""
     keys = rng.normal(size=(2, 48, 8))
     inputs = attention.AttentionInputs.from_arrays(
         rng.normal(size=(4, 48, 8)), keys, rng.normal(size=(2, 48, 8))
@@ -455,16 +490,27 @@ def test_inputs_are_read_only_and_causal_lse_is_computed_once(rng, monkeypatch):
         inputs.keys[0, 0, 0] = 1.0
     assert keys.flags.writeable
     calls = []
-    real = accounting.causal_lse
+    real = accounting.dense_mass
 
     def counted(inputs):
         calls.append(inputs.seq_len)
         return real(inputs)
 
-    monkeypatch.setattr(accounting, "causal_lse", counted)
-    plan = build_block_sparse(inputs, 2)
-    first = attention_recall(plan, inputs)
-    assert attention_recall(plan, inputs) == first
+    monkeypatch.setattr(accounting, "dense_mass", counted)
+    lines = (np.array([0, 5, 9]),) * 4, (np.array([0, 2, 30]),) * 4
+    vs = VerticalSlashPlan(*lines, seq_len=48)
+    kept = EvictionPlan((np.array([0, 7, 47]), np.arange(0, 48, 3)), seq_len=48)
+    plans = [build_block_sparse(inputs, 2), vs, kept]
+    first = [attention_recall(plan, inputs) for plan in plans]
+    assert calls == [inputs.seq_len]
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("recall ran a kernel pass")
+
+    monkeypatch.setattr(attention, "row_logsumexp", refuse)
+    for plan_type in (VerticalSlashPlan, BlockPlan, EvictionPlan):
+        monkeypatch.setattr(plan_type, "tiles", refuse)
+    assert [attention_recall(plan, inputs) for plan in plans] == first
     assert calls == [inputs.seq_len]
 
 

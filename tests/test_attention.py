@@ -268,19 +268,31 @@ S = attention.SPAN_ROWS
 @pytest.mark.parametrize("n", [1, 2, S - 1, S, S + 1, 2 * S - 1, 2 * S, 2 * S + 1, 300])
 def test_dense_prefill_and_causal_lse_at_tile_edges(n):
     """The every-column plan against the full-matrix softmax on both sides
-    of each SPAN_ROWS tile edge."""
+    of each SPAN_ROWS tile edge, and the recall oracle's dense masses
+    against the full weight matrix: each row's log-sum-exp and the mass of
+    each key column, diagonal offset and query block x key block."""
     rng = np.random.default_rng(n)
     inputs = random_inputs(rng, n)
     causal = np.broadcast_to(np.tri(n, dtype=bool), (inputs.num_q_heads, n, n))
     want = full_matrix_reference(inputs, causal)
     assert np.abs(dense_prefill(inputs).output - want).max() <= 1e-12
+    dense = inputs.cached(accounting.dense_mass)
+    nb = -(-n // BLOCK_SIZE)
     for head in range(inputs.num_q_heads):
         g = inputs.group_map[head]
         logits = inputs.queries[head] @ inputs.keys[g].T / np.sqrt(inputs.head_dim)
         logits[~causal[head]] = -np.inf
         peak = logits.max(axis=1)
         lse = peak + np.log(np.exp(logits - peak[:, None]).sum(axis=1))
-        assert np.abs(inputs.cached(accounting.causal_lse)[head] - lse).max() <= 1e-12
+        assert np.abs(dense.lse[head] - lse).max() <= 1e-12
+        weights = np.exp(logits - lse[:, None])
+        assert np.abs(dense.columns[head] - weights.sum(axis=0)).max() <= 1e-12
+        offsets = [np.trace(weights, offset=-o) for o in range(n)]
+        assert np.abs(dense.slashes[head] - offsets).max() <= 1e-12
+        padded = np.zeros((nb * BLOCK_SIZE,) * 2)
+        padded[:n, :n] = weights
+        blocks = padded.reshape(nb, BLOCK_SIZE, nb, BLOCK_SIZE).sum(axis=(1, 3))
+        assert np.abs(dense.blocks[head] - blocks).max() <= 1e-12
 
 
 def full_matrix_recall(inputs, cells):
@@ -382,8 +394,8 @@ def test_rows_before_a_plans_first_cell_read_nothing(rng):
 
 
 def test_recall_builds_no_bitmap(rng, monkeypatch):
-    """Recall of a prefill-style plan reads the plan's tiles; no cell
-    matrix or CellMask is built."""
+    """Recall of a prefill-style plan reads its units' cached masses; no
+    cell matrix or CellMask is built."""
     inputs = random_inputs(rng, 200)
     plans = random_prefill_plans(rng, 200, inputs.num_q_heads, inputs.num_kv_heads)
     want = [attention_recall(plan, inputs) for plan in plans]
@@ -464,6 +476,18 @@ def test_inputs_reject_needles_outside_the_sequence(positions):
     """A needle must be one of the n positions: -1 used to plant at n - 1,
     n raised a bare IndexError and () numpy's own error."""
     with pytest.raises(ValueError, match=re.escape(f"{positions} must be some of range(300)")):
+        make_inputs("planted", 300, needle_positions=positions)
+
+
+@pytest.mark.parametrize(
+    "positions, repeated",
+    [((5, 5), [5]), ((9, 5, 9, 5, 7), [5, 9])],
+    ids=["pair", "two_pairs"],
+)
+def test_inputs_reject_a_repeated_needle(positions, repeated):
+    """A repeated needle used to overwrite the first one's key while queries
+    still leaned toward the lost direction."""
+    with pytest.raises(ValueError, match=re.escape(f"{positions} name {repeated} more than once")):
         make_inputs("planted", 300, needle_positions=positions)
 
 
@@ -554,8 +578,8 @@ def stage_arrays(result) -> list[np.ndarray]:
 def test_every_cached_array_is_read_only():
     """Every stage filled on one input (window scoring, the vertical-slash,
     flexprefill and eviction ranks, the block rank, the page index and the
-    recall oracle's causal log-sum-exp) is kept read-only, so no in-place
-    write can change a later plan or recall."""
+    recall oracle's four dense-mass arrays) is kept read-only, so no
+    in-place write can change a later plan or recall."""
     inputs = make_inputs("planted", 300, seed=0)
     plan = build_vertical_slash(inputs, 16, 64)
     recall = attention_recall(plan, inputs)
@@ -566,7 +590,7 @@ def test_every_cached_array_is_read_only():
     quest_plan(inputs, 64)
     assert len(inputs._stages) == 8
     arrays = [array for result in inputs._stages.values() for array in stage_arrays(result)]
-    assert len(arrays) == 15
+    assert len(arrays) == 18
     for array in arrays:
         assert not array.flags.writeable
         with pytest.raises(ValueError, match="read-only"):

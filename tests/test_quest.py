@@ -157,8 +157,8 @@ def test_planted_needle_page_selected():
 @pytest.mark.parametrize("position", [15, 70, 127])
 def test_full_recall_includes_dense_row_mass(rng, position):
     """Recall of a page plan is the covered share of its decode row's dense
-    softmax mass, computed from that row alone on fresh inputs: the causal
-    log-sum-exp of every row stays uncached.  The all-pages plan covers
+    softmax mass, computed from that row alone on fresh inputs: the prefill
+    oracle's dense masses stay uncached.  The all-pages plan covers
     everything."""
     inputs = random_inputs(rng, 128)
     partial = quest_at(inputs, 32, position)
@@ -171,7 +171,7 @@ def test_full_recall_includes_dense_row_mass(rng, position):
         w = np.exp(logits - logits.max())
         want.append(w[tokens].sum() / w.sum())
     assert attention_recall(partial, inputs) == pytest.approx(float(np.mean(want)), abs=1e-12)
-    assert accounting.causal_lse not in inputs._stages
+    assert accounting.dense_mass not in inputs._stages
     full = quest_at(inputs, 128, position)
     assert attention_recall(full, inputs) == pytest.approx(1.0, abs=1e-12)
 
