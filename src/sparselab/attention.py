@@ -33,6 +33,10 @@ causal softmax once per input over every unit a prefill plan keeps (key
 column, diagonal offset, query block x key block), so a plan's covered mass
 is a sum over its units, read without holding n x n weights.
 
+``decode_step`` reads a row's keys and values once per kv head and id
+array, as a slice when the ids form one run, and each query head of the
+group takes its own products from that read.
+
 ``AttentionInputs.cached`` keeps one result per estimation stage for the
 inputs' lifetime; each stage lives beside the method that reads it.
 """
@@ -472,22 +476,40 @@ def decode_step(
 
     mask_row is either a single index array shared by all query heads or one
     array per query head, each sorted and unique in [0, seq_len) (``_ids``).
+
+    Each distinct array is checked once, and its keys and values are read
+    once per kv head: the query heads of a group that share one array (an
+    eviction plan's kept tokens, a page plan's rows, a shared row) share
+    that read.  Ids that form one run, last - first + 1 == size, are read
+    as a slice, not gathered.  Each query head takes its own products.
     """
     h, n, d = inputs.num_q_heads, inputs.seq_len, inputs.head_dim
     if isinstance(mask_row, np.ndarray) or (
         len(mask_row) and np.isscalar(mask_row[0])
     ):
-        per_head = _ids((mask_row,), "mask_row", n) * h
+        per_head = [mask_row] * h
     else:
-        per_head = _ids(mask_row, "mask_row", n)
-        if len(per_head) != h:
-            raise ValueError("mask_row must give one index set per query head")
+        per_head = list(mask_row)
+    # each distinct array's rows: its ids, or a slice if they form one run
+    rows_of: dict[int, np.ndarray | slice] = {}
+    for row in per_head:
+        if id(row) not in rows_of:
+            idx = _ids((row,), "mask_row", n)[0]
+            first, last = int(idx[0]), int(idx[-1])
+            rows_of[id(row)] = slice(first, last + 1) if last - first + 1 == idx.size else idx
+    if len(per_head) != h:
+        raise ValueError("mask_row must give one index set per query head")
     pos = n - 1
     scale = 1.0 / np.sqrt(d)
     out = np.empty((h, 1, d))
-    for head, idx in enumerate(per_head):
+    read: dict[tuple[int, int], tuple[np.ndarray, np.ndarray]] = {}
+    for head, row in enumerate(per_head):
         g = inputs.group_map[head]
-        logits = (inputs.keys[g][idx] @ inputs.queries[head][pos]) * scale
+        if (g, id(row)) not in read:
+            rows = rows_of[id(row)]
+            read[g, id(row)] = inputs.keys[g][rows], inputs.values[g][rows]
+        keys, values = read[g, id(row)]
+        logits = (keys @ inputs.queries[head][pos]) * scale
         w = _stable_softmax(logits)
-        out[head, 0] = w @ inputs.values[g][idx]
+        out[head, 0] = w @ values
     return AttentionOutput(out)

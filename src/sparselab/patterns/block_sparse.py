@@ -68,9 +68,11 @@ def build_block_sparse(inputs: AttentionInputs, top_k_blocks: int) -> BlockPlan:
     """Select ``top_k_blocks`` causal key blocks per query block by pooled
     logit; block 0 and the diagonal block are forced and count toward k.
     Rows with fewer causal blocks than k are clamped: a k of nb or more
-    keeps every causal block, whose ranks lie below nb."""
+    keeps every causal block, whose ranks lie below nb.
+
+    The plan is a threshold on the inputs' cached ``block_rank``
+    (``BlockPlan._threshold``), so its causality and cell count follow from
+    the rank's layout and its budget; no cell is checked or counted."""
     if top_k_blocks < 2:
         raise ValueError("top_k_blocks must be >= 2 (first block plus diagonal)")
-    n = inputs.seq_len
-    k = min(top_k_blocks, -(-n // BLOCK_SIZE))
-    return BlockPlan(selections=inputs.cached(block_rank) < k, seq_len=n)
+    return BlockPlan._threshold(inputs.cached(block_rank), top_k_blocks, inputs.seq_len)

@@ -14,7 +14,7 @@ unique, as ``np.flatnonzero`` gives them; a plan checks that
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Iterator, Union
 
 import numpy as np
@@ -224,10 +224,16 @@ class BlockPlan(_Geometry):
     ``selections`` is a boolean [num_heads, nb, nb] array over the nb
     ``BLOCK_SIZE``-token blocks of the sequence (the last may be short).
     Every query block reads at least one key block and none after its own.
+    A plan given its selections is checked for that cell by cell and
+    recounts its cells; a plan ``_threshold`` builds from a block rank
+    states both from the rank's layout.
     """
 
     selections: np.ndarray
     seq_len: int
+    # the computed cells of a ``_threshold`` plan, known from its budget;
+    # None for a plan given its selections, which recounts them
+    _computed: int | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         sel = self.selections
@@ -238,6 +244,32 @@ class BlockPlan(_Geometry):
                 f"block selections must be [heads, {nb}, {nb}] at seq_len {self.seq_len}, "
                 f"got shape {sel.shape}"
             )
+
+    @classmethod
+    def _threshold(cls, rank: np.ndarray, top_k_blocks: int, seq_len: int) -> BlockPlan:
+        """The plan ``rank < k``, k being ``top_k_blocks`` clamped to nb, of
+        ``block_sparse.block_rank``'s [heads, nb, nb] order, the inputs'
+        cached rank that ``build_block_sparse`` passes.
+
+        That order holds nb at every non-causal cell and places block 0 and
+        the diagonal first, so with 2 <= k <= nb (or k = nb = 1) the plan
+        reads no key block after its query block, every query block reads
+        its diagonal, and query block b reads min(k, b + 1) blocks: each
+        head computes ``block_budget_cells(seq_len, top_k_blocks)`` cells.
+        Only those premises, the budget (``block_budget_cells`` refuses one
+        below 2) and the rank's shape, are checked here; no cell is."""
+        nb = -(-seq_len // BLOCK_SIZE)
+        if rank.ndim != 3 or rank.shape[1:] != (nb, nb) or rank.dtype.kind != "i":
+            raise ValueError(
+                f"a block rank must be a signed integer [heads, {nb}, {nb}] array at "
+                f"seq_len {seq_len}, got {rank.dtype} {rank.shape}"
+            )
+        computed = rank.shape[0] * block_budget_cells(seq_len, top_k_blocks)
+        plan = cls.__new__(cls)
+        object.__setattr__(plan, "selections", rank < min(top_k_blocks, nb))
+        object.__setattr__(plan, "seq_len", seq_len)
+        object.__setattr__(plan, "_computed", computed)
+        return plan
 
     @property
     def block_size(self) -> int:
@@ -252,10 +284,13 @@ class BlockPlan(_Geometry):
         return -(-self.seq_len // BLOCK_SIZE)
 
     def cell_counts(self) -> tuple[int, int]:
+        n = self.seq_len
+        causal = self.num_heads * n * (n + 1) // 2
+        if self._computed is not None:
+            return self._computed, causal
         diagonal = np.diagonal(self.selections, axis1=1, axis2=2)
         off_diagonal = np.count_nonzero(self.selections, axis=2) - diagonal
-        n = self.seq_len
-        return _block_cells(n, off_diagonal, diagonal), self.num_heads * n * (n + 1) // 2
+        return _block_cells(n, off_diagonal, diagonal), causal
 
     def tiles(self, inputs: AttentionInputs, group_map: GroupMap, head: int) -> Iterator[Tile]:
         return block_tiles(inputs, head, self.selections[head])

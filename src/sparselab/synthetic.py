@@ -63,13 +63,14 @@ def make_inputs(
                 sorted(rng.choice(max(1, seq_len // 2), size=count, replace=False).tolist())
             )
         for g in range(num_kv_heads):
-            directions = [_unit(rng.standard_normal(head_dim)) for _ in needle_positions]
-            for pos, u in zip(needle_positions, directions):
-                keys[g, pos] = u * needle_gain
+            directions = np.asarray(
+                [_unit(rng.standard_normal(head_dim)) for _ in needle_positions]
+            )
+            keys[g, list(needle_positions)] = directions * needle_gain
             # late queries lean toward one needle each so window scoring sees them
             for h in range(num_q_heads):
                 pick = rng.integers(len(needle_positions), size=seq_len)
-                queries[h] += needle_gain * np.stack([directions[p] for p in pick])
+                queries[h] += needle_gain * directions[pick]
     elif kind == "clustered":
         centroids = rng.standard_normal((NUM_CLUSTERS, head_dim)) * 4.0
         assign = rng.integers(NUM_CLUSTERS, size=seq_len)

@@ -100,6 +100,24 @@ def tile_recalls(plans, inputs: AttentionInputs) -> list[float]:
     return recalls
 
 
+def gathered_decode(inputs: AttentionInputs, rows) -> np.ndarray:
+    """[num_q_heads, 1, head_dim] decode output as a gather per query head:
+    head h's keys and values at its own ids, ``keys[g][ids]``, however the
+    heads share their id arrays (one shared array, or one per head)."""
+    h, n, d = inputs.num_q_heads, inputs.seq_len, inputs.head_dim
+    per_head = [rows] * h if isinstance(rows, np.ndarray) else rows
+    out = np.empty((h, 1, d))
+    for head, ids in enumerate(per_head):
+        g = inputs.group_map[head]
+        ids = np.asarray(ids, dtype=np.int64)
+        logits = (inputs.keys[g][ids] @ inputs.queries[head][n - 1]) * (1.0 / np.sqrt(d))
+        logits -= logits.max()
+        np.exp(logits, out=logits)
+        logits /= logits.sum()
+        out[head, 0] = logits @ inputs.values[g][ids]
+    return out
+
+
 def window_mass_oracle(weights: np.ndarray, seq_len: int):
     """Plain-loop reductions of one head's [window, n] window weights, whose
     rows are the last query rows: per key column the sum and the max, and

@@ -756,6 +756,22 @@ def test_select_16k_plans_byte_identical():
     assert digest.hexdigest() == SELECT_16K_DIGEST
 
 
+# sha256 of select_16k's full-row decode step, pinned from the decode_step
+# that gathered every key and value row once per query head
+FULL_DECODE_DIGEST = "42a4da9e9e601ff5302b189bb198f089e2d9583f57a626a1394c1345ed805653"
+
+
+def test_select_16k_full_decode_byte_identical():
+    """decode_step over every row, as select_16k's full decode reads it, on
+    both generators at n = 16384 (the benchmark's heads, seed 0)."""
+    n = 16384
+    digest = hashlib.sha256()
+    for kind in ("planted", "clustered"):
+        inputs = make_inputs(kind, n, seed=0)
+        digest.update(attention.decode_step(inputs, np.arange(n)).output.tobytes())
+    assert digest.hexdigest() == FULL_DECODE_DIGEST
+
+
 # sha256 of every build (or refusal) in the test below, pinned from the
 # builders that each ranked their scores anew on every call
 WIDE_PLANS_DIGEST = "ea5965fc6bcd0192203b8e29432f5b78eb21a546af08d53cd13389c527ea32d6"

@@ -1,3 +1,4 @@
+import hashlib
 import re
 import tracemalloc
 
@@ -26,6 +27,7 @@ from sparselab.patterns import (
     build_flexprefill,
     build_vertical_slash,
     eviction,
+    page_plan_rows,
     quest_plan,
     smallest_budget,
     snapkv_compress,
@@ -36,6 +38,7 @@ from sparselab.patterns.plans import BLOCK_SIZE
 from sparselab.synthetic import make_inputs
 
 from conftest import (
+    gathered_decode,
     identity_values,
     is_superset_of,
     naive_attention,
@@ -107,6 +110,35 @@ def test_decode_step_per_head_rows(rng):
         w = out.output[h, 0]
         assert abs(w.sum() - 1.0) <= 1e-9
         assert np.all(w[np.setdiff1d(np.arange(32), per_head[h])] == 0.0)
+
+
+@pytest.mark.parametrize("n", [1, 17, 300, 16384])
+def test_decode_step_matches_the_gathered_reference(n):
+    """decode_step reads a row once per kv head and id array, and a run of
+    ids as a slice; every way heads share their rows gives the bytes of a
+    gather per query head."""
+    inputs = make_inputs("planted", n, seed=3)
+    rng = np.random.default_rng(n)
+    group_map, h = inputs.group_map, inputs.num_q_heads
+
+    def some_ids():
+        return np.flatnonzero(rng.random(n) < 0.3) if n > 1 else np.arange(1)
+
+    shared = some_ids()
+    kept = [some_ids() for _ in range(inputs.num_kv_heads)]
+    cases = {
+        "every_row": np.arange(n),
+        "a_run": np.arange(n // 3, n),
+        "shared": shared,
+        "eviction": [snapkv_compress(inputs, 132 + n // 8).kept[g] for g in group_map],
+        "pages": page_plan_rows(quest_plan(inputs, 64), group_map),
+        "per_kv_head": [kept[g] for g in group_map],
+        "per_query_head": [some_ids() for _ in range(h)],
+        "equal_copies": [shared.copy() for _ in range(h)],
+    }
+    for name, rows in cases.items():
+        got = decode_step(inputs, rows).output
+        assert got.tobytes() == gathered_decode(inputs, rows).tobytes(), name
 
 
 @pytest.mark.parametrize(
@@ -635,3 +667,18 @@ def test_planted_inputs_at_tiny_lengths(n):
     inputs = make_inputs("planted", n, seed=0)
     assert inputs.seq_len == n
     assert np.allclose(np.linalg.norm(inputs.keys[:, 0], axis=-1), 12.0)
+
+
+# sha256 of planted inputs at the benchmark's heads, pinned from the
+# generator that stacked each query head's needle directions row by row
+PLANTED_INPUTS_DIGEST = "f9d0f1d9144d0c011cb1a8703c816f4fb85cdeff1df0207f97fbc9fab31e338a"
+
+
+def test_planted_inputs_byte_identical():
+    digest = hashlib.sha256()
+    for n in (1, 17, 300, 2048, 16384):
+        for seed in (0, 7):
+            inputs = make_inputs("planted", n, seed=seed)
+            for array in (inputs.queries, inputs.keys, inputs.values):
+                digest.update(array.tobytes())
+    assert digest.hexdigest() == PLANTED_INPUTS_DIGEST

@@ -16,9 +16,10 @@ from sparselab.patterns import (
     smallest_budget,
 )
 from sparselab.patterns.block_sparse import ROW_GROUP, block_rank
+from sparselab.patterns.plans import _check_causal_bitmap
 from sparselab.synthetic import make_inputs
 
-from conftest import random_inputs, smallest_by_scan, tied_inputs
+from conftest import plan_cells_oracle, random_inputs, smallest_by_scan, tied_inputs
 
 
 def pooled_oracle_selection(inputs, head, top_k, block_size=16):
@@ -308,6 +309,30 @@ def test_block_rank_fills_once_per_input(monkeypatch):
     build_block_sparse(fresh, 8)
     assert len(pooled) == 4
     assert np.array_equal(fresh.cached(block_rank), rank)
+
+
+@pytest.mark.parametrize("n", [1, 15, 16, 17, 300, 2048])
+def test_threshold_plans_state_what_the_check_checks(n):
+    """A built plan skips the cell-by-cell check and recount, stating both
+    from block_rank's layout: nb at every non-causal cell, and block 0 and
+    the diagonal at places 0 and 1.  Here the layout, the check and the
+    recount are each run against it."""
+    nb = -(-n // 16)
+    causal = np.tri(nb, dtype=bool)
+    ids = np.arange(nb)
+    for kind in ("uniform", "planted", "clustered"):
+        inputs = make_inputs(kind, n, seed=1)
+        rank = inputs.cached(block_rank)
+        assert (rank[:, ~causal] == nb).all()
+        assert (rank[:, ids, 0] < 2).all() and (rank[:, ids, ids] < 2).all()
+        for k in sorted({2, 3, 8, max(nb, 2), nb + 5}):
+            plan = build_block_sparse(inputs, k)
+            _check_causal_bitmap(plan.selections)
+            cells = np.count_nonzero(plan_cells_oracle(plan, inputs.group_map))
+            assert plan.cell_counts() == (cells, inputs.num_q_heads * n * (n + 1) // 2)
+            assert BlockPlan(plan.selections, n).cell_counts() == plan.cell_counts()
+    with pytest.raises(ValueError, match="signed integer"):
+        BlockPlan._threshold(rank[:, :-1], 2, n)
 
 
 # sha256 of the selections of every build in the test below, pinned from the
