@@ -27,11 +27,13 @@ of FlashAttention.  Two producers read tiles from a plan's geometry:
 boolean cell matrix.  Dense prefill is the column plan that keeps every key
 column, so a measured sparse speedup compares one producer at two densities.
 
-Kernel time therefore grows with the cells a plan keeps, not with n².  The
-recall oracle runs no plan's tiles: ``accounting.dense_mass`` sums the dense
-causal softmax once per input over every unit a prefill plan keeps (key
-column, diagonal offset, query block x key block), so a plan's covered mass
-is a sum over its units, read without holding n x n weights.
+Kernel time therefore grows with the cells a plan keeps, not with n².
+
+``causal_softmax`` is the one dense read of every estimate and recall: the
+window stage (``window_weights_head``), the recall oracle's
+``accounting.dense_mass``, which sums each tile over every unit a prefill
+plan keeps (key column, diagonal offset, block pair) so no plan tile runs,
+and a page plan's decode row.  Both stages sum diagonals by ``offset_sums``.
 
 ``decode_step`` reads a row's keys and values once per kv head and id
 array, as a slice when the ids form one run, and each query head of the
@@ -57,10 +59,12 @@ __all__ = [
     "AttentionInputs",
     "AttentionOutput",
     "block_tiles",
+    "causal_softmax",
     "column_tiles",
     "default_group_map",
     "dense_prefill",
     "masked_attention",
+    "offset_sums",
     "row_logsumexp",
     "decode_step",
 ]
@@ -200,22 +204,40 @@ def _stable_softmax(logits: np.ndarray) -> np.ndarray:
     return logits
 
 
+def causal_softmax(
+    inputs: AttentionInputs, head: int, start: int, stop: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """Dense causal softmax weights [stop - start, stop] and log-sum-exp
+    [stop - start] of one head's query rows ``start..stop-1`` over keys
+    ``0..stop-1``.  Logits are scaled after the product; only the range's
+    own last columns can lie past a diagonal, so only they are masked."""
+    g = inputs.group_map[head]
+    weights = inputs.queries[head][start:stop] @ inputs.keys[g][:stop].T
+    weights *= 1.0 / np.sqrt(inputs.head_dim)
+    rows = np.arange(start, stop)
+    np.copyto(weights[:, start:], -np.inf, where=rows > rows[:, None])
+    peak = weights.max(axis=1, keepdims=True)
+    weights -= peak
+    np.exp(weights, out=weights)
+    total = weights.sum(axis=1, keepdims=True)
+    weights /= total
+    return weights, peak[:, 0] + np.log(total[:, 0])
+
+
+def offset_sums(weights: np.ndarray, out: np.ndarray) -> None:
+    """Add to ``out[o]`` the weights on each diagonal offset o of a tile's
+    [rows, stop] causal weights, whose last row is query row stop - 1."""
+    size, stop = weights.shape
+    for r, i in enumerate(range(stop - size, stop)):
+        # cell (i, j) sits on offset i - j; reversing the row aligns offsets 0..i
+        out[: i + 1] += weights[r, : i + 1][::-1]
+
+
 def window_weights_head(inputs: AttentionInputs, head: int) -> np.ndarray:
     """Causal softmax weights of the last ``min(APPROX_WINDOW, n)`` query
-    rows, [window, n].
-
-    The corresponding rows of the dense causal softmax, without
-    materializing the full n x n matrix.
-    """
+    rows, [window, n]: one ``causal_softmax`` read."""
     n = inputs.seq_len
-    window = min(APPROX_WINDOW, n)
-    g = inputs.group_map[head]
-    scale = 1.0 / np.sqrt(inputs.head_dim)
-    logits = inputs.queries[head][n - window :] @ inputs.keys[g].T
-    logits *= scale
-    rows = np.arange(n - window, n)[:, None]
-    logits[np.arange(n)[None, :] > rows] = -np.inf
-    return _stable_softmax(logits)
+    return causal_softmax(inputs, head, n - min(APPROX_WINDOW, n), n)[0]
 
 
 class _Part(NamedTuple):

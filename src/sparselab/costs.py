@@ -216,10 +216,10 @@ def vs_indexing_flops(
     spec: CostSpec, window: int, num_verticals: int, num_slashes: int
 ) -> float:
     """Cost of scoring columns/diagonals from a ``window``-query recent
-    window plus the top-k scans that pick the pattern."""
+    window plus the top-k scans that pick the pattern, per query head."""
     if window < 0 or num_verticals < 0 or num_slashes < 0:
         raise ValueError("window and budgets must be non-negative")
-    L, d, q = spec.seq_len, spec.hidden_dim, window
+    L, d, q = spec.seq_len, spec.head_dim, window
     inner = (
         2 * d * L * q
         + 3 * L * q
@@ -231,7 +231,7 @@ def vs_indexing_flops(
 
 
 def quest_indexing_memory(spec: CostSpec, page_size: int) -> float:
-    """Elements moved loading min/max page representatives each step."""
+    """Elements moved loading each kv head's min/max page vectors each step."""
     if page_size < 1:
         raise ValueError("page_size must be positive")
     return (
@@ -239,7 +239,7 @@ def quest_indexing_memory(spec: CostSpec, page_size: int) -> float:
         * spec.num_layers
         * spec.num_kv_heads
         * 2
-        * spec.hidden_dim
+        * spec.head_dim
         * (spec.seq_len / page_size)
     )
 

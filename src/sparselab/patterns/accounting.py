@@ -14,9 +14,8 @@ from functools import cached_property
 from typing import Iterator, NamedTuple
 
 import numpy as np
-from numpy.lib.stride_tricks import as_strided
 
-from ..attention import SPAN_ROWS, AttentionInputs, Tile, _head_arrays
+from ..attention import SPAN_ROWS, AttentionInputs, Tile, causal_softmax, offset_sums
 from .plans import BLOCK_SIZE, PAGE_SIZE, PagePlan, SparsePlan, SparsityReport
 
 __all__ = [
@@ -109,8 +108,8 @@ def attention_recall(plan: SparsePlan, inputs: AttentionInputs) -> float:
 
     A cell (i, j) holds exp(logit_ij - lse_i) of row i, with lse_i the
     log-sum-exp of row i's causal logits.  A page plan constrains its decode
-    row, whose covered mass is that sum over the selected tokens, with the
-    row's lse computed from the row alone in O(n * head_dim).  A
+    row, whose covered mass is its selected tokens' weights in the row's one
+    ``attention.causal_softmax`` read, O(n * head_dim).  A
     prefill-style plan constrains every row, and its mean recall is the
     mass on all its cells over heads * n: each head's mass is read by the
     plan's ``covered_mass`` from the per-unit sums of the inputs' cached
@@ -120,13 +119,10 @@ def attention_recall(plan: SparsePlan, inputs: AttentionInputs) -> float:
     plan.check_fits(group_map, inputs.seq_len)
     if isinstance(plan, PagePlan):
         pos = plan.position
-        scale = 1.0 / np.sqrt(inputs.head_dim)
         total = 0.0
         for h, tokens in enumerate(page_plan_rows(plan, group_map)):
-            logits = (inputs.keys[group_map[h]][: pos + 1] @ inputs.queries[h][pos]) * scale
-            peak = logits.max()
-            dense = peak + np.log(np.exp(logits - peak).sum())
-            total += float(np.exp(logits[tokens] - dense).sum())
+            weights = causal_softmax(inputs, h, pos, pos + 1)[0][0]
+            total += float(weights[tokens].sum())
         return total / heads
 
     n = inputs.seq_len
@@ -155,51 +151,27 @@ class DenseMass(NamedTuple):
 
 
 def dense_mass(inputs: AttentionInputs) -> DenseMass:
-    """One pass over SPAN_ROWS-row tiles of each head's causal softmax: a
-    tile's weights are reduced to its rows' log-sum-exp and its share of
-    every unit's mass, then freed, so no [n, n] array is held."""
+    """One pass over SPAN_ROWS-row tiles of each head's ``causal_softmax``:
+    a tile is reduced to its rows' log-sum-exp and its share of every
+    unit's mass, then freed, so no [n, n] array is held."""
     heads, n = inputs.num_q_heads, inputs.seq_len
     nb = -(-n // BLOCK_SIZE)
     lse = np.empty((heads, n))
     columns, slashes = np.zeros((heads, n)), np.zeros((heads, n))
     blocks = np.zeros((heads, nb, nb))
     for head in range(heads):
-        queries, keys, _ = _head_arrays(inputs, head)
         # a tile starts on a block edge, since SPAN_ROWS is whole blocks
         for start in range(0, n, SPAN_ROWS):
             stop = min(start + SPAN_ROWS, n)
-            weights = queries[start:stop] @ keys[:stop].T
-            rows = np.arange(start, stop)
-            np.copyto(weights[:, start:], -np.inf, where=rows > rows[:, None])
-            peak = weights.max(axis=1, keepdims=True)
-            weights -= peak
-            np.exp(weights, out=weights)
-            total = weights.sum(axis=1)
-            lse[head, start:stop] = peak[:, 0] + np.log(total)
-            weights /= total[:, None]
+            weights, lse[head, start:stop] = causal_softmax(inputs, head, start, stop)
             by_block = np.add.reduceat(weights, np.arange(0, stop - start, BLOCK_SIZE), axis=0)
             columns[head, :stop] += by_block.sum(axis=0)
             first, last = start // BLOCK_SIZE, -(-stop // BLOCK_SIZE)
             blocks[head, first:last, :last] = np.add.reduceat(
                 by_block, np.arange(0, stop, BLOCK_SIZE), axis=1
             )
-            slashes[head, :stop] += _offset_sums(weights)
+            offset_sums(weights, slashes[head])
     return DenseMass(lse, columns, slashes, blocks)
-
-
-def _offset_sums(weights: np.ndarray) -> np.ndarray:
-    """[stop] sums along each diagonal offset o of a tile's [rows, stop]
-    causal weights, whose last row is query row stop - 1 (the cells past
-    the diagonal hold zero).  Row r goes reversed into a zeroed [rows, stop
-    + rows] buffer from column r on, through a view one element longer per
-    row, so offset o lands in column o + rows - 1 of every row."""
-    size, stop = weights.shape
-    skewed = np.zeros((size, stop + size))
-    step = skewed.strides[1]
-    as_strided(skewed, shape=(size, stop), strides=(skewed.strides[0] + step, step))[...] = (
-        weights[:, ::-1]
-    )
-    return skewed.sum(axis=0)[size - 1 : size - 1 + stop]
 
 
 def rank(scores: np.ndarray, forced: np.ndarray) -> np.ndarray:

@@ -168,12 +168,6 @@ class CalibrationEntry:
     target_sparsity: float
     params: tuple[tuple[str, Any], ...]
 
-    def param(self, name: str) -> Any:
-        for key, value in self.params:
-            if key == name:
-                return value
-        raise KeyError(f"{self.method} entry has no parameter {name!r}")
-
 
 @lru_cache(maxsize=1)
 def _raw_table() -> dict[str, Any]:

@@ -20,7 +20,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from ..attention import APPROX_WINDOW, AttentionInputs, window_weights_head
+from ..attention import APPROX_WINDOW, AttentionInputs, offset_sums, window_weights_head
 from .accounting import rank
 from .plans import VerticalSlashPlan
 
@@ -59,7 +59,8 @@ class WindowStats(NamedTuple):
 def window_stats(inputs: AttentionInputs) -> WindowStats:
     """Score each head's window once and keep only its reductions, the
     window-scored builders' cached stage; the [window, n] weights of one
-    head are freed before the next is scored."""
+    head are freed before the next is scored, its diagonals summed by
+    ``attention.offset_sums`` as ``accounting.dense_mass`` sums its tiles'."""
     n, heads = inputs.seq_len, inputs.num_q_heads
     column_sum = np.empty((heads, n))
     column_max = np.empty((heads, n))
@@ -67,13 +68,9 @@ def window_stats(inputs: AttentionInputs) -> WindowStats:
     total = np.empty(heads)
     for head in range(heads):
         weights = window_weights_head(inputs, head)
-        start = n - weights.shape[0]
         column_sum[head] = weights.sum(axis=0)
         column_max[head] = weights.max(axis=0)
-        for r in range(weights.shape[0]):
-            i = start + r
-            # cell (i, j) sits on offset i - j; reversing the row aligns offsets 0..i
-            slash_mass[head, : i + 1] += weights[r, : i + 1][::-1]
+        offset_sums(weights, slash_mass[head])
         total[head] = weights.sum()
         del weights  # free this head's window before the next is scored
     return WindowStats(column_sum, column_max, slash_mass, total)

@@ -18,6 +18,8 @@ __all__ = ["make_inputs", "GENERATOR_NAMES"]
 GENERATOR_NAMES = ("uniform", "planted", "clustered")
 # Key centroids shared by the clustered generator's keys and queries.
 NUM_CLUSTERS = 8
+# Norm of a planted needle key and of each query's lean toward one needle.
+NEEDLE_GAIN = 12.0
 
 
 def _unit(v: np.ndarray) -> np.ndarray:
@@ -32,7 +34,6 @@ def make_inputs(
     head_dim: int = 32,
     seed: int = 0,
     needle_positions: tuple[int, ...] | None = None,
-    needle_gain: float = 12.0,
 ) -> AttentionInputs:
     if seq_len < 1:  # before the planted generator indexes its needles
         raise ValueError(f"seq_len must be at least 1, got {seq_len}")
@@ -66,11 +67,11 @@ def make_inputs(
             directions = np.asarray(
                 [_unit(rng.standard_normal(head_dim)) for _ in needle_positions]
             )
-            keys[g, list(needle_positions)] = directions * needle_gain
+            keys[g, list(needle_positions)] = directions * NEEDLE_GAIN
             # late queries lean toward one needle each so window scoring sees them
             for h in range(num_q_heads):
                 pick = rng.integers(len(needle_positions), size=seq_len)
-                queries[h] += needle_gain * directions[pick]
+                queries[h] += NEEDLE_GAIN * directions[pick]
     elif kind == "clustered":
         centroids = rng.standard_normal((NUM_CLUSTERS, head_dim)) * 4.0
         assign = rng.integers(NUM_CLUSTERS, size=seq_len)

@@ -326,7 +326,7 @@ def ranked_row(draw, m):
 
 @settings(deadline=None, max_examples=200)
 @given(data=st.data(), m=st.integers(1, 64))
-def test_ranked_keep_matches_brute_force(data, m):
+def test_rank_matches_brute_force(data, m):
     """``rank < k`` against brute force at every k from the forced count to m."""
     scores, _, forced = data.draw(ranked_row(m))
     places = rank(np.array(scores), np.array(forced))
@@ -337,7 +337,7 @@ def test_ranked_keep_matches_brute_force(data, m):
 
 @settings(deadline=None, max_examples=100)
 @given(data=st.data(), rows=st.integers(1, 5), m=st.integers(1, 32))
-def test_ranked_keep_takes_a_budget_per_row(data, rows, m):
+def test_rank_takes_a_budget_per_row(data, rows, m):
     drawn = [data.draw(ranked_row(m)) for _ in range(rows)]
     scores, k, forced = (np.array(column) for column in zip(*drawn))
     places = rank(scores, forced)
@@ -358,7 +358,7 @@ PLACE_TYPES = {
 
 
 @pytest.mark.parametrize("m", sorted(PLACE_TYPES))
-def test_ranked_keep_matches_brute_force_on_wide_rows(m):
+def test_rank_matches_brute_force_on_wide_rows(m):
     rng = np.random.default_rng(m)
     rows = 16
     scores = rng.normal(size=(rows, m))
@@ -537,7 +537,7 @@ def test_page_plan_recall_beyond_the_oracle_limit():
 
 def test_calibration_table_lookup():
     entry = lookup("snapkv", 16384, 0.8)
-    assert entry.param("token_capacity") == 3276
+    assert dict(entry.params)["token_capacity"] == 3276
     with pytest.raises(KeyError):
         lookup("snapkv", 16384, 0.55)
     with pytest.raises(KeyError):
@@ -551,11 +551,11 @@ def test_predicted_sparsity_cross_check():
     same budget exceeds."""
     entry = lookup("quest", 16384, 0.95)
     report = predicted_sparsity(entry)
-    assert report.computed_cells == (int(entry.param("token_budget")) // 16) * 16
+    assert report.computed_cells == (int(dict(entry.params)["token_budget"]) // 16) * 16
     vs_entry = lookup("vertical_slash", 16384, 0.95)
     assert predicted_sparsity(vs_entry).computed_cells == vertical_slash_cells(
-        np.arange(int(vs_entry.param("num_verticals"))),
-        np.arange(int(vs_entry.param("num_slashes"))),
+        np.arange(int(dict(vs_entry.params)["num_verticals"])),
+        np.arange(int(dict(vs_entry.params)["num_slashes"])),
         16384,
     )
     n = 512
@@ -568,7 +568,7 @@ def test_predicted_sparsity_cross_check():
 
 
 def test_flexprefill_alpha_rows_are_input_dependent():
-    rows = [e for e in calibration_entries("flexprefill", 16384) if e.param("alpha") > 0]
+    rows = [e for e in calibration_entries("flexprefill", 16384) if dict(e.params)["alpha"] > 0]
     assert rows
     for entry in rows:
         assert predicted_sparsity(entry) is None

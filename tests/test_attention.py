@@ -327,6 +327,49 @@ def test_dense_prefill_and_causal_lse_at_tile_edges(n):
         assert np.abs(dense.blocks[head] - blocks).max() <= 1e-12
 
 
+def test_causal_softmax_matches_the_full_matrix():
+    """``causal_softmax``'s weights and log-sum-exp against the float64
+    full-matrix softmax: one-row reads at positions 0, 15 and n - 1, as a
+    page plan's recall reads its decode row, and a SPAN_ROWS tile past
+    row 0, as ``dense_mass`` reads it."""
+    n = 300
+    inputs = make_inputs("planted", n, seed=3)
+    for head in range(inputs.num_q_heads):
+        g = inputs.group_map[head]
+        logits = inputs.queries[head] @ inputs.keys[g].T / np.sqrt(inputs.head_dim)
+        logits[~np.tri(n, dtype=bool)] = -np.inf
+        peak = logits.max(axis=1)
+        lse = peak + np.log(np.exp(logits - peak[:, None]).sum(axis=1))
+        for start, stop in ((0, 1), (15, 16), (n - 1, n), (S, 2 * S)):
+            weights, got = attention.causal_softmax(inputs, head, start, stop)
+            assert weights.shape == (stop - start, stop)
+            assert np.abs(got - lse[start:stop]).max() <= 1e-12
+            want = np.exp(logits[start:stop, :stop] - lse[start:stop, None])
+            assert np.abs(weights - want).max() <= 1e-12
+
+
+@pytest.mark.parametrize("n", [1, 17, 130, 300])
+def test_offset_sums_match_brute_force_on_every_tile(n):
+    """``offset_sums`` on each SPAN_ROWS tile of ``causal_softmax``, as
+    ``dense_mass`` reads them (tiles that start past row 0, and a short
+    last tile), against the plain-loop per-offset sum.  It adds into
+    ``out``, so the tiles' sums accumulate."""
+    inputs = random_inputs(np.random.default_rng(n), n)
+    for head in range(inputs.num_q_heads):
+        total, want = np.zeros(n), np.zeros(n)
+        for start in range(0, n, S):
+            stop = min(start + S, n)
+            weights, _ = attention.causal_softmax(inputs, head, start, stop)
+            tile = np.zeros(n)
+            attention.offset_sums(weights, tile)
+            brute = window_mass_oracle(weights, stop)[2]
+            assert np.array_equal(tile[:stop], brute)
+            assert not tile[stop:].any()
+            attention.offset_sums(weights, total)
+            want[:stop] += brute
+        assert np.abs(total - want).max() <= 1e-12
+
+
 def full_matrix_recall(inputs, cells):
     """Dense causal softmax mass on the cells, averaged over rows and heads."""
     n = inputs.seq_len

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from sparselab import synthetic
 from sparselab.attention import AttentionInputs
 from sparselab.patterns import (
     BlockPlan,
@@ -68,14 +69,13 @@ def test_forced_blocks_and_counts(rng):
             assert len(ids) == min(5, b + 1)
 
 
-def test_planted_block_is_selected():
+def test_planted_block_is_selected(monkeypatch):
     # mean pooling divides the needle's logit boost by the block size, so the
     # gain must clear the pooled noise floor for a deterministic pick
     needle = 133
+    monkeypatch.setattr(synthetic, "NEEDLE_GAIN", 40.0)
     for seed in range(5):
-        inputs = make_inputs(
-            "planted", 512, seed=seed, needle_positions=(needle,), needle_gain=40.0
-        )
+        inputs = make_inputs("planted", 512, seed=seed, needle_positions=(needle,))
         plan = build_block_sparse(inputs, top_k_blocks=3)
         target_block = needle // 16
         for head in plan.selections:

@@ -142,11 +142,18 @@ def test_decode_speedup_ratio():
 
 
 def test_indexing_hand_expansions():
+    """Counted per head: a query head scores its window with head_dim-long
+    dot products, and a kv head's page index holds a min and a max vector
+    of head_dim elements per page."""
     spec = replace(TINY, seq_len=1024, batch_size=2)
-    L, d, q = 1024, 64, 64
-    inner = 2 * d * L * q + 3 * L * q + 2 * L * q + 2 * L * math.log2(L) + (L / 64) * (16 + 64)
-    assert vs_indexing_flops(spec, q, 16, 64) == 2 * 2 * 4 * inner
-    assert quest_indexing_memory(spec, 16) == 2 * 2 * 2 * 2 * d * (L / 16)
+    L, dh, q, batch, layers, heads, kv_heads = 1024, 16, 64, 2, 2, 4, 2
+    window_logits = 2 * dh * L * q
+    per_head = (
+        window_logits + 3 * L * q + 2 * L * q + 2 * L * math.log2(L) + (L / 64) * (16 + 64)
+    )
+    assert vs_indexing_flops(spec, q, 16, 64) == batch * layers * heads * per_head
+    page_index = 2 * dh * (L / 16)
+    assert quest_indexing_memory(spec, 16) == batch * layers * kv_heads * page_index
     with pytest.raises(ValueError):
         quest_indexing_memory(spec, 0)
 

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from sparselab import synthetic
 from sparselab.attention import window_weights_head
 from sparselab.patterns import (
     FORCED_FIRST,
@@ -135,15 +136,14 @@ def test_noop_when_capacity_covers_cache(rng):
             assert kept.tolist() == list(range(150))
 
 
-def test_planted_needle_survives_eviction():
+def test_planted_needle_survives_eviction(monkeypatch):
     """Smoothing spreads the needle's mass across the kernel, so the free
     budget must land inside the needle's plateau rather than exactly on it."""
     needle, kernel_half = 210, 10
     forced = set(range(FORCED_FIRST)) | set(range(512 - FORCED_RECENT, 512))
+    monkeypatch.setattr(synthetic, "NEEDLE_GAIN", 30.0)
     for seed in range(5):
-        inputs = make_inputs(
-            "planted", 512, seed=seed, needle_positions=(needle,), needle_gain=30.0
-        )
+        inputs = make_inputs("planted", 512, seed=seed, needle_positions=(needle,))
         for plan in (
             snapkv_compress(inputs, token_capacity=140),
             ada_snapkv_compress(inputs, token_capacity=140),

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from sparselab import synthetic
 from sparselab.attention import AttentionInputs, decode_step
 from sparselab.patterns import (
     PAGE_SIZE,
@@ -143,12 +144,11 @@ def test_recall_monotone_in_budget():
         assert all(a <= b + 1e-12 for a, b in zip(recalls, recalls[1:]))
 
 
-def test_planted_needle_page_selected():
+def test_planted_needle_page_selected(monkeypatch):
     needle = 330
+    monkeypatch.setattr(synthetic, "NEEDLE_GAIN", 30.0)
     for seed in range(5):
-        inputs = make_inputs(
-            "planted", 512, seed=seed, needle_positions=(needle,), needle_gain=30.0
-        )
+        inputs = make_inputs("planted", 512, seed=seed, needle_positions=(needle,))
         plan = quest_plan(inputs, 64)
         for pages in plan.selected:
             assert needle // PAGE_SIZE in pages.tolist()
