@@ -25,7 +25,6 @@ from ..attention import (
     TILE_ROWS,
     AttentionInputs,
     Tile,
-    _head_arrays,
     _ids,
     block_tiles,
     column_tiles,
@@ -142,7 +141,9 @@ class _ColumnGeometry(_Geometry):
         if offsets is None:
             return float(mass)
         mass += dense.slashes[head, offsets].sum()
-        queries, keys, _ = _head_arrays(inputs, head)
+        # logits scaled after the product, as the log-sum-exp's are
+        queries, keys = inputs.queries[head], inputs.keys[inputs.group_map[head]]
+        scale = 1.0 / np.sqrt(inputs.head_dim)
         for lo in range(0, columns.size, SPAN_ROWS):
             chunk = columns[lo : lo + SPAN_ROWS]
             # cell (j + o, j) lies on column j and offset o when j + o < n
@@ -150,7 +151,7 @@ class _ColumnGeometry(_Geometry):
             line = np.repeat(np.arange(chunk.size), counts)
             firsts = np.repeat(np.cumsum(counts) - counts, counts)
             rows = chunk[line] + offsets[np.arange(line.size) - firsts]
-            logits = (queries @ keys[chunk].T)[rows, line]
+            logits = (queries @ keys[chunk].T)[rows, line] * scale
             mass -= np.exp(logits - dense.lse[head, rows]).sum()
         return float(mass)
 

@@ -18,6 +18,7 @@ from .vocab import load_words
 __all__ = ["ANSWER_DOC_TOKEN_LIMIT", "assemble_qa", "gen_qa", "make_demo_documents"]
 
 ANSWER_DOC_TOKEN_LIMIT = 8000
+_FILLER_WORDS = 120
 
 
 def _render_doc(number: int, doc: dict) -> str:
@@ -111,20 +112,25 @@ def gen_qa(seed: int, target_tokens: int = 16384) -> TaskSample:
 def make_demo_documents(num_docs: int = 40, seed: int = 0) -> list[dict]:
     """Small procedural factoid documents so the CLI can demo the QA path
     without bundling external datasets. Each document knows its own
-    question/answer pair."""
+    question/answer pair.
+
+    Every document's subject, year, city and filler words come from one
+    ``rng.integers`` call, a row per document in that order.  numpy 2 draws
+    each element of an array-bounded call as a scalar ``rng.integers(0,
+    bound)`` call draws it (checked on 2.4.6), so the documents equal those
+    of one scalar draw per value, in the same order."""
     rng = np.random.default_rng(seed)
     words = load_words()
+    bounds = [len(words), 500, len(words)] + [len(words)] * _FILLER_WORDS
     docs = []
-    for i in range(num_docs):
-        subject = f"the {words[int(rng.integers(0, len(words)))]} guild"
-        year = 1400 + int(rng.integers(0, 500))
-        city = f"{words[int(rng.integers(0, len(words)))]}ton".capitalize()
-        filler = " ".join(
-            words[int(j)] for j in rng.integers(0, len(words), size=120)
-        )
+    for i, row in enumerate(rng.integers(0, bounds, size=(num_docs, len(bounds)))):
+        noun, offset, town, *filler = row.tolist()
+        subject = f"the {words[noun]} guild"
+        year = 1400 + offset
+        city = f"{words[town]}ton".capitalize()
         text = (
             f"Records state that {subject} was founded in {city} in the year "
-            f"{year}. {filler}."
+            f"{year}. {' '.join([words[j] for j in filler])}."
         )
         docs.append(
             {

@@ -3,11 +3,12 @@ import json
 import re
 from collections import Counter
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from sparselab.tasks import story
+from sparselab.tasks import niah, story
 from sparselab.tasks import (
     GenerationError,
     TABLE,
@@ -68,6 +69,77 @@ def test_niah_prompt_states_keys_twice():
     assert prompt.count("Extract the values for the following keys") == 2
     assert "I will state them both before and after the context." in prompt
     assert "<questions>" in prompt and "<questions_repeated>" in prompt
+
+
+@pytest.mark.parametrize("pop", [3, 4, 150, 8695, 10001])
+@pytest.mark.parametrize("count", [0, 1, 257])
+def test_choice3_replays_rng_choice(pop, count):
+    """One batched draw gives what ``count`` successive
+    ``choice(pop, 3, replace=False)`` calls give and leaves the generator
+    where they leave it.  A numpy whose ``choice`` draws otherwise fails
+    here before it changes a niah sample."""
+    for seed in (0, 1, 7, 2**40):
+        scalar, batched = np.random.default_rng(seed), np.random.default_rng(seed)
+        expected = [scalar.choice(pop, 3, replace=False).tolist() for _ in range(count)]
+        assert niah._choice3(batched, pop, count).tolist() == expected
+        assert batched.bit_generator.state == scalar.bit_generator.state
+
+
+def _scalar_pairs(rng, words, used, count, rejected):
+    """niah's pairs drawn one ``rng.choice`` call per candidate string,
+    redrawing a repeat; ``rejected`` collects the repeats."""
+
+    def hyphenated():
+        while True:
+            picks = rng.choice(len(words), size=3, replace=False)
+            candidate = "-".join(words[int(i)] for i in picks)
+            if candidate not in used:
+                used.add(candidate)
+                return candidate
+            rejected.append(candidate)
+
+    return [(hyphenated(), hyphenated()) for _ in range(count)]
+
+
+def test_niah_repeats_replay_the_scalar_draws(monkeypatch):
+    # 12 words give 1320 strings, so a 4000-token sample's ~480 draw many repeats
+    monkeypatch.setattr(niah, "load_words", lambda: load_words()[:12])
+    batched = [gen_niah(seed, target_tokens=4000).to_json() for seed in range(3)]
+    rejected = []
+    monkeypatch.setattr(
+        niah, "_pairs", lambda *args: _scalar_pairs(*args, rejected=rejected)
+    )
+    for seed, sample in enumerate(batched):
+        assert gen_niah(seed, target_tokens=4000).to_json() == sample
+    assert len(rejected) > 100
+
+
+class _CountingGenerator:
+    """A numpy Generator that records the name of each method called."""
+
+    def __init__(self, rng, calls):
+        self._rng, self._calls = rng, calls
+
+    def __getattr__(self, name):
+        method = getattr(self._rng, name)
+
+        def counted(*args, **kwargs):
+            self._calls.append(name)
+            return method(*args, **kwargs)
+
+        return counted
+
+
+@pytest.mark.parametrize("kind", ["niah", "qa"])
+def test_generation_draws_once_per_sample(monkeypatch, kind):
+    """A 16000-token sample draws in a handful of generator calls, not one
+    per key, value or document."""
+    expected = generate(kind, seed=5, target_tokens=16000).to_json()
+    calls = []
+    make = np.random.default_rng
+    monkeypatch.setattr(np.random, "default_rng", lambda seed: _CountingGenerator(make(seed), calls))
+    assert generate(kind, seed=5, target_tokens=16000).to_json() == expected
+    assert 0 < len(calls) <= 6, Counter(calls)
 
 
 def test_cwe_histogram_law():
