@@ -29,11 +29,11 @@ column, so a measured sparse speedup compares one producer at two densities.
 
 Kernel time therefore grows with the cells a plan keeps, not with n².
 
-``causal_softmax`` is the one dense read of every estimate and recall: the
-window stage (``window_weights_head``), the recall oracle's
-``accounting.dense_mass``, which sums each tile over every unit a prefill
-plan keeps (key column, diagonal offset, block pair) so no plan tile runs,
-and a page plan's decode row.  Both stages sum diagonals by ``offset_sums``.
+``causal_softmax`` is the one dense read of every estimate and recall:
+``accounting.dense_mass_from`` sums ``APPROX_WINDOW``-row tiles of it,
+counted back from the last row, over every unit a plan keeps (key column,
+diagonal offset by ``offset_sums``, block pair), so the observation window
+is its last tile and recall runs no plan tile; a page plan reads one row.
 
 ``decode_step`` reads a row's keys and values once per kv head and id
 array, as a slice when the ids form one run, and each query head of the
@@ -81,8 +81,8 @@ TILE_ROWS = 16
 SPAN_ROWS = 128
 
 # Query rows of the observation window that every window-scored builder
-# (vertical-slash, flexprefill, snapkv, ada_snapkv) reads; a shorter
-# sequence is read whole.
+# (vertical-slash, flexprefill, snapkv, ada_snapkv) reads, and of each tile
+# of accounting.dense_mass_from; a shorter sequence is read whole.
 APPROX_WINDOW = 256
 
 
@@ -235,7 +235,8 @@ def offset_sums(weights: np.ndarray, out: np.ndarray) -> None:
 
 def window_weights_head(inputs: AttentionInputs, head: int) -> np.ndarray:
     """Causal softmax weights of the last ``min(APPROX_WINDOW, n)`` query
-    rows, [window, n]: one ``causal_softmax`` read."""
+    rows, [window, n]: one ``causal_softmax`` read.  No package module calls
+    it; perfbench's tracer wraps it."""
     n = inputs.seq_len
     return causal_softmax(inputs, head, n - min(APPROX_WINDOW, n), n)[0]
 

@@ -5,6 +5,11 @@ For prefill plans the denominator is the causal triangle per query head; for
 eviction and page plans it is the cached-token count per kv head at the
 decode step.  Each function is one call on the plan's own geometry
 (``plans``); only a ``PagePlan``, one decode row, is told apart.
+
+``DenseMass`` is the one dense-mass stage: ``dense_mass_from`` reads a
+head's causal softmax rows in APPROX_WINDOW-row tiles counted back from the
+last row, so the observation window (``vertical_slash.window_stats``) is
+its last tile and the recall oracle (``dense_mass``) reads every row.
 """
 
 from __future__ import annotations
@@ -15,13 +20,14 @@ from typing import Iterator, NamedTuple
 
 import numpy as np
 
-from ..attention import SPAN_ROWS, AttentionInputs, Tile, causal_softmax, offset_sums
+from ..attention import APPROX_WINDOW, AttentionInputs, Tile, causal_softmax, offset_sums
 from .plans import BLOCK_SIZE, PAGE_SIZE, PagePlan, SparsePlan, SparsityReport
 
 __all__ = [
     "CellMask",
     "DenseMass",
     "dense_mass",
+    "dense_mass_from",
     "plan_sparsity",
     "attention_recall",
     "to_cell_mask",
@@ -133,45 +139,57 @@ def attention_recall(plan: SparsePlan, inputs: AttentionInputs) -> float:
 
 
 class DenseMass(NamedTuple):
-    """The dense causal softmax mass of every query head, summed over each
-    unit a prefill plan keeps; the recall oracle's cached stage.
+    """Each query head's dense causal softmax mass of rows first..n-1 per unit.
 
-    lse:     [num_q_heads, seq_len] log-sum-exp of each row's causal logits.
-    columns: [num_q_heads, seq_len] mass of each key column j, the cells (i, j).
-    slashes: [num_q_heads, seq_len] mass of each diagonal offset o, the cells
-        (i, i - o).
-    blocks:  [num_q_heads, nb, nb] mass of each query block and key block of
-        BLOCK_SIZE tokens (zero above the diagonal).
+    lse:        [num_q_heads, n - first] log-sum-exp of each row's causal logits.
+    columns, column_max: [num_q_heads, n] mass and largest weight of each key column.
+    slashes:    [num_q_heads, n] mass of each diagonal offset o, the cells (i, i - o).
+    blocks:     [num_q_heads, nb - first // BLOCK_SIZE, nb] mass of each query
+        block, from the one holding row first, and BLOCK_SIZE-token key block.
+    total:      [num_q_heads] the rows' total mass.
     """
 
     lse: np.ndarray
     columns: np.ndarray
+    column_max: np.ndarray
     slashes: np.ndarray
     blocks: np.ndarray
+    total: np.ndarray
+
+
+def dense_mass_from(inputs: AttentionInputs, first: int) -> DenseMass:
+    """A tile at a time, counted back from row n - 1: each is reduced to its
+    rows' log-sum-exp and its share of every unit's mass, then freed, so no
+    [n, n] array is held."""
+    heads, n = inputs.num_q_heads, inputs.seq_len
+    nb, top = -(-n // BLOCK_SIZE), first // BLOCK_SIZE
+    lse = np.empty((heads, n - first))
+    columns, column_max, slashes = np.zeros((heads, n)), np.zeros((heads, n)), np.zeros((heads, n))
+    blocks = np.zeros((heads, nb - top, nb))
+    total = np.zeros(heads)
+    for head in range(heads):
+        for stop in range(n, first, -APPROX_WINDOW):
+            start = max(first, stop - APPROX_WINDOW)
+            rows = slice(start - first, stop - first)
+            weights, lse[head, rows] = causal_softmax(inputs, head, start, stop)
+            columns[head, :stop] += weights.sum(axis=0)
+            np.maximum(column_max[head, :stop], weights.max(axis=0), out=column_max[head, :stop])
+            offset_sums(weights, slashes[head])
+            total[head] += weights.sum()
+            # rows summed per query block by slicing: np.add.reduceat down rows is ~17x slower
+            cuts = [0, *range(BLOCK_SIZE - start % BLOCK_SIZE, stop - start, BLOCK_SIZE)]
+            by_block = np.stack([weights[a:b].sum(axis=0) for a, b in zip(cuts, cuts[1:] + [None])])
+            del weights  # free this tile before the next is read
+            last = -(-stop // BLOCK_SIZE)  # one past the tile's last block
+            blocks[head, start // BLOCK_SIZE - top : last - top, :last] += np.add.reduceat(
+                by_block, np.arange(0, stop, BLOCK_SIZE), axis=1
+            )
+    return DenseMass(lse, columns, column_max, slashes, blocks, total)
 
 
 def dense_mass(inputs: AttentionInputs) -> DenseMass:
-    """One pass over SPAN_ROWS-row tiles of each head's ``causal_softmax``:
-    a tile is reduced to its rows' log-sum-exp and its share of every
-    unit's mass, then freed, so no [n, n] array is held."""
-    heads, n = inputs.num_q_heads, inputs.seq_len
-    nb = -(-n // BLOCK_SIZE)
-    lse = np.empty((heads, n))
-    columns, slashes = np.zeros((heads, n)), np.zeros((heads, n))
-    blocks = np.zeros((heads, nb, nb))
-    for head in range(heads):
-        # a tile starts on a block edge, since SPAN_ROWS is whole blocks
-        for start in range(0, n, SPAN_ROWS):
-            stop = min(start + SPAN_ROWS, n)
-            weights, lse[head, start:stop] = causal_softmax(inputs, head, start, stop)
-            by_block = np.add.reduceat(weights, np.arange(0, stop - start, BLOCK_SIZE), axis=0)
-            columns[head, :stop] += by_block.sum(axis=0)
-            first, last = start // BLOCK_SIZE, -(-stop // BLOCK_SIZE)
-            blocks[head, first:last, :last] = np.add.reduceat(
-                by_block, np.arange(0, stop, BLOCK_SIZE), axis=1
-            )
-            offset_sums(weights, slashes[head])
-    return DenseMass(lse, columns, slashes, blocks)
+    """The recall oracle's cached stage: every row's ``dense_mass_from``."""
+    return dense_mass_from(inputs, 0)
 
 
 def rank(scores: np.ndarray, forced: np.ndarray) -> np.ndarray:

@@ -11,7 +11,7 @@ import numpy as np
 
 from ..attention import AttentionInputs
 from .accounting import rank
-from .plans import BLOCK_SIZE, BlockPlan
+from .plans import BLOCK_SIZE, BlockPlan, span_lengths
 
 __all__ = ["build_block_sparse", "block_rank"]
 
@@ -33,7 +33,7 @@ def _pool_blocks(x: np.ndarray) -> np.ndarray:
     sums[:, :full] = x[:, : full * BLOCK_SIZE].reshape(heads, full, BLOCK_SIZE, d).sum(axis=2)
     if nb > full:
         sums[:, full] = x[:, full * BLOCK_SIZE :].sum(axis=1)
-    return sums / np.minimum(BLOCK_SIZE, n - BLOCK_SIZE * np.arange(nb))[:, None]
+    return sums / span_lengths(np.arange(nb), n)[:, None]
 
 
 def block_rank(inputs: AttentionInputs) -> np.ndarray:

@@ -159,6 +159,13 @@ METHODS: dict[str, Method] = {
 METHOD_NAMES = tuple(METHODS)
 
 
+def _method(name: str) -> Method:
+    """The table row of ``name``; a KeyError naming METHOD_NAMES for any other."""
+    if name not in METHODS:
+        raise KeyError(f"unknown method {name!r}; expected one of {METHOD_NAMES}")
+    return METHODS[name]
+
+
 @dataclass(frozen=True)
 class CalibrationEntry:
     """One operating point: parameters tuned for a target sparsity level."""
@@ -200,8 +207,7 @@ def calibration_entries(
 ) -> tuple[CalibrationEntry, ...]:
     out = _all_entries()
     if method is not None:
-        if method not in METHOD_NAMES:
-            raise KeyError(f"unknown method {method!r}; expected one of {METHOD_NAMES}")
+        _method(method)
         out = tuple(e for e in out if e.method == method)
     if seq_len is not None:
         out = tuple(e for e in out if e.seq_len == seq_len)
@@ -243,7 +249,7 @@ def check_params(method: str, params: dict) -> None:
     """Raise ValueError, naming the accepted keys, when explicit builder
     ``params`` for ``method`` miss a required key or set one its build never
     reads."""
-    spec = METHODS[method]
+    spec = _method(method)
     unknown = sorted(set(params) - {*spec.required, *spec.optional})
     missing = [name for name in spec.required if name not in params]
     problems = [
@@ -282,7 +288,7 @@ def smallest_budget(
     """
     if not 0.0 <= target_sparsity < 1.0:
         raise ValueError("target_sparsity must lie in [0, 1)")
-    spec = METHODS[method]
+    spec = _method(method)
     if spec.smallest is None:
         raise ValueError(f"{method}'s table value is not one count, so it has no budget search")
 

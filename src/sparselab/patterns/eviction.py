@@ -3,13 +3,13 @@ adaptive variant that pools the budget across heads.
 
 Both score tokens with exact attention from the last ``APPROX_WINDOW`` query
 rows, reduce over the query heads and window rows of each kv group (mean for
-the uniform variant, max for the adaptive one) from the input's cached
-``vertical_slash.window_stats``, then smooth the per-token scores with a
-zero-padded ``KERNEL_SIZE``-wide average pool.  The first 4 and most recent
-128 tokens are always kept and count toward the capacity.  Each reduction's
-``accounting.rank`` orders are one cached stage (``RANKS``), so a build at
-any capacity is a threshold on them.  Uniform allocation is the pooled rule
-with every head's floor at its full capacity.
+the uniform variant, max for the adaptive one) from the column masses and
+maxima of the input's cached ``vertical_slash.window_stats``, then smooth
+the per-token scores with a zero-padded ``KERNEL_SIZE``-wide average pool.
+The first 4 and most recent 128 tokens are always kept and count toward the
+capacity.  Each reduction's ``accounting.rank`` orders are one cached stage
+(``RANKS``), so a build at any capacity is a threshold on them.  Uniform
+allocation is the pooled rule with every head's floor at its full capacity.
 """
 
 from __future__ import annotations
@@ -19,8 +19,7 @@ from typing import Literal
 
 import numpy as np
 
-# window_weights_head is not called here (vertical_slash.window_stats scores
-# the window once per input), but perfbench's tracer wraps this attribute
+# no src/ module calls window_weights_head; perfbench/tracing.py wraps it here
 from ..attention import APPROX_WINDOW, AttentionInputs, window_weights_head  # noqa: F401
 from .accounting import rank
 from .plans import EvictionPlan
@@ -60,7 +59,7 @@ def smoothed_scores(
     group = [h for h, g in enumerate(inputs.group_map) if g == kv_head]
     if reduce == "mean":
         window = min(APPROX_WINDOW, inputs.seq_len)
-        scores = stats.column_sum[group].sum(axis=0) / (len(group) * window)
+        scores = stats.columns[group].sum(axis=0) / (len(group) * window)
     elif reduce == "max":
         scores = stats.column_max[group].max(axis=0)
     else:

@@ -3,9 +3,10 @@ coverage-driven adaptive variant.
 
 Both score candidates with exact attention from the last
 ``attention.APPROX_WINDOW`` query rows (all rows of a shorter sequence) onto
-all keys.  That estimation is ``window_stats``, the window's O(n)
-reductions, kept once per input by ``AttentionInputs.cached`` and read by
-the eviction builders too.  A "vertical" keeps one key column for every
+all keys.  That estimation is ``window_stats``, the window's
+``accounting.DenseMass``: the last tile of the reader that also fills the
+recall oracle, kept once per input by ``AttentionInputs.cached`` and read
+by the eviction builders too.  A "vertical" keeps one key column for every
 later query; a "slash" keeps one causal diagonal (offset o covers cells
 (i, i-o)).  The first ``FORCED_PREFIX`` columns and the ``FORCED_LOCAL``
 smallest offsets (all of them in a shorter sequence) are always selected
@@ -16,19 +17,18 @@ an ``accounting.rank`` order (``unit_rank``, ``coverage_rank``).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import NamedTuple
 
 import numpy as np
 
-from ..attention import APPROX_WINDOW, AttentionInputs, offset_sums, window_weights_head
-from .accounting import rank
+# no src/ module calls window_weights_head; perfbench/tracing.py wraps it here
+from ..attention import APPROX_WINDOW, AttentionInputs, window_weights_head  # noqa: F401
+from .accounting import DenseMass, dense_mass_from, rank
 from .plans import VerticalSlashPlan
 
 __all__ = [
     "FORCED_PREFIX",
     "FORCED_LOCAL",
     "FlexPrefillConfig",
-    "WindowStats",
     "build_vertical_slash",
     "build_flexprefill",
     "coverage_rank",
@@ -40,40 +40,12 @@ FORCED_PREFIX = 4
 FORCED_LOCAL = 64
 
 
-class WindowStats(NamedTuple):
-    """O(n) reductions of ``window_weights_head`` for every query head.
-
-    column_sum: [num_q_heads, seq_len] window mass of each key column.
-    column_max: [num_q_heads, seq_len] largest window weight of each key column.
-    slash_mass: [num_q_heads, seq_len] window mass of each diagonal offset o,
-        the cells (i, i - o).
-    total:      [num_q_heads] the window's total mass.
-    """
-
-    column_sum: np.ndarray
-    column_max: np.ndarray
-    slash_mass: np.ndarray
-    total: np.ndarray
-
-
-def window_stats(inputs: AttentionInputs) -> WindowStats:
-    """Score each head's window once and keep only its reductions, the
-    window-scored builders' cached stage; the [window, n] weights of one
-    head are freed before the next is scored, its diagonals summed by
-    ``attention.offset_sums`` as ``accounting.dense_mass`` sums its tiles'."""
-    n, heads = inputs.seq_len, inputs.num_q_heads
-    column_sum = np.empty((heads, n))
-    column_max = np.empty((heads, n))
-    slash_mass = np.zeros((heads, n))
-    total = np.empty(heads)
-    for head in range(heads):
-        weights = window_weights_head(inputs, head)
-        column_sum[head] = weights.sum(axis=0)
-        column_max[head] = weights.max(axis=0)
-        offset_sums(weights, slash_mass[head])
-        total[head] = weights.sum()
-        del weights  # free this head's window before the next is scored
-    return WindowStats(column_sum, column_max, slash_mass, total)
+def window_stats(inputs: AttentionInputs) -> DenseMass:
+    """The window-scored builders' cached stage, the ``accounting.DenseMass``
+    of the last ``min(APPROX_WINDOW, n)`` rows: ``dense_mass_from``'s one
+    tile per head."""
+    n = inputs.seq_len
+    return dense_mass_from(inputs, n - min(APPROX_WINDOW, n))
 
 
 def unit_rank(inputs: AttentionInputs) -> np.ndarray:
@@ -87,7 +59,7 @@ def unit_rank(inputs: AttentionInputs) -> np.ndarray:
     # offset o intersects window rows i >= max(n - window, o): min(window, n - o) cells
     slash_cells = np.minimum(min(APPROX_WINDOW, n), n - ids)
     return rank(
-        np.stack([stats.column_sum, stats.slash_mass / slash_cells]),
+        np.stack([stats.columns, stats.slashes / slash_cells]),
         np.stack([ids < FORCED_PREFIX, ids < FORCED_LOCAL])[:, None],
     )
 
@@ -146,15 +118,15 @@ def coverage_rank(inputs: AttentionInputs) -> tuple[np.ndarray, np.ndarray]:
     stats = inputs.cached(window_stats)
     ids = np.arange(inputs.seq_len)
     forced = np.concatenate([ids < FORCED_PREFIX, ids < FORCED_LOCAL])
-    masses = np.concatenate([stats.column_sum, stats.slash_mass], axis=1)
+    masses = np.concatenate([stats.columns, stats.slashes], axis=1)
     places = rank(masses, forced)
     # the greedy walk adds the other units to the forced mass one at a time
     # in rank order, so its running sum is a cumsum of the masses in that order
     ranked = np.empty_like(masses)
     np.put_along_axis(ranked, places, masses, axis=1)
     last = np.count_nonzero(forced) - 1  # the last forced unit's slot holds all the forced mass
-    ranked[:, last] = stats.column_sum[:, :FORCED_PREFIX].sum(axis=1)
-    ranked[:, last] += stats.slash_mass[:, :FORCED_LOCAL].sum(axis=1)
+    ranked[:, last] = stats.columns[:, :FORCED_PREFIX].sum(axis=1)
+    ranked[:, last] += stats.slashes[:, :FORCED_LOCAL].sum(axis=1)
     return places, np.cumsum(ranked[:, last:], axis=1)
 
 

@@ -1,4 +1,5 @@
 import hashlib
+import re
 
 import numpy as np
 import pytest
@@ -39,7 +40,7 @@ from sparselab.patterns import (
 )
 from sparselab import attention
 from sparselab.patterns.accounting import rank
-from sparselab.patterns.calibration import METHOD_NAMES, METHODS
+from sparselab.patterns.calibration import METHOD_NAMES, METHODS, check_params
 from sparselab.synthetic import make_inputs
 
 from conftest import built_sparsity, quest_at, random_inputs, smallest_by_scan, tile_recalls
@@ -543,6 +544,24 @@ def test_calibration_table_lookup():
     with pytest.raises(KeyError):
         calibration_entries("not_a_method")
     assert len(calibration_entries("vertical_slash", 16384)) == 10
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda name, inputs: calibration_entries(name),
+        lambda name, inputs: check_params(name, {}),
+        lambda name, inputs: smallest_budget(name, inputs, 0.5),
+    ],
+    ids=["calibration_entries", "check_params", "smallest_budget"],
+)
+def test_unknown_method_names_the_methods(call):
+    """Every lookup of a method by name refuses an unknown one with a
+    KeyError that lists the known ones."""
+    inputs = make_inputs("uniform", 17, seed=0)
+    message = f"unknown method 'nope'; expected one of {METHOD_NAMES}"
+    with pytest.raises(KeyError, match=re.escape(message)):
+        call("nope", inputs)
 
 
 def test_predicted_sparsity_cross_check():

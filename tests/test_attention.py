@@ -297,34 +297,73 @@ def test_tiled_kernels_match_full_matrix_reference(seed, n, kv):
 S = attention.SPAN_ROWS
 
 
-@pytest.mark.parametrize("n", [1, 2, S - 1, S, S + 1, 2 * S - 1, 2 * S, 2 * S + 1, 300])
+W = attention.APPROX_WINDOW
+
+
+def full_matrix_mass(inputs, first):
+    """The ``DenseMass`` of rows first..n-1, each field taken from each
+    head's float64 full-matrix softmax."""
+    n = inputs.seq_len
+    nb = -(-n // BLOCK_SIZE)
+    fields = {name: [] for name in accounting.DenseMass._fields}
+    for head in range(inputs.num_q_heads):
+        g = inputs.group_map[head]
+        logits = inputs.queries[head] @ inputs.keys[g].T / np.sqrt(inputs.head_dim)
+        logits = np.where(np.tri(n, dtype=bool), logits, -np.inf)[first:]
+        peak = logits.max(axis=1)
+        lse = peak + np.log(np.exp(logits - peak[:, None]).sum(axis=1))
+        weights = np.exp(logits - lse[:, None])
+        padded = np.zeros((nb * BLOCK_SIZE,) * 2)
+        padded[first:n, :n] = weights
+        blocks = padded.reshape(nb, BLOCK_SIZE, nb, BLOCK_SIZE).sum(axis=(1, 3))
+        fields["lse"].append(lse)
+        fields["columns"].append(weights.sum(axis=0))
+        fields["column_max"].append(weights.max(axis=0))
+        # row r is query row first + r, so offset o is np.trace's first - o
+        fields["slashes"].append([np.trace(weights, offset=first - o) for o in range(n)])
+        fields["blocks"].append(blocks[first // BLOCK_SIZE :])
+        fields["total"].append(weights.sum())
+    return accounting.DenseMass(*(np.array(fields[name]) for name in fields))
+
+
+def assert_mass_matches(got, want):
+    for name, a, b in zip(accounting.DenseMass._fields, got, want):
+        assert a.shape == b.shape, name
+        assert np.abs(a - b).max() <= 1e-12, name
+
+
+@pytest.mark.parametrize(
+    "n", [1, 2, S - 1, S, S + 1, 2 * S - 1, 2 * S, 2 * S + 1, 300, 2 * W - 1, 2 * W, 2 * W + 1, 1000]
+)
 def test_dense_prefill_and_causal_lse_at_tile_edges(n):
     """The every-column plan against the full-matrix softmax on both sides
     of each SPAN_ROWS tile edge, and the recall oracle's dense masses
-    against the full weight matrix: each row's log-sum-exp and the mass of
-    each key column, diagonal offset and query block x key block."""
+    against the full weight matrix on both sides of its APPROX_WINDOW tile
+    edges (counted back from row n - 1): each row's log-sum-exp and the
+    mass of each key column, diagonal offset and query block x key block,
+    each column's largest weight and the total."""
     rng = np.random.default_rng(n)
     inputs = random_inputs(rng, n)
     causal = np.broadcast_to(np.tri(n, dtype=bool), (inputs.num_q_heads, n, n))
     want = full_matrix_reference(inputs, causal)
     assert np.abs(dense_prefill(inputs).output - want).max() <= 1e-12
-    dense = inputs.cached(accounting.dense_mass)
-    nb = -(-n // BLOCK_SIZE)
-    for head in range(inputs.num_q_heads):
-        g = inputs.group_map[head]
-        logits = inputs.queries[head] @ inputs.keys[g].T / np.sqrt(inputs.head_dim)
-        logits[~causal[head]] = -np.inf
-        peak = logits.max(axis=1)
-        lse = peak + np.log(np.exp(logits - peak[:, None]).sum(axis=1))
-        assert np.abs(dense.lse[head] - lse).max() <= 1e-12
-        weights = np.exp(logits - lse[:, None])
-        assert np.abs(dense.columns[head] - weights.sum(axis=0)).max() <= 1e-12
-        offsets = [np.trace(weights, offset=-o) for o in range(n)]
-        assert np.abs(dense.slashes[head] - offsets).max() <= 1e-12
-        padded = np.zeros((nb * BLOCK_SIZE,) * 2)
-        padded[:n, :n] = weights
-        blocks = padded.reshape(nb, BLOCK_SIZE, nb, BLOCK_SIZE).sum(axis=(1, 3))
-        assert np.abs(dense.blocks[head] - blocks).max() <= 1e-12
+    assert_mass_matches(inputs.cached(accounting.dense_mass), full_matrix_mass(inputs, 0))
+
+
+@pytest.mark.parametrize("n", [1, 15, 16, 17, W - 1, W, W + 1, 300])
+def test_window_stage_matches_the_full_matrix(n):
+    """``window_stats``, the last ``min(APPROX_WINDOW, n)`` rows, against
+    the full-matrix softmax of those rows, windows that start mid-block
+    among them; the window's log-sum-exp and block masses too, with blocks
+    counted from the query block that holds its first row.  A sequence no
+    longer than the window is read whole, so both stages are equal."""
+    inputs = random_inputs(np.random.default_rng(n), n)
+    window = inputs.cached(vertical_slash.window_stats)
+    assert_mass_matches(window, full_matrix_mass(inputs, n - min(W, n)))
+    if n <= W:
+        dense = inputs.cached(accounting.dense_mass)
+        for got, want in zip(window, dense):
+            assert np.array_equal(got, want)
 
 
 def test_causal_softmax_matches_the_full_matrix():
@@ -593,7 +632,7 @@ def test_cell_mask_validation():
 @pytest.mark.parametrize("n", [140, 300])
 def test_window_is_scored_once_per_head(rng, monkeypatch, n):
     """Every window-scored build and calibration step reads one cache, filled
-    by one window_weights_head call per query head, and each builder's rank
+    by one ``causal_softmax`` read per query head, and each builder's rank
     stage is filled once: ``rank`` runs once for ``unit_rank``, once for
     ``coverage_rank`` and twice (per head and pooled) for each eviction
     reduction, and a second round of builds ranks nothing more."""
@@ -601,11 +640,11 @@ def test_window_is_scored_once_per_head(rng, monkeypatch, n):
     calls = []
     real = attention.window_weights_head
 
-    def counted(inputs, head):
+    def counted(inputs, head, start, stop):
         calls.append(head)
-        return real(inputs, head)
+        return attention.causal_softmax(inputs, head, start, stop)
 
-    monkeypatch.setattr(vertical_slash, "window_weights_head", counted)
+    monkeypatch.setattr(accounting, "causal_softmax", counted)
     ranked = []
     for module in (vertical_slash, eviction):
 
@@ -627,17 +666,17 @@ def test_window_is_scored_once_per_head(rng, monkeypatch, n):
     assert sorted(ranked) == ["eviction"] * 4 + ["vertical_slash"] * 2
 
     stats = inputs.cached(vertical_slash.window_stats)
-    for arr in (stats.column_sum, stats.column_max, stats.slash_mass, stats.total):
+    for arr in stats:
         with pytest.raises(ValueError):
             arr[0] = 1.0
     for head in range(inputs.num_q_heads):
         weights = real(inputs, head)
         col_sum, col_max, slash_sum = window_mass_oracle(weights, n)
-        assert np.array_equal(stats.column_sum[head], col_sum)
+        assert np.array_equal(stats.columns[head], col_sum)
         # the eviction oracle's per-token term: one head's window mass per key
-        assert np.array_equal(stats.column_sum[head], weights.sum(axis=0))
+        assert np.array_equal(stats.columns[head], weights.sum(axis=0))
         assert np.array_equal(stats.column_max[head], col_max)
-        assert np.array_equal(stats.slash_mass[head], slash_sum)
+        assert np.array_equal(stats.slashes[head], slash_sum)
         assert stats.total[head] == pytest.approx(min(256, n), rel=1e-12)
 
 
@@ -653,8 +692,9 @@ def stage_arrays(result) -> list[np.ndarray]:
 def test_every_cached_array_is_read_only():
     """Every stage filled on one input (window scoring, the vertical-slash,
     flexprefill and eviction ranks, the block rank, the page index and the
-    recall oracle's four dense-mass arrays) is kept read-only, so no
-    in-place write can change a later plan or recall."""
+    recall oracle's dense masses, six arrays in each of the two
+    ``DenseMass`` stages) is kept read-only, so no in-place write can change
+    a later plan or recall."""
     inputs = make_inputs("planted", 300, seed=0)
     plan = build_vertical_slash(inputs, 16, 64)
     recall = attention_recall(plan, inputs)
@@ -665,7 +705,7 @@ def test_every_cached_array_is_read_only():
     quest_plan(inputs, 64)
     assert len(inputs._stages) == 8
     arrays = [array for result in inputs._stages.values() for array in stage_arrays(result)]
-    assert len(arrays) == 18
+    assert len(arrays) == 22
     for array in arrays:
         assert not array.flags.writeable
         with pytest.raises(ValueError, match="read-only"):

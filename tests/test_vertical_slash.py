@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -11,6 +13,7 @@ from sparselab.patterns import (
     build_vertical_slash,
     plan_sparsity,
     smallest_budget,
+    vertical_slash,
     vertical_slash_cells,
 )
 from sparselab.patterns.calibration import METHODS
@@ -327,3 +330,20 @@ def test_calibration_unreachable_flag():
     inputs = make_inputs("uniform", 128, seed=0)
     search = smallest_budget("vertical_slash", inputs, 0.01)
     assert not search.target_reachable
+
+
+# sha256 of the window stage's column sums, column maxima, offset sums and
+# totals, pinned from the window stage that scored each head's window in its
+# own loop (fields column_sum, column_max, slash_mass, total)
+WINDOW_STATS_DIGEST = "235a88868a8902758da9a314fac4b73e95fdd5dec315c7d1f2c803854436e59e"
+
+
+def test_window_stats_byte_identical():
+    """Every generator at lengths below, at and past the window, seed 3."""
+    digest = hashlib.sha256()
+    for kind in ("uniform", "planted", "clustered"):
+        for n in (1, 17, 300, 2048, 16384):
+            stats = make_inputs(kind, n, seed=3).cached(vertical_slash.window_stats)
+            for array in (stats.columns, stats.column_max, stats.slashes, stats.total):
+                digest.update(array.tobytes())
+    assert digest.hexdigest() == WINDOW_STATS_DIGEST
