@@ -72,7 +72,8 @@ def build_block_sparse(inputs: AttentionInputs, top_k_blocks: int) -> BlockPlan:
 
     The plan is a threshold on the inputs' cached ``block_rank``
     (``BlockPlan._threshold``), so its causality and cell count follow from
-    the rank's layout and its budget; no cell is checked or counted."""
+    the rank's layout and its budget; no cell is checked or counted, and
+    none is written until the plan's ``selections`` are first read."""
     if top_k_blocks < 2:
         raise ValueError("top_k_blocks must be >= 2 (first block plus diagonal)")
     return BlockPlan._threshold(inputs.cached(block_rank), top_k_blocks, inputs.seq_len)

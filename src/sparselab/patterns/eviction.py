@@ -93,18 +93,21 @@ def _compress(
     ceil(floor_fraction * capacity), its forced tokens at least; one pool of
     num_kv_heads * capacity slots then takes the other tokens in the pooled
     order, so equal scores go to the lower kv head and then the lower token.
-    A capacity at or above the cache length keeps every token."""
+    A capacity at or above the cache length keeps every token.  When the
+    floors fill the pool (uniform allocation, or a floor fraction of 1),
+    the pool takes nothing and the pooled order is not read."""
     forced = FORCED_FIRST + FORCED_RECENT
     if token_capacity < forced:
         raise ValueError(f"token_capacity must be >= {forced} to cover forced tokens")
     n, num_kv = inputs.seq_len, inputs.num_kv_heads
     floor = min(max(int(np.ceil(floor_fraction * token_capacity)), forced), n)
     places, pooled = inputs.cached(RANKS[reduce])
-    floors = places < floor
-    free = np.empty(floors.size, dtype=bool)
-    free[pooled] = ~floors  # the tokens outside the floors, in pooled order
+    keep = places < floor
     room = num_kv * (min(token_capacity, n) - floor)
-    keep = floors | (free & (np.cumsum(free) <= room))[pooled]
+    if room:
+        free = np.empty(keep.size, dtype=bool)
+        free[pooled] = ~keep  # the tokens outside the floors, in pooled order
+        keep |= (free & (np.cumsum(free) <= room))[pooled]
     return EvictionPlan(kept=tuple(np.flatnonzero(k) for k in keep), seq_len=n)
 
 

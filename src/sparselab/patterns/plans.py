@@ -15,6 +15,7 @@ unique, as ``np.flatnonzero`` gives them; a plan checks that
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import TYPE_CHECKING, Iterator, Union
 
 import numpy as np
@@ -217,7 +218,7 @@ def block_budget_cells(seq_len: int, top_k_blocks: int) -> int:
     return _block_cells(seq_len, np.minimum(top_k_blocks, ids + 1) - 1, 1)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False, eq=False)
 class BlockPlan(_Geometry):
     """Key blocks each query block reads: ``selections[h, b, c]`` lets query
     block b of head h read key block c.
@@ -226,25 +227,32 @@ class BlockPlan(_Geometry):
     ``BLOCK_SIZE``-token blocks of the sequence (the last may be short).
     Every query block reads at least one key block and none after its own.
     A plan given its selections is checked for that cell by cell and
-    recounts its cells; a plan ``_threshold`` builds from a block rank
-    states both from the rank's layout.
+    recounts its cells.  A plan ``_threshold`` builds from a block rank
+    states both from the rank's layout, and writes its selections only when
+    they are first read.
     """
 
-    selections: np.ndarray
     seq_len: int
-    # the computed cells of a ``_threshold`` plan, known from its budget;
-    # None for a plan given its selections, which recounts them
-    _computed: int | None = field(default=None, init=False, repr=False, compare=False)
+    # a ``_threshold`` plan's rank, clamped k and computed cells, known from
+    # its budget; None for a plan given its selections, which recounts them
+    _rank: np.ndarray | None = field(repr=False)
+    _k: int | None
+    _computed: int | None
 
-    def __post_init__(self) -> None:
-        sel = self.selections
-        _check_causal_bitmap(sel)
-        nb = self.num_query_blocks
-        if sel.shape[1] != nb:
+    def __init__(self, selections: np.ndarray, seq_len: int) -> None:
+        _check_causal_bitmap(selections)
+        nb = -(-seq_len // BLOCK_SIZE)
+        if selections.shape[1] != nb:
             raise ValueError(
-                f"block selections must be [heads, {nb}, {nb}] at seq_len {self.seq_len}, "
-                f"got shape {sel.shape}"
+                f"block selections must be [heads, {nb}, {nb}] at seq_len {seq_len}, "
+                f"got shape {selections.shape}"
             )
+        # the given selections fill the ``selections`` property's cache
+        self._set(seq_len=seq_len, _rank=None, _k=None, _computed=None, selections=selections)
+
+    def _set(self, **values) -> None:
+        for name, value in values.items():
+            object.__setattr__(self, name, value)
 
     @classmethod
     def _threshold(cls, rank: np.ndarray, top_k_blocks: int, seq_len: int) -> BlockPlan:
@@ -258,7 +266,8 @@ class BlockPlan(_Geometry):
         its diagonal, and query block b reads min(k, b + 1) blocks: each
         head computes ``block_budget_cells(seq_len, top_k_blocks)`` cells.
         Only those premises, the budget (``block_budget_cells`` refuses one
-        below 2) and the rank's shape, are checked here; no cell is."""
+        below 2) and the rank's shape, are checked here; no cell is, and
+        none is written until ``selections`` is read."""
         nb = -(-seq_len // BLOCK_SIZE)
         if rank.ndim != 3 or rank.shape[1:] != (nb, nb) or rank.dtype.kind != "i":
             raise ValueError(
@@ -267,10 +276,16 @@ class BlockPlan(_Geometry):
             )
         computed = rank.shape[0] * block_budget_cells(seq_len, top_k_blocks)
         plan = cls.__new__(cls)
-        object.__setattr__(plan, "selections", rank < min(top_k_blocks, nb))
-        object.__setattr__(plan, "seq_len", seq_len)
-        object.__setattr__(plan, "_computed", computed)
+        plan._set(seq_len=seq_len, _rank=rank, _k=min(top_k_blocks, nb), _computed=computed)
         return plan
+
+    @cached_property
+    def selections(self) -> np.ndarray:
+        """A ``_threshold`` plan's ``rank < k``, written on the first read
+        and kept read-only; a plan given its selections holds them."""
+        selections = self._rank < self._k
+        selections.flags.writeable = False
+        return selections
 
     @property
     def block_size(self) -> int:
@@ -278,7 +293,7 @@ class BlockPlan(_Geometry):
 
     @property
     def num_heads(self) -> int:
-        return self.selections.shape[0]
+        return (self.selections if self._rank is None else self._rank).shape[0]
 
     @property
     def num_query_blocks(self) -> int:

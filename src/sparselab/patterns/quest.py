@@ -4,9 +4,11 @@ The cache is split into fixed 16-token pages; each page is summarized by the
 elementwise min and max of its key vectors.  A decode query scores a page with
 an upper bound on any dot product against its keys, and only the highest
 scoring pages are read, the page holding the current token always among them.
-``quest_plan`` caches the keys' page index (``AttentionInputs.cached``).  The
-page order, ``accounting.rank`` with the current page forced, is not cached:
-it depends on the decode query.
+``quest_plan``'s decode query is the inputs' last row, so its estimation is
+two ``AttentionInputs.cached`` stages: the keys' page index and
+``page_order``, that row's ``accounting.rank`` of the pages with the current
+page forced.  A build at any budget is one threshold on the order.
+``quest_select`` scores pages for any step's query and keeps the same rule.
 """
 
 from __future__ import annotations
@@ -17,7 +19,7 @@ from ..attention import AttentionInputs
 from .accounting import rank
 from .plans import PAGE_SIZE, PageIndex, PagePlan
 
-__all__ = ["PAGE_SIZE", "quest_index", "quest_select", "quest_plan"]
+__all__ = ["PAGE_SIZE", "quest_index", "quest_select", "quest_plan", "page_order"]
 
 
 def quest_index(keys: np.ndarray) -> PageIndex:
@@ -51,6 +53,42 @@ def page_upper_bounds(query_row: np.ndarray, mins: np.ndarray, maxs: np.ndarray)
     return np.maximum(lo, hi).sum(axis=1)
 
 
+def _num_pick(token_budget: int, position: int) -> int:
+    """Pages kept per kv head at ``position``: floor(token_budget /
+    PAGE_SIZE) of the pages cached so far, or every one of them once the
+    budget covers every cached token (the final page may be partial)."""
+    if token_budget < PAGE_SIZE:
+        raise ValueError(
+            f"token_budget must be at least one page ({PAGE_SIZE}), got {token_budget}"
+        )
+    valid = position // PAGE_SIZE + 1  # pages whose first token is cached at this step
+    return valid if token_budget >= position + 1 else min(valid, token_budget // PAGE_SIZE)
+
+
+def _page_rank(
+    index: PageIndex, query_rows: np.ndarray, position: int, group_map: tuple[int, ...]
+) -> np.ndarray:
+    """[num_kv_heads, pages cached at ``position``] ``accounting.rank`` of
+    the pages by upper bound, max-aggregated over each kv head's query
+    group, the current page forced."""
+    current = position // PAGE_SIZE
+    scores = np.full((index.num_heads, current + 1), -np.inf)
+    for h, g in enumerate(group_map):
+        bounds = page_upper_bounds(
+            np.asarray(query_rows[h], dtype=np.float64),
+            index.mins[g][: current + 1],
+            index.maxs[g][: current + 1],
+        )
+        scores[g] = np.maximum(scores[g], bounds)
+    return rank(scores, np.arange(current + 1) == current)
+
+
+def _plan(index: PageIndex, order: np.ndarray, num_pick: int, position: int) -> PagePlan:
+    """The plan keeping each kv head's first ``num_pick`` pages of ``order``."""
+    keep = order < num_pick
+    return PagePlan(index=index, selected=tuple(np.flatnonzero(k) for k in keep), position=position)
+
+
 def quest_select(
     index: PageIndex,
     query_rows: np.ndarray,
@@ -68,46 +106,35 @@ def quest_select(
     token's page forced; a budget covering every cached token keeps all
     pages even when the final page is partial.
     """
-    if token_budget < PAGE_SIZE:
-        raise ValueError(
-            f"token_budget must be at least one page ({PAGE_SIZE}), got {token_budget}"
-        )
+    num_pick = _num_pick(token_budget, position)
     if query_rows.ndim != 2:
         raise ValueError("query_rows must be [num_q_heads, head_dim]")
     if not 0 <= position < index.seq_len:
         raise ValueError(f"position {position} outside cache of length {index.seq_len}")
     if len(group_map) != query_rows.shape[0]:
         raise ValueError("group_map must assign every query head")
-
-    current = position // PAGE_SIZE
-    valid = current + 1  # pages whose first token is cached at this step
-    num_pick = min(valid, token_budget // PAGE_SIZE)
-    if token_budget >= position + 1:
-        num_pick = valid
-
-    scores = np.full((index.num_heads, valid), -np.inf)
-    for h, g in enumerate(group_map):
-        bounds = page_upper_bounds(
-            np.asarray(query_rows[h], dtype=np.float64),
-            index.mins[g][:valid],
-            index.maxs[g][:valid],
-        )
-        scores[g] = np.maximum(scores[g], bounds)
-    keep = rank(scores, np.arange(valid) == current) < num_pick
-    selected = tuple(np.flatnonzero(k) for k in keep)
-    return PagePlan(index=index, selected=selected, position=position)
+    return _plan(index, _page_rank(index, query_rows, position, group_map), num_pick, position)
 
 
 def _page_index(inputs: AttentionInputs) -> PageIndex:
-    """The keys' read-only page index, the stage ``quest_plan`` caches."""
+    """The keys' read-only page index: the stage ``page_order`` scores and
+    every ``quest_plan`` holds."""
     index = quest_index(inputs.keys)
     index.mins.flags.writeable = index.maxs.flags.writeable = False
     return index
 
 
-def quest_plan(inputs: AttentionInputs, token_budget: int) -> PagePlan:
-    """Select pages of the cached page index for the query at the last row."""
+def page_order(inputs: AttentionInputs) -> np.ndarray:
+    """The stage ``quest_plan`` thresholds: ``_page_rank`` of every page for
+    the query at the inputs' last row."""
     position = inputs.seq_len - 1
     index = inputs.cached(_page_index)
-    rows = inputs.queries[:, position, :]
-    return quest_select(index, rows, token_budget, position=position, group_map=inputs.group_map)
+    return _page_rank(index, inputs.queries[:, position, :], position, inputs.group_map)
+
+
+def quest_plan(inputs: AttentionInputs, token_budget: int) -> PagePlan:
+    """Select ``quest_select``'s pages for the query at the last row, as
+    ``rank < pages kept`` of the inputs' cached ``page_order``."""
+    position = inputs.seq_len - 1
+    num_pick = _num_pick(token_budget, position)
+    return _plan(inputs.cached(_page_index), inputs.cached(page_order), num_pick, position)

@@ -131,16 +131,19 @@ def test_plan_sparsity_matches_mask_cell_count(seed, n, kv):
 
 
 @settings(deadline=None, max_examples=30)
-@given(seed=st.integers(0, 10_000), n=st.integers(1, 200), kv=st.sampled_from([1, 2]))
+@given(seed=st.integers(0, 10_000), n=st.integers(1, 300), kv=st.sampled_from([1, 2]))
 @example(seed=0, n=1, kv=1)
 @example(seed=1, n=15, kv=2)
 @example(seed=2, n=16, kv=1)
 @example(seed=3, n=17, kv=2)
 @example(seed=4, n=200, kv=1)
+@example(seed=5, n=300, kv=2)
 def test_block_and_page_selections_nest_and_keep_forced_members(seed, n, kv):
     """A larger top-k or token budget keeps a superset; block 0, the diagonal
     block and the current token's page are always kept, and a page plan's
-    cells are the cached tokens of its pages."""
+    cells are the cached tokens of its pages.  Pages are checked at a
+    random decode step (``quest_select``) and at the last row, where
+    ``quest_plan`` thresholds the cached page order."""
     rng = np.random.default_rng(seed)
     inputs = random_inputs(rng, n, num_q_heads=2 * kv, num_kv_heads=kv)
     ids = np.arange(-(-n // BLOCK_SIZE))
@@ -152,23 +155,30 @@ def test_block_and_page_selections_nest_and_keep_forced_members(seed, n, kv):
         assert previous is None or not (previous & ~sel).any()
         previous = sel
 
-    position = int(rng.integers(n))
-    current = position // PAGE_SIZE
-    budgets = {*range(PAGE_SIZE, n + 2 * PAGE_SIZE, PAGE_SIZE), max(position + 1, PAGE_SIZE)}
-    previous = None
-    for budget in sorted(budgets):
-        plan = quest_at(inputs, budget, position)
-        picks = min(current + 1, budget // PAGE_SIZE) if budget <= position else current + 1
-        cached = 0
-        for g, pages in enumerate(plan.selected):
-            pages = set(pages.tolist())
-            assert current in pages and len(pages) == picks
-            assert previous is None or previous[g] <= pages
-            for p in pages:
-                cached += len(range(p * PAGE_SIZE, min((p + 1) * PAGE_SIZE, position + 1)))
-        assert plan_sparsity(plan).computed_cells == cached
-        assert sum(r.size for r in page_plan_rows(plan, tuple(range(kv)))) == cached
-        previous = [set(pages.tolist()) for pages in plan.selected]
+    for position in (int(rng.integers(n)), n - 1):
+        current = position // PAGE_SIZE
+        budgets = {
+            *range(PAGE_SIZE, n + 2 * PAGE_SIZE, PAGE_SIZE),
+            max(position, PAGE_SIZE),
+            max(position + 1, PAGE_SIZE),
+        }
+        previous = None
+        for budget in sorted(budgets):
+            if position == n - 1:
+                plan = quest_plan(inputs, budget)
+            else:
+                plan = quest_at(inputs, budget, position)
+            picks = min(current + 1, budget // PAGE_SIZE) if budget <= position else current + 1
+            cached = 0
+            for g, pages in enumerate(plan.selected):
+                pages = set(pages.tolist())
+                assert current in pages and len(pages) == picks
+                assert previous is None or previous[g] <= pages
+                for p in pages:
+                    cached += len(range(p * PAGE_SIZE, min((p + 1) * PAGE_SIZE, position + 1)))
+            assert plan_sparsity(plan).computed_cells == cached
+            assert sum(r.size for r in page_plan_rows(plan, tuple(range(kv)))) == cached
+            previous = [set(pages.tolist()) for pages in plan.selected]
 
 
 EDGE_SIZES = (1, 20, 21, 63, 64, 131, 132, 200)
@@ -250,13 +260,15 @@ def test_vertical_slash_and_flexprefill_properties(seed, n, kv):
 
 
 @settings(deadline=None, max_examples=25)
-@given(seed=st.integers(0, 10_000), n=st.integers(1, 200), kv=st.sampled_from([1, 2]))
+@given(seed=st.integers(0, 10_000), n=st.integers(1, 300), kv=st.sampled_from([1, 2]))
 @edge_examples
+@example(seed=8, n=300, kv=2)
 def test_eviction_properties(seed, n, kv):
     """At every size, including caches shorter than the forced tokens or the
     smoothing kernel, eviction keeps its forced tokens and exact counts, the
     decode row of the expanded mask reads exactly the kept tokens, and the
-    kept sets nest in capacity."""
+    kept sets nest in capacity.  snapkv, and ada_snapkv at a head fraction
+    of 1, keep only their floors: min(capacity, n) tokens per kv head."""
     rng = np.random.default_rng(seed)
     inputs = random_inputs(rng, n, num_q_heads=2 * kv, num_kv_heads=kv)
     low = FORCED_FIRST + FORCED_RECENT
@@ -283,7 +295,7 @@ def test_eviction_properties(seed, n, kv):
             assert sum(plan.kept_counts) == kv * keep
             for kept in plan.kept:
                 assert forced <= set(kept.tolist())
-            if build is builds[0]:
+            if build is builds[0] or fraction == 1.0:
                 assert plan.kept_counts == (keep,) * kv
         assert_nested(plans, "kept")
 

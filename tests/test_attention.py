@@ -691,8 +691,8 @@ def stage_arrays(result) -> list[np.ndarray]:
 
 def test_every_cached_array_is_read_only():
     """Every stage filled on one input (window scoring, the vertical-slash,
-    flexprefill and eviction ranks, the block rank, the page index and the
-    recall oracle's dense masses, six arrays in each of the two
+    flexprefill and eviction ranks, the block rank, the page index and
+    order, and the recall oracle's dense masses, six arrays in each of the two
     ``DenseMass`` stages) is kept read-only, so no in-place write can change
     a later plan or recall."""
     inputs = make_inputs("planted", 300, seed=0)
@@ -703,9 +703,9 @@ def test_every_cached_array_is_read_only():
     ada_snapkv_compress(inputs, 140)
     build_block_sparse(inputs, 4)
     quest_plan(inputs, 64)
-    assert len(inputs._stages) == 8
+    assert len(inputs._stages) == 9
     arrays = [array for result in inputs._stages.values() for array in stage_arrays(result)]
-    assert len(arrays) == 22
+    assert len(arrays) == 23
     for array in arrays:
         assert not array.flags.writeable
         with pytest.raises(ValueError, match="read-only"):

@@ -1,4 +1,5 @@
 import hashlib
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -259,13 +260,16 @@ def repeated_key_blocks(rng, n):
 @example(n=257, seed=0, make=random_inputs)
 @example(n=257, seed=0, make=repeated_key_blocks)
 def test_every_budget_is_a_threshold_of_one_rank(n, seed, make):
-    """At every k the plan is the stable-sort reference, and a larger k
-    keeps every block a smaller one keeps."""
+    """At every k, below nb and past it, the plan is the stable-sort
+    reference, read-only, and a larger k keeps every block a smaller one
+    keeps."""
     inputs = make(np.random.default_rng(seed), n)
     nb = -(-n // 16)
     previous = None
-    for k in range(2, nb + 1):
+    # past nb every budget keeps each causal block
+    for k in range(2, nb + 3):
         selections = build_block_sparse(inputs, k).selections
+        assert not selections.flags.writeable
         assert np.array_equal(selections, stable_sort_selection(inputs, k)), k
         if previous is not None:
             assert not (previous & ~selections).any(), k
@@ -316,7 +320,8 @@ def test_threshold_plans_state_what_the_check_checks(n):
     """A built plan skips the cell-by-cell check and recount, stating both
     from block_rank's layout: nb at every non-causal cell, and block 0 and
     the diagonal at places 0 and 1.  Here the layout, the check and the
-    recount are each run against it."""
+    recount are each run against it, and against the count a plan states
+    before its selections are first written."""
     nb = -(-n // 16)
     causal = np.tri(nb, dtype=bool)
     ids = np.arange(nb)
@@ -327,12 +332,39 @@ def test_threshold_plans_state_what_the_check_checks(n):
         assert (rank[:, ids, 0] < 2).all() and (rank[:, ids, ids] < 2).all()
         for k in sorted({2, 3, 8, max(nb, 2), nb + 5}):
             plan = build_block_sparse(inputs, k)
+            # the lazy case: counted before its selections are first written
+            unread = plan.cell_counts()
             _check_causal_bitmap(plan.selections)
             cells = np.count_nonzero(plan_cells_oracle(plan, inputs.group_map))
+            assert unread == plan.cell_counts()
             assert plan.cell_counts() == (cells, inputs.num_q_heads * n * (n + 1) // 2)
             assert BlockPlan(plan.selections, n).cell_counts() == plan.cell_counts()
     with pytest.raises(ValueError, match="signed integer"):
         BlockPlan._threshold(rank[:, :-1], 2, n)
+
+
+def test_threshold_plan_holds_no_bitmap_until_read():
+    """On a filled 16K input, a build and its count allocate far less than
+    the [4, 1024, 1024] bitmap; the first read of ``selections`` writes
+    ``rank < min(k, nb)``, read-only, and a second read returns it again."""
+    inputs = make_inputs("planted", 16384, seed=0)
+    rank = inputs.cached(block_rank)
+    heads, nb, _ = rank.shape
+    for k in (53, nb + 5):
+        tracemalloc.start()
+        try:
+            plan = build_block_sparse(inputs, k)
+            report = plan_sparsity(plan)
+            plan.check_fits(inputs.group_map)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < heads * nb * nb // 16, (k, peak)
+        assert report.computed_cells == heads * block_budget_cells(16384, k)
+        selections = plan.selections
+        assert np.array_equal(selections, rank < min(k, nb))
+        assert not selections.flags.writeable
+        assert plan.selections is selections
 
 
 # sha256 of the selections of every build in the test below, pinned from the

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -205,3 +207,42 @@ def test_page_index_fills_once_per_input(monkeypatch):
     fresh = AttentionInputs.from_arrays(inputs.queries, inputs.keys, inputs.values)
     assert np.array_equal(quest_plan(fresh, 64).index.maxs, index.maxs)
     assert len(indexed) == 2
+
+
+@pytest.mark.parametrize("n", [1, 15, 16, 17, 300, 2048])
+@pytest.mark.parametrize("kind", ["uniform", "planted", "clustered"])
+def test_plan_thresholds_the_cached_page_order(monkeypatch, kind, n):
+    """``quest_plan`` is ``quest_select`` on the inputs' last row, byte for
+    byte, at every budget.  Only the first budget on an input scores pages;
+    the later ones threshold the cached ``page_order``.  A budget below one
+    page raises the same text from both."""
+    scored = []
+    real = quest.page_upper_bounds
+
+    def counted(query_row, mins, maxs):
+        scored.append(mins.shape[0])
+        return real(query_row, mins, maxs)
+
+    monkeypatch.setattr(quest, "page_upper_bounds", counted)
+    inputs = make_inputs(kind, n, seed=2)
+    built = 0
+    for budget in (16, 17, 47, n // 3, n - 1, n, n + 5):
+        if budget < PAGE_SIZE:
+            text = f"token_budget must be at least one page ({PAGE_SIZE}), got {budget}"
+            for build in (quest_plan, lambda x, b: quest_at(x, b, n - 1)):
+                with pytest.raises(ValueError, match=f"^{re.escape(text)}$"):
+                    build(inputs, budget)
+            continue
+        before = len(scored)
+        got = quest_plan(inputs, budget)
+        # the first build fills the order: one score per query head
+        assert len(scored) - before == (0 if built else inputs.num_q_heads), budget
+        built += 1
+        want = quest_at(inputs, budget, n - 1)
+        assert got.position == want.position == n - 1
+        assert np.array_equal(got.index.mins, want.index.mins)
+        for a, b in zip(got.selected, want.selected, strict=True):
+            assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), budget
+    order = inputs.cached(quest.page_order)
+    assert order.shape == (inputs.num_kv_heads, -(-n // PAGE_SIZE))
+    assert not order.flags.writeable
