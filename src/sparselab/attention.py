@@ -1,31 +1,43 @@
 """Exact reference attention on CPU: dense causal prefill, masked prefill,
 and single-row decode.
 
-Everything runs in float64 with the numerically stable softmax (row-max
-subtraction).
+Everything runs in float64 with a numerically stable softmax: each row's
+logits are shifted down before exp.
 
 Prefill runs one pass over tiles of query rows.  A tile is one or more
 blocks of scaled logits that together hold each of its rows' permitted
-cells once, with -inf at the holes a block carries; the pass takes one row
-peak over all of a tile's blocks, raises the holes to a finite floor before
-exp and zeroes them after it (no -inf reaches exp), and merges the blocks'
-softmax sums and value products by that shared peak, the log-sum-exp merge
+cells once, with a keep mask over the columns where a block has holes.
+Each row's shift is taken into the product itself: the scaled queries
+carry a last column -b_i and the keys a column of ones, where
+b_i = |q_i| max_j |k_j| bounds every logit of row i (Cauchy-Schwarz), so a
+tile reads logit - b_i in [-2 b_i, 0], hole or not, and runs exp on it as
+it is, with no row-max, subtraction or floor pass.  A head whose largest
+bound is above ``_SHIFT_LIMIT`` takes the exact path instead: its holes
+are set to -inf, one row peak over all of a tile's blocks is subtracted
+from each, and the result is raised to a finite floor, so no -inf reaches
+exp.  Either way the holes are zeroed after exp, and the blocks' softmax
+sums and value products merge by the shared shift, the log-sum-exp merge
 of FlashAttention.  Two producers read tiles from a plan's geometry:
 
 - ``column_tiles``: whole key columns plus diagonals, as MInference splits a
   vertical-slash pattern.  The columns' keys and values are gathered once
   and read through prefixes in ``SPAN_ROWS``-row tiles, so causal holes lie
   only among a tile's own columns.  A diagonal offset o keeps cells
-  (i, i - o): each tile takes one product over the key range its diagonals
-  cross, reads the diagonals out of it and sends their weights back through
-  one product with the same values.  A cell on both a column and a diagonal
-  belongs to the column.
+  (i, i - o): a tile's offsets split into bands wherever two lie more than
+  ``SPAN_ROWS`` apart, and each band takes one product over the key range
+  its diagonals cross, reads the diagonals out of it and sends their
+  weights back through one product with the same values.  A cell on both a
+  column and a diagonal belongs to the column.  A tile whose column and
+  band products would cover its whole key prefix takes one product over
+  that prefix and keeps its columns' and diagonals' cells.
 - ``block_tiles``: chosen ``TILE_ROWS``-token key blocks per query block;
   only a query block's own diagonal block has holes.
 
 ``masked_attention`` runs the tiles a mask's plan yields and reads no
 boolean cell matrix.  Dense prefill is the column plan that keeps every key
 column, so a measured sparse speedup compares one producer at two densities.
+Each block records the cells of the product it was read from
+(``_Part.product``), the cells its tile computes, holes included.
 
 Kernel time therefore grows with the cells a plan keeps, not with n².
 
@@ -49,6 +61,7 @@ from functools import partial
 from typing import TYPE_CHECKING, Callable, Iterable, Iterator, NamedTuple, Sequence, TypeVar
 
 import numpy as np
+from numpy.lib.stride_tricks import as_strided
 
 if TYPE_CHECKING:
     from .patterns.accounting import CellMask
@@ -244,23 +257,42 @@ def window_weights_head(inputs: AttentionInputs, head: int) -> np.ndarray:
 class _Part(NamedTuple):
     """One block of a tile's scaled logits, [rows, width].
 
-    The columns from ``first`` on may hold -inf at the block's holes; the
-    columns before it are permitted in every row.  ``weigh`` maps the
-    block's softmax numerators to their sum over the block's values,
-    [rows, head_dim].
+    The columns before ``first`` are permitted in every row; ``keep``,
+    [rows, width - first], marks the permitted cells among the rest, so
+    the block's holes carry finite logits.  ``weigh`` maps the block's
+    softmax numerators to their sum over the block's values,
+    [rows, head_dim].  ``product`` counts the cells of the product the
+    block was read from, holes included.
     """
 
     logits: np.ndarray
     first: int
+    keep: np.ndarray
     weigh: Callable[[np.ndarray], np.ndarray]
+    product: int
 
 
-# A tile: a slice of query rows and the blocks of logits they read.
-Tile = tuple[slice, list[_Part]]
+class Tile(NamedTuple):
+    """A slice of query rows, the blocks of logits they read, and the shift
+    already taken out of those logits: the rows' bounds, or None on the
+    exact path, where ``row_logsumexp`` shifts each row by its peak."""
 
-# Shifted logits are raised to this floor before exp, where exp is still a
-# normal float (~1e-304) and fast; the holes among them are zeroed after exp.
+    rows: slice
+    parts: list[_Part]
+    shift: np.ndarray | None
+
+
+# On the exact path, shifted logits are raised to this floor before exp,
+# where exp is still a normal float (~1e-304) and fast: np.exp is several
+# times slower on -inf or on values past the normal range.
 _EXP_FLOOR = -700.0
+
+# A head's rows are shifted by their bounds only while its largest bound is
+# at most this.  Every logit of row i, hole or not, then lies in
+# [-2 b_i, 0] after the shift, above _EXP_FLOOR, so exp of every cell is a
+# normal float with no floor.  The lab's generators give bounds of about
+# 10-180; a head above the limit takes the exact path.
+_SHIFT_LIMIT = 300.0
 
 
 def _times(values: np.ndarray) -> Callable[[np.ndarray], np.ndarray]:
@@ -268,10 +300,28 @@ def _times(values: np.ndarray) -> Callable[[np.ndarray], np.ndarray]:
 
 
 def _head_arrays(inputs: AttentionInputs, head: int):
-    """Scaled queries, keys and values of one query head."""
+    """Scaled queries, keys and values of one query head, and its rows'
+    shift.  The shift is each row's bound b_i = |q_i| max_j |k_j| on its
+    scaled logits, carried into every product as a query column -b and a
+    key column of ones.  Above ``_SHIFT_LIMIT`` the shift is None and the
+    arrays are the plain ones (the exact path)."""
     g = inputs.group_map[head]
     queries = inputs.queries[head] * (1.0 / np.sqrt(inputs.head_dim))
-    return queries, inputs.keys[g], inputs.values[g]
+    keys, values = inputs.keys[g], inputs.values[g]
+    key_norm = np.sqrt(np.einsum("ij,ij->i", keys, keys).max())
+    bound = np.sqrt(np.einsum("ij,ij->i", queries, queries)) * key_norm
+    if bound.max() > _SHIFT_LIMIT:
+        return queries, keys, values, None
+    queries = np.concatenate([queries, -bound[:, None]], axis=1)
+    keys = np.concatenate([keys, np.ones((keys.shape[0], 1))], axis=1)
+    return queries, keys, values, bound
+
+
+def _diagonal_buffers(n: int) -> np.ndarray:
+    """The logits and weights buffers of ``_Diagonals``, [2, SPAN_ROWS,
+    2n + 1].  A kernel call makes one pair for all its heads: each part
+    leaves the weights zero outside the cells it is weighing."""
+    return np.zeros((2, SPAN_ROWS, 2 * n + 1))
 
 
 def column_tiles(
@@ -279,6 +329,7 @@ def column_tiles(
     head: int,
     columns: np.ndarray,
     offsets: np.ndarray | None = None,
+    buffers: np.ndarray | None = None,
 ) -> Iterator[Tile]:
     """Tiles of the causal cells (i, j) of one head whose key column j is in
     ``columns`` or whose diagonal offset i - j is in ``offsets`` (sorted and
@@ -286,71 +337,109 @@ def column_tiles(
 
     The column part gathers the columns' keys and values once and reads
     each SPAN_ROWS-row tile through a prefix of them, so a tile's causal
-    holes lie only among its own columns.  The diagonal part takes one
-    product over the key range the tile's diagonals cross, reads its cells
-    along the diagonals of that product, and sends their weights back
-    through one product with the same range of values (``_Diagonals``).
-    A tile whose rows read no cell is not yielded.
+    holes lie only among its own columns.  The diagonal parts split the
+    tile's offsets into bands wherever two lie more than SPAN_ROWS apart.
+    Each band takes one product over the key range its diagonals cross,
+    reads its cells along the diagonals of that product, and sends their
+    weights back through one product with the same range of values
+    (``_Diagonals``), in the given ``_diagonal_buffers`` or its own.  When
+    those products and the column part would cover at least the tile's
+    whole key prefix, the tile is one product over that prefix instead,
+    its columns and diagonals read out of it.  A tile whose rows read no
+    cell is not yielded.
     """
     n = inputs.seq_len
-    queries, keys, values = _head_arrays(inputs, head)
+    queries, keys, values, shift = _head_arrays(inputs, head)
     col_keys, col_values = keys[columns], values[columns]
-    diagonals = _Diagonals(n, columns, offsets) if offsets is not None and offsets.size else None
+    diagonals = None
+    if offsets is not None and offsets.size:
+        if buffers is None:
+            buffers = _diagonal_buffers(n)
+        diagonals = _Diagonals(buffers, columns, offsets)
     for start in range(0, n, SPAN_ROWS):
         stop = min(start + SPAN_ROWS, n)
-        parts = []
         m = int(np.searchsorted(columns, stop))
-        if m:
-            # the columns below the tile are permitted in every row
-            cut = int(np.searchsorted(columns, start))
-            logits = queries[start:stop] @ col_keys[:m].T
-            ahead = columns[cut:m] > np.arange(start, stop)[:, None]
-            np.copyto(logits[:, cut:], -np.inf, where=ahead)
-            parts.append(_Part(logits, cut, _times(col_values[:m])))
         t = 0 if diagonals is None else int(np.searchsorted(offsets, stop))
-        if t:
-            parts.append(diagonals.part(queries, keys, values, t, start, stop))
+        bands = diagonals.bands(t, start, stop) if t else []
+        if bands and m + sum(hi - lo for *_, lo, hi in bands) >= stop:
+            parts = [diagonals.prefix(queries, keys, values, start, stop)]
+        else:
+            parts = []
+            if m:
+                # the columns below the tile are permitted in every row
+                cut = int(np.searchsorted(columns, start))
+                logits = queries[start:stop] @ col_keys[:m].T
+                keep = columns[cut:m] <= np.arange(start, stop)[:, None]
+                parts.append(_Part(logits, cut, keep, _times(col_values[:m]), logits.size))
+            parts += [diagonals.band(queries, keys, values, start, stop, *b) for b in bands]
         if parts:
-            yield slice(start, stop), parts
+            yield Tile(slice(start, stop), parts, None if shift is None else shift[start:stop])
 
 
 class _Diagonals:
-    """Reused buffers of one head's diagonal parts.
+    """One head's diagonal parts, in ``_diagonal_buffers``.
 
-    Row r of a tile starting at query row s holds the logits of key
-    columns lo.. at positions n.., after n columns of padding, in rows of
-    width 2n + 1.  Cell (s + r, s + r - o) then sits at flat position
+    Row r of a band of a tile starting at query row s holds the logits of
+    key columns lo.. at positions n.., after n columns of padding, in rows
+    of width 2n + 1.  Cell (s + r, s + r - o) then sits at flat position
     ``cell_at[r, o's index] + s - lo + 1``, so one take reads every
-    diagonal of the tile; a cell whose key column is negative lands in the
-    padding.  ``penalty[n + j]`` is -inf where column j is a plan column
-    (its cells belong to the column part) or negative, else 0, and is read
-    the same way through ``penalty_at``.  The weight buffer has the logits'
-    layout and is zero outside the cells written into it.
+    diagonal of the band; a cell whose key column is negative lands in the
+    padding.  ``free[n + j]`` is true where column j is no plan column (a
+    cell on one belongs to the column part) and not negative, and is read
+    the same way through ``free_at``.  The weight buffer has the logits'
+    layout and is zero outside the cells written into it.  A band starts at
+    index 0 and at each index of ``breaks``, an offset more than SPAN_ROWS
+    past the one before it.  ``on_offset[n + o]`` is true at each offset o.
     """
 
-    def __init__(self, n: int, columns: np.ndarray, offsets: np.ndarray):
-        self.n = n
-        self.logits = np.zeros((SPAN_ROWS, 2 * n + 1))
-        self.weights = np.zeros((SPAN_ROWS, 2 * n + 1))
-        self.penalty = np.zeros(2 * n)
-        self.penalty[:n] = -np.inf
-        self.penalty[n + columns] = -np.inf
+    def __init__(self, buffers: np.ndarray, columns: np.ndarray, offsets: np.ndarray):
+        n = self.n = buffers.shape[2] // 2
+        self.logits, self.weights = buffers
+        self.on_column = np.zeros(n, dtype=bool)
+        self.on_column[columns] = True
+        self.free = np.zeros(2 * n, dtype=bool)
+        self.free[n:] = ~self.on_column
+        self.on_offset = np.zeros(2 * n, dtype=bool)
+        self.on_offset[n + offsets] = True
         self.offsets = offsets
+        self.breaks = np.flatnonzero(np.diff(offsets) > SPAN_ROWS) + 1
         rows = np.arange(SPAN_ROWS)[:, None]
         back = (n - 1) - offsets
         self.cell_at = rows * (2 * n + 2) + back
-        self.penalty_at = rows + back
+        self.free_at = rows + back
 
-    def part(self, queries, keys, values, count: int, start: int, stop: int) -> _Part:
-        """The tile's cells on its first ``count`` offsets."""
+    def bands(self, count: int, start: int, stop: int) -> list[tuple[int, int, int, int]]:
+        """The bands of the tile's first ``count`` offsets: each band's
+        first and last offset index and the key range lo..hi - 1 its
+        diagonals cross."""
+        edges = self.breaks[: np.searchsorted(self.breaks, count)].tolist()
+        bands = []
+        for first, last in zip([0, *edges], [*edges, count]):
+            lo = max(0, start - int(self.offsets[last - 1]))
+            bands.append((first, last, lo, stop - int(self.offsets[first])))
+        return bands
+
+    def band(self, queries, keys, values, start, stop, first, last, lo, hi) -> _Part:
+        """The tile's cells on offsets first..last - 1."""
         size, n = stop - start, self.n
-        lo, hi = max(0, start - int(self.offsets[count - 1])), stop - int(self.offsets[0])
         np.matmul(queries[start:stop], keys[lo:hi].T, out=self.logits[:size, n : n + hi - lo])
         base = start - lo + 1
-        cells = self.cell_at[:size, :count]
+        cells = self.cell_at[:size, first:last]
         logits = self.logits.reshape(-1)[base:].take(cells)
-        logits += self.penalty[start + 1 :].take(self.penalty_at[:size, :count])
-        return _Part(logits, 0, partial(self._weigh, base, cells, values[lo:hi]))
+        keep = self.free[start + 1 :].take(self.free_at[:size, first:last])
+        weigh = partial(self._weigh, base, cells, values[lo:hi])
+        return _Part(logits, 0, keep, weigh, size * (hi - lo))
+
+    def prefix(self, queries, keys, values, start, stop) -> _Part:
+        """Every cell of the tile, read out of one product over keys
+        0..stop - 1: a cell is kept on a plan column or offset, causally."""
+        size, n = stop - start, self.n
+        logits = queries[start:stop] @ keys[:stop].T
+        # row r, column j reads on_offset[n + start + r - j]
+        lines = as_strided(self.on_offset[n + start :], (size, stop), (1, -1), writeable=False)
+        keep = lines | self.on_column[:stop]
+        keep[:, start:] &= np.tri(size, dtype=bool)
+        return _Part(logits, 0, keep, _times(values[:stop]), logits.size)
 
     def _weigh(self, base: int, cells: np.ndarray, values: np.ndarray, weights: np.ndarray):
         # holes carry zero weight, so only the span's cells become nonzero
@@ -371,13 +460,13 @@ def block_tiles(inputs: AttentionInputs, head: int, selections: np.ndarray) -> I
     choose as many key blocks, all with their diagonal or all without it:
     one batched product per tile, each block reading its own key blocks.
     """
-    n, d = inputs.seq_len, inputs.head_dim
-    queries, keys, values = _head_arrays(inputs, head)
+    n = inputs.seq_len
+    queries, keys, values, shift = _head_arrays(inputs, head)
     nb = selections.shape[0]
-    padded = np.zeros((2, nb * TILE_ROWS, d))
-    padded[0, :n], padded[1, :n] = keys, values
-    key_blocks, value_blocks = padded.reshape(2, nb, TILE_ROWS, d)
-    ahead = ~np.tri(TILE_ROWS, dtype=bool)
+    key_blocks, value_blocks = (
+        np.concatenate([a, np.zeros((nb * TILE_ROWS - n, a.shape[1]))]).reshape(nb, TILE_ROWS, -1)
+        for a in (keys, values)
+    )
     counts = np.count_nonzero(selections, axis=1)
     diagonal = np.diagonal(selections)
     # a run breaks where the shape changes, every SPAN_ROWS rows, and
@@ -390,15 +479,16 @@ def block_tiles(inputs: AttentionInputs, head: int, selections: np.ndarray) -> I
         batch, k = last - first, int(counts[first])
         rows = slice(first * TILE_ROWS, min(last * TILE_ROWS, n))
         size = (rows.stop - rows.start) // batch
+        holes = size if diagonal[first] else 0
         width = k * TILE_ROWS - (TILE_ROWS - size if diagonal[first] else 0)
         chosen = np.nonzero(selections[first:last])[1].reshape(batch, k)
-        block_keys = key_blocks[chosen].reshape(batch, -1, d)[:, :width]
-        logits = queries[rows].reshape(batch, size, d) @ block_keys.transpose(0, 2, 1)
-        if diagonal[first]:
-            np.copyto(logits[:, :, width - size :], -np.inf, where=ahead[:size, :size])
-        block_values = value_blocks[chosen].reshape(batch, -1, d)[:, :width]
+        block_keys = key_blocks[chosen].reshape(batch, k * TILE_ROWS, -1)[:, :width]
+        logits = queries[rows].reshape(batch, size, -1) @ block_keys.transpose(0, 2, 1)
+        keep = np.tile(np.tri(size, holes, dtype=bool), (batch, 1))
+        block_values = value_blocks[chosen].reshape(batch, k * TILE_ROWS, -1)[:, :width]
         weigh = partial(_batched_values, block_values)
-        yield rows, [_Part(logits.reshape(-1, width), width - size, weigh)]
+        part = _Part(logits.reshape(-1, width), width - holes, keep, weigh, logits.size)
+        yield Tile(rows, [part], None if shift is None else shift[rows])
 
 
 def _batched_values(values: np.ndarray, weights: np.ndarray) -> np.ndarray:
@@ -416,31 +506,32 @@ def row_logsumexp(
     one kernel pass of ``dense_prefill`` and ``masked_attention``.  Recall
     does not run it; it reads cached unit masses (``accounting.dense_mass``).
 
-    The parts of a tile share one row peak, the largest permitted logit.
-    Holes are raised to a finite floor before exp and zeroed after it, so no
-    -inf reaches exp.  An empty row's log-sum-exp is -inf, as is that of a
-    row no tile covers.
+    A tile's logits arrive shifted by its rows' bounds, so exp runs on them
+    as they are.  On the exact path (no shift) the holes are set to -inf,
+    the parts share one row peak, the largest permitted logit, and the
+    shifted logits are raised to a finite floor, so no -inf reaches exp.
+    The holes are zeroed after exp.  An empty row's log-sum-exp is -inf, as
+    is that of a row no tile covers.
     """
-    peaks, totals = np.zeros(inputs.seq_len), np.zeros(inputs.seq_len)
-    for rows, parts in tiles:
-        peak = parts[0].logits.max(axis=1, keepdims=True)
-        for part in parts[1:]:
-            np.maximum(peak, part.logits.max(axis=1, keepdims=True), out=peak)
-        peak[peak == -np.inf] = 0.0
+    shifts, totals = np.zeros(inputs.seq_len), np.zeros(inputs.seq_len)
+    for rows, parts, shift in tiles:
+        if shift is None:
+            for logits, first, keep, *_ in parts:
+                np.copyto(logits[:, first:], -np.inf, where=~keep)
+            shift = parts[0].logits.max(axis=1)
+            for part in parts[1:]:
+                np.maximum(shift, part.logits.max(axis=1), out=shift)
+            shift[shift == -np.inf] = 0.0
+            for logits, *_ in parts:
+                logits -= shift[:, None]
+                np.maximum(logits, _EXP_FLOOR, out=logits)
         sums = []
-        for logits, first, _ in parts:
-            logits -= peak
-            if first < logits.shape[1]:
-                holes = logits[:, first:]
-                keep = holes > -np.inf
-                np.maximum(holes, _EXP_FLOOR, out=holes)
-                np.exp(logits, out=logits)
-                holes *= keep
-            else:
-                np.exp(logits, out=logits)
+        for logits, first, keep, *_ in parts:
+            np.exp(logits, out=logits)
+            logits[:, first:] *= keep
             sums.append(logits.sum(axis=1))
         total = sum(sums[1:], sums[0])
-        peaks[rows], totals[rows] = peak[:, 0], total
+        shifts[rows], totals[rows] = shift, total
         if out is not None:
             acc = parts[0].weigh(parts[0].logits)
             for part in parts[1:]:
@@ -448,29 +539,33 @@ def row_logsumexp(
             # prefill tiles give every row a cell, so no total is zero
             out[rows] = acc / total[:, None]
     with np.errstate(divide="ignore"):
-        return peaks + np.log(totals)
+        return shifts + np.log(totals)
 
 
-def _prefill(inputs: AttentionInputs, tiles_of: Callable[[int], Iterable[Tile]]) -> AttentionOutput:
+def _prefill(
+    inputs: AttentionInputs, tiles_of: Callable[[int, np.ndarray], Iterable[Tile]]
+) -> AttentionOutput:
     h, n, d = inputs.num_q_heads, inputs.seq_len, inputs.head_dim
     out = np.empty((h, n, d))
+    # the heads share one pair of diagonal buffers, freed on return
+    buffers = _diagonal_buffers(n)
     for head in range(h):
-        row_logsumexp(inputs, tiles_of(head), out[head])
+        row_logsumexp(inputs, tiles_of(head, buffers), out[head])
     return AttentionOutput(out)
 
 
 def dense_prefill(inputs: AttentionInputs) -> AttentionOutput:
     """Exact causal attention: the column plan that keeps every key column."""
     every = np.arange(inputs.seq_len)
-    return _prefill(inputs, lambda head: column_tiles(inputs, head, every))
+    return _prefill(inputs, lambda head, _: column_tiles(inputs, head, every))
 
 
 def masked_attention(inputs: AttentionInputs, mask: CellMask) -> AttentionOutput:
     """Attention restricted to a mask's cells; softmax renormalizes per row
     over the permitted keys only.  The kernel reads the mask's
-    ``group_map``, ``seq_len`` and ``tiles(inputs, head)``, the tiles of
-    one head's cells, and refuses a mask made for another group map or
-    length."""
+    ``group_map``, ``seq_len`` and ``tiles(inputs, head, buffers)``, the
+    tiles of one head's cells, and refuses a mask made for another group
+    map or length."""
     if mask.group_map != inputs.group_map or mask.seq_len != inputs.seq_len:
         raise ValueError(
             f"mask (group map {mask.group_map}, length {mask.seq_len}) does not match "

@@ -60,8 +60,10 @@ class CellMask:
     def seq_len(self) -> int:
         return self.plan.seq_len
 
-    def tiles(self, inputs: AttentionInputs, head: int) -> Iterator[Tile]:
-        return self.plan.tiles(inputs, self.group_map, head)
+    def tiles(
+        self, inputs: AttentionInputs, head: int, buffers: np.ndarray | None = None
+    ) -> Iterator[Tile]:
+        return self.plan.tiles(inputs, self.group_map, head, buffers)
 
     @cached_property
     def cells(self) -> np.ndarray:

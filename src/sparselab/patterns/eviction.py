@@ -68,15 +68,19 @@ def smoothed_scores(
 
 
 def _eviction_rank(inputs: AttentionInputs, reduce: Literal["mean", "max"]):
-    """One reduction's cached stage, two [num_kv_heads, seq_len] arrays of
-    ``accounting.rank`` places by smoothed score: each token's in its kv
-    head, forced tokens first, and in one rank over every head's tokens,
-    head-major, where equal scores go to the lower kv head."""
+    """One reduction's cached stage: the [num_kv_heads, seq_len]
+    ``accounting.rank`` places of each token in its kv head by smoothed
+    score, forced tokens first, and the pooled order, the flat ids
+    (kv_head * seq_len + token) of every head's tokens by one rank over
+    them all, where equal scores go to the lower kv head."""
     n, num_kv = inputs.seq_len, inputs.num_kv_heads
     ids = np.arange(n)
     scores = np.stack([smoothed_scores(inputs, kv, reduce) for kv in range(num_kv)])
     places = rank(scores, (ids < FORCED_FIRST) | (ids >= n - FORCED_RECENT))
-    return places, rank(scores.reshape(-1), False).reshape(num_kv, n)
+    pooled = rank(scores.reshape(-1), False)
+    order = np.empty_like(pooled)
+    order[pooled] = np.arange(pooled.size, dtype=pooled.dtype)
+    return places, order
 
 
 # the cached stage of each reduction
@@ -95,19 +99,23 @@ def _compress(
     order, so equal scores go to the lower kv head and then the lower token.
     A capacity at or above the cache length keeps every token.  When the
     floors fill the pool (uniform allocation, or a floor fraction of 1),
-    the pool takes nothing and the pooled order is not read."""
+    the pool takes nothing and the pooled order is not read.  Otherwise the
+    floors hold at most num_kv_heads * floor tokens, so the pool's first
+    num_kv_heads * capacity entries hold every token it takes, and no
+    step of a build reads more of the pooled order."""
     forced = FORCED_FIRST + FORCED_RECENT
     if token_capacity < forced:
         raise ValueError(f"token_capacity must be >= {forced} to cover forced tokens")
     n, num_kv = inputs.seq_len, inputs.num_kv_heads
+    capacity = min(token_capacity, n)
     floor = min(max(int(np.ceil(floor_fraction * token_capacity)), forced), n)
-    places, pooled = inputs.cached(RANKS[reduce])
+    places, order = inputs.cached(RANKS[reduce])
     keep = places < floor
-    room = num_kv * (min(token_capacity, n) - floor)
+    room = num_kv * (capacity - floor)
     if room:
-        free = np.empty(keep.size, dtype=bool)
-        free[pooled] = ~keep  # the tokens outside the floors, in pooled order
-        keep |= (free & (np.cumsum(free) <= room))[pooled]
+        head = order[: num_kv * capacity]
+        flat = keep.reshape(-1)
+        flat[head[~flat[head]][:room]] = True
     return EvictionPlan(kept=tuple(np.flatnonzero(k) for k in keep), seq_len=n)
 
 

@@ -111,8 +111,14 @@ class _ColumnGeometry(_Geometry):
     diagonals.  A subclass's ``_lines(group_map, head)`` gives one query
     head's sorted columns and its offsets (None for no diagonals)."""
 
-    def tiles(self, inputs: AttentionInputs, group_map: GroupMap, head: int) -> Iterator[Tile]:
-        return column_tiles(inputs, head, *self._lines(group_map, head))
+    def tiles(
+        self,
+        inputs: AttentionInputs,
+        group_map: GroupMap,
+        head: int,
+        buffers: np.ndarray | None = None,
+    ) -> Iterator[Tile]:
+        return column_tiles(inputs, head, *self._lines(group_map, head), buffers)
 
     def write_cells(self, group_map: GroupMap, head: int, out: np.ndarray) -> None:
         """Write query head ``head``'s boolean [n, n] cells into ``out``."""
@@ -308,7 +314,14 @@ class BlockPlan(_Geometry):
         off_diagonal = np.count_nonzero(self.selections, axis=2) - diagonal
         return _block_cells(n, off_diagonal, diagonal), causal
 
-    def tiles(self, inputs: AttentionInputs, group_map: GroupMap, head: int) -> Iterator[Tile]:
+    def tiles(
+        self,
+        inputs: AttentionInputs,
+        group_map: GroupMap,
+        head: int,
+        buffers: np.ndarray | None = None,
+    ) -> Iterator[Tile]:
+        # block tiles read no diagonal buffers
         return block_tiles(inputs, head, self.selections[head])
 
     def write_cells(self, group_map: GroupMap, head: int, out: np.ndarray) -> None:

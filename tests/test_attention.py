@@ -450,23 +450,47 @@ def random_prefill_plans(rng, n, heads, kv_heads, with_first=True):
     return [vs, block, eviction] if with_first else [vs, eviction]
 
 
+def with_a_loud_key(inputs):
+    """The inputs with each kv head's last key stretched until every query
+    head's largest row bound |q_i| max_j |k_j| is several times
+    ``_SHIFT_LIMIT``: the kernel then takes its exact path.  Only row n - 1
+    reads that key, so the other rows' logits stay small, far below their
+    bounds."""
+    keys = inputs.keys.copy()
+    norms = np.linalg.norm(inputs.queries, axis=2) / np.sqrt(inputs.head_dim)
+    stretch = 4 * attention._SHIFT_LIMIT / np.median(norms)
+    keys[:, -1] *= stretch / np.linalg.norm(keys[:, -1], axis=1, keepdims=True)
+    return AttentionInputs.from_arrays(inputs.queries, keys, inputs.values, inputs.group_map)
+
+
 @settings(deadline=None, max_examples=30)
-@given(seed=st.integers(0, 10_000), n=st.integers(1, 300), kv=st.sampled_from([1, 2]))
-@example(seed=0, n=1, kv=1)
-@example(seed=1, n=15, kv=2)
-@example(seed=2, n=16, kv=1)
-@example(seed=3, n=17, kv=2)
-@example(seed=4, n=255, kv=1)
-@example(seed=5, n=256, kv=2)
-@example(seed=6, n=257, kv=1)
-def test_plan_tiles_match_full_matrix_reference(seed, n, kv):
+@given(
+    seed=st.integers(0, 10_000),
+    n=st.integers(1, 300),
+    kv=st.sampled_from([1, 2]),
+    loud=st.booleans(),
+)
+@example(seed=0, n=1, kv=1, loud=False)
+@example(seed=1, n=15, kv=2, loud=False)
+@example(seed=2, n=16, kv=1, loud=False)
+@example(seed=3, n=17, kv=2, loud=False)
+@example(seed=4, n=255, kv=1, loud=False)
+@example(seed=5, n=256, kv=2, loud=False)
+@example(seed=6, n=257, kv=1, loud=False)
+@example(seed=7, n=40, kv=2, loud=True)
+@example(seed=8, n=257, kv=1, loud=True)
+def test_plan_tiles_match_full_matrix_reference(seed, n, kv, loud):
     """Vertical-slash (offset 0, verticals over the slashes), block (a
     partial last block) and eviction plans (1:1 and 2:1 group maps): the
     kernel on a plan's mask and the recall against the full-matrix
-    softmax.  A row with no cells has a log-sum-exp of -inf."""
+    softmax.  A row with no cells has a log-sum-exp of -inf.  Tiles carry
+    their rows' bounds as the shift, except on ``loud`` inputs, whose
+    bounds pass the limit: there the kernel takes each row's peak."""
     rng = np.random.default_rng(seed)
     heads = kv * int(rng.choice([1, 2]))
     inputs = random_inputs(rng, n, num_q_heads=heads, num_kv_heads=kv)
+    if loud:
+        inputs = with_a_loud_key(inputs)
     for plan in random_prefill_plans(rng, n, heads, kv):
         mask = to_cell_mask(plan, inputs.group_map)
         want = full_matrix_reference(inputs, mask.cells)
@@ -478,11 +502,48 @@ def test_plan_tiles_match_full_matrix_reference(seed, n, kv):
     if n > 1:
         for plan in random_prefill_plans(rng, n, heads, kv, with_first=False):
             for head in range(heads):
-                tiles = plan.tiles(inputs, inputs.group_map, head)
+                tiles = list(plan.tiles(inputs, inputs.group_map, head))
+                assert all((tile.shift is None) == loud for tile in tiles)
                 lse = attention.row_logsumexp(inputs, tiles)
                 assert lse[0] == -np.inf
                 assert np.isfinite(lse[n - 1])
             assert np.isfinite(attention_recall(plan, inputs))
+
+
+def test_diagonal_bands_take_their_own_products():
+    """A tile's offsets split into bands wherever two lie more than
+    SPAN_ROWS apart, and each band's product covers only the keys its
+    diagonals cross; offsets exactly SPAN_ROWS apart share a band.  A tile
+    whose column part and bands would cover at least its whole key prefix
+    is one product over that prefix.  The product cells each tile reports
+    against that geometry, and the kernel against the full-matrix softmax,
+    on the row-bound and the row-peak paths."""
+    n = 3 * S + 40
+    inputs = random_inputs(np.random.default_rng(0), n, num_q_heads=2, num_kv_heads=1)
+    columns = np.array([3, S + 7])
+    slashes = np.array([0, 1, 5, 5 + S, 2 * S + 20, 2 * S + 23])
+    bands = [slashes[:4], slashes[4:]]
+    plan = VerticalSlashPlan((columns,) * 2, (slashes,) * 2, seq_len=n)
+    prefix_tiles = 0
+    for start in range(0, n, S):
+        stop = min(start + S, n)
+        size = stop - start
+        widths = []
+        for band in bands:
+            band = band[band < stop]
+            if band.size:
+                # rows start..stop-1 on offsets band[0]..band[-1]
+                widths.append(stop - band[0] - max(0, start - band[-1]))
+        m = np.count_nonzero(columns < stop)
+        want = [size * stop] if m + sum(widths) >= stop else [size * w for w in [m, *widths]]
+        prefix_tiles += len(want) == 1
+        tile = list(plan.tiles(inputs, inputs.group_map, 0))[start // S]
+        assert [part.product for part in tile.parts] == want
+    assert 0 < prefix_tiles < -(-n // S)
+    for inputs in (inputs, with_a_loud_key(inputs)):
+        mask = to_cell_mask(plan, inputs.group_map)
+        got = masked_attention(inputs, mask).output
+        assert np.abs(got - full_matrix_reference(inputs, mask.cells)).max() <= 1e-12
 
 
 def test_rows_before_a_plans_first_cell_read_nothing(rng):
